@@ -19,7 +19,7 @@ which derived trees are built (:mod:`repro.tag.derive`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Iterator
 
 from repro.tag.symbols import Symbol
@@ -143,10 +143,20 @@ class RConst:
 
 @dataclass(frozen=True)
 class ElementaryTree:
-    """Base class of alpha- and beta-trees: a named, validated template."""
+    """Base class of alpha- and beta-trees: a named, validated template.
+
+    The template is immutable, so its address tables are computed once
+    and memoised in the instance ``__dict__`` (outside the dataclass
+    fields: equality, hashing and pickles see only ``name`` and
+    ``root``).
+    """
 
     name: str
     root: TreeNode
+
+    def __getstate__(self) -> dict:
+        # Pickle the fields only; the address memos rebuild on demand.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def node_at(self, address: Address) -> TreeNode:
         return self.root.node_at(address)
@@ -156,21 +166,30 @@ class ElementaryTree:
 
     def substitution_addresses(self) -> tuple[Address, ...]:
         """Addresses of all frontier substitution slots (``↓`` nodes)."""
-        return tuple(
-            address for address, node in self.walk() if node.is_subst
-        )
+        cached = self.__dict__.get("_substitution_addresses")
+        if cached is None:
+            cached = tuple(
+                address for address, node in self.walk() if node.is_subst
+            )
+            self.__dict__["_substitution_addresses"] = cached
+        return cached
 
     def adjunction_addresses(self, adjoinable: frozenset[Symbol]) -> tuple[Address, ...]:
         """Addresses where a beta-tree rooted at a symbol in ``adjoinable``
         may adjoin: non-terminal nodes excluding foot and substitution
         slots."""
-        return tuple(
-            address
-            for address, node in self.walk()
-            if node.symbol in adjoinable
-            and not node.is_foot
-            and not node.is_subst
-        )
+        memo = self.__dict__.setdefault("_adjunction_addresses", {})
+        cached = memo.get(adjoinable)
+        if cached is None:
+            cached = tuple(
+                address
+                for address, node in self.walk()
+                if node.symbol in adjoinable
+                and not node.is_foot
+                and not node.is_subst
+            )
+            memo[adjoinable] = cached
+        return cached
 
     @property
     def size(self) -> int:
@@ -209,10 +228,13 @@ class BetaTree(ElementaryTree):
 
     @property
     def foot_address(self) -> Address:
-        for address, node in self.walk():
-            if node.is_foot:
-                return address
-        raise AssertionError("validated beta-tree lost its foot")
+        cached = self.__dict__.get("_foot_address")
+        if cached is None:
+            cached = next(
+                address for address, node in self.walk() if node.is_foot
+            )
+            self.__dict__["_foot_address"] = cached
+        return cached
 
 
 @dataclass(frozen=True)

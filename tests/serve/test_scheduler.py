@@ -8,6 +8,7 @@ entered per-test via ``asyncio.run``.
 from __future__ import annotations
 
 import asyncio
+import os
 
 import pytest
 
@@ -258,9 +259,21 @@ class TestStopResume:
                 config={"max_generations": 30, "population_size": 12},
             )
 
+            def checkpoints(job_id):
+                try:
+                    names = os.listdir(store.checkpoint_dir(job_id))
+                except FileNotFoundError:
+                    return []
+                return [name for name in names if name.endswith(".ckpt")]
+
             async def inner():
                 record, _ = scheduler.submit(spec)
-                while record.job_id not in scheduler._governors:
+                # Stop only once the run has checkpointed a generation: a
+                # stop that lands before the first generation ends the
+                # campaign with nothing to resume from.
+                deadline = asyncio.get_running_loop().time() + 120
+                while not checkpoints(record.job_id):
+                    assert asyncio.get_running_loop().time() < deadline
                     await asyncio.sleep(0.02)
                 scheduler.request_stop(record.job_id)
                 assert await scheduler.wait_idle(timeout=120)
@@ -268,10 +281,7 @@ class TestStopResume:
                 assert final.state == STOPPED
                 assert final.detail["reason"] == SERVE_STOP
                 # The stopped run left a resumable checkpoint.
-                import os
-
-                names = os.listdir(store.checkpoint_dir(record.job_id))
-                assert any(name.endswith(".ckpt") for name in names)
+                assert checkpoints(record.job_id)
                 # stopped is not runnable: the loop must not relaunch.
                 assert scheduler.active_jobs() == []
                 # Explicit resume re-queues it.

@@ -116,6 +116,44 @@ class TestElementaryTrees:
         assert (1,) in sites
         assert (0,) not in sites  # substitution slot
 
+    def test_address_tables_are_memoised_per_adjoinable_set(self):
+        root = TreeNode(
+            NT_X,
+            (
+                TreeNode(NT_X, is_subst=True),
+                TreeNode(nonterminal("Y"), (leaf(),)),
+                TreeNode(NT_X, is_foot=True),
+            ),
+        )
+        beta = BetaTree("b", root)
+        x_only = beta.adjunction_addresses(frozenset({NT_X}))
+        assert beta.adjunction_addresses(frozenset({NT_X})) is x_only
+        assert beta.adjunction_addresses(
+            frozenset({NT_X, nonterminal("Y")})
+        ) == ((), (1,))
+        assert beta.substitution_addresses() is beta.substitution_addresses()
+        assert beta.foot_address == (2,)
+
+    def test_memos_leave_equality_hash_and_pickles_unchanged(self):
+        import pickle
+
+        def build():
+            root = TreeNode(
+                NT_X, (TreeNode(NT_X, is_subst=True), TreeNode(NT_X, is_foot=True))
+            )
+            return BetaTree("b", root)
+
+        fresh, used = build(), build()
+        used.substitution_addresses()
+        used.adjunction_addresses(frozenset({NT_X}))
+        assert used.foot_address == (1,)
+        assert used == fresh
+        assert hash(used) == hash(fresh)
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        restored = pickle.loads(pickle.dumps(used))
+        assert restored == fresh
+        assert restored.adjunction_addresses(frozenset({NT_X})) == ((),)
+
 
 class TestLexeme:
     def test_instantiate_copies_rconst(self):
