@@ -4,12 +4,19 @@ The observability layer's performance contract: with a JSONL sink
 attached, the evaluator emits one ``evaluation_batch`` event per cohort
 and snapshots a handful of counters -- nothing per-individual, nothing
 per-step -- so the traced kernel benchmark must run within
-``OVERHEAD_BUDGET`` of the untraced one.  Timings use best-of-``ROUNDS``
-with the two modes interleaved, the standard noise-robust rule.
+``OVERHEAD_BUDGET`` of the untraced one.
+
+One cohort evaluation lasts only a fraction of a second, too short for a
+5% gate on a shared host.  Each sample therefore repeats the evaluation
+until it has lasted at least ``SAMPLE_SECONDS`` and reports the mean per
+evaluation; ``PAIRS`` traced/untraced sample pairs run interleaved, with
+the mode that goes first alternating, and the gate applies to the median
+of the per-pair ratios.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from repro.experiments.kernel_batching import _cohort
@@ -21,7 +28,11 @@ from repro.river import load_dataset
 #: Maximum tolerated slowdown of the traced run (1.05 == 5%).
 OVERHEAD_BUDGET = 1.05
 
-ROUNDS = 5
+#: Interleaved traced/untraced sample pairs.
+PAIRS = 7
+
+#: Minimum evaluation time accumulated by one sample.
+SAMPLE_SECONDS = 1.0
 
 
 def _evaluate_once(task, config, cohort, tracer=None) -> float:
@@ -33,6 +44,16 @@ def _evaluate_once(task, config, cohort, tracer=None) -> float:
     return time.perf_counter() - clock
 
 
+def _sample(task, config, cohort, tracer=None) -> float:
+    """Mean seconds per evaluation over at least ``SAMPLE_SECONDS``."""
+    total = 0.0
+    repeats = 0
+    while total < SAMPLE_SECONDS:
+        total += _evaluate_once(task, config, cohort, tracer)
+        repeats += 1
+    return total / repeats
+
+
 def test_traced_evaluation_overhead_under_budget(scale_name, tmp_path):
     scale = get_scale(scale_name)
     dataset = load_dataset(
@@ -42,25 +63,28 @@ def test_traced_evaluation_overhead_under_budget(scale_name, tmp_path):
     config, cohort = _cohort(task, scale, seed=0)
 
     tracer = Tracer(JsonlSink(tmp_path / "bench.jsonl"))
+    ratios = []
     try:
         # Warm compilation caches so neither mode pays them.
         _evaluate_once(task, config, cohort)
-        untraced = float("inf")
-        traced = float("inf")
-        for __ in range(ROUNDS):
-            untraced = min(untraced, _evaluate_once(task, config, cohort))
-            traced = min(
-                traced, _evaluate_once(task, config, cohort, tracer=tracer)
-            )
+        for pair in range(PAIRS):
+            if pair % 2 == 0:
+                untraced = _sample(task, config, cohort)
+                traced = _sample(task, config, cohort, tracer)
+            else:
+                traced = _sample(task, config, cohort, tracer)
+                untraced = _sample(task, config, cohort)
+            ratios.append(traced / untraced)
     finally:
         tracer.close()
 
-    overhead = traced / untraced
+    overhead = statistics.median(ratios)
     print(
-        f"\nuntraced {untraced * 1e3:.1f} ms, traced {traced * 1e3:.1f} ms "
-        f"({overhead:.3f}x)"
+        "\nper-pair traced/untraced: "
+        + ", ".join(f"{ratio:.3f}" for ratio in ratios)
+        + f" (median {overhead:.3f}x)"
     )
     assert overhead <= OVERHEAD_BUDGET, (
         f"tracing overhead {overhead:.3f}x exceeds {OVERHEAD_BUDGET}x budget "
-        f"(untraced {untraced:.4f}s, traced {traced:.4f}s)"
+        f"(per-pair ratios {[round(ratio, 3) for ratio in ratios]})"
     )

@@ -19,7 +19,6 @@ import numpy as np
 from repro.dynamics.drivers import DriverTable
 from repro.dynamics.system import ProcessModel
 from repro.expr.compile import CompiledCohortKernel
-from repro.obs.metrics import GLOBAL_METRICS
 
 #: Element budget for hoisted driver-dependent temporaries in batched
 #: rollouts (~16 MiB of float64) -- bounds memory on long trajectories.
@@ -229,11 +228,6 @@ def batched_euler_rollout(
             f"initial state has shape {initial.shape}, model has "
             f"{n_states} states"
         )
-    n_columns = params.shape[1]
-    n_steps = len(drivers)
-    GLOBAL_METRICS.counter("kernel.batched_rollouts").inc()
-    GLOBAL_METRICS.counter("kernel.batched_columns").inc(n_columns)
-    GLOBAL_METRICS.counter("kernel.batched_steps").inc(n_steps * n_columns)
     return _euler_rollout_core(
         model.compiled_batched(),
         params,
@@ -365,10 +359,6 @@ def fused_euler_rollout(
             f"initial state has shape {initial.shape}, cohort has "
             f"{kernel.n_states} states"
         )
-    n_steps = len(drivers)
-    GLOBAL_METRICS.counter("kernel.fused_rollouts").inc()
-    GLOBAL_METRICS.counter("kernel.fused_lanes").inc(kernel.width)
-    GLOBAL_METRICS.counter("kernel.fused_steps").inc(n_steps * kernel.width)
     return _euler_rollout_core(
         kernel, params, drivers.values, initial, kernel.n_states, dt, clamp
     )
@@ -388,7 +378,6 @@ def simulate(
     Raises:
         SimulationDiverged: If any state becomes NaN.
     """
-    GLOBAL_METRICS.counter("kernel.scalar_simulations").inc()
     trajectory = np.empty((len(drivers), len(model.state_names)), dtype=float)
     stepper = euler_steps(
         model, params, drivers, initial_state, dt, clamp, use_compiled

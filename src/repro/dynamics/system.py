@@ -88,9 +88,6 @@ class ProcessModel:
         state["_compiled_batched"] = None
         return state
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-
     @property
     def state_names(self) -> tuple[str, ...]:
         return tuple(self.equations)

@@ -58,6 +58,7 @@ from repro.expr.evaluate import (
     batched_protected_exp,
     batched_protected_log,
 )
+from repro.obs.metrics import MetricsRegistry, publish_fields
 
 #: Signature of a compiled single-expression function.
 CompiledExpr = Callable[[Sequence[float], Sequence[float], Sequence[float]], float]
@@ -806,11 +807,11 @@ class KernelCacheStats:
             return 0.0
         return self.hits / self.lookups
 
-    def publish(self, registry: Any, prefix: str = "kernel_cache") -> None:
+    def publish(
+        self, registry: MetricsRegistry, prefix: str = "kernel_cache"
+    ) -> None:
         """Publish the counters into a :class:`repro.obs.MetricsRegistry`."""
-        registry.counter(f"{prefix}.hits").inc(self.hits)
-        registry.counter(f"{prefix}.misses").inc(self.misses)
-        registry.counter(f"{prefix}.evictions").inc(self.evictions)
+        publish_fields(self, registry, prefix)
 
 
 class KernelCache:
@@ -876,8 +877,8 @@ class KernelCache:
         return {"max_entries": self.max_entries, "stats": self.stats}
 
     def __setstate__(self, state: dict) -> None:
-        self.max_entries = state.get("max_entries", 512)
-        self.stats = state.get("stats") or KernelCacheStats()
+        self.max_entries = state["max_entries"]
+        self.stats = state["stats"]
         self._entries = OrderedDict()
 
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
+
+from repro.obs.metrics import MetricsRegistry, merge_fields, publish_fields
 
 #: Cache keys round parameter values to this many significant digits, so
 #: float noise below evaluation precision does not fragment entries.
@@ -38,11 +40,7 @@ class CacheStats:
 
     def merge(self, other: "CacheStats") -> "CacheStats":
         """Counter-wise sum with ``other`` (fan-in of per-worker caches)."""
-        return CacheStats(
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            evictions=self.evictions + other.evictions,
-        )
+        return merge_fields(self, other)
 
     @classmethod
     def merge_all(cls, parts: "Iterable[CacheStats]") -> "CacheStats":
@@ -52,11 +50,11 @@ class CacheStats:
             total = total.merge(part)
         return total
 
-    def publish(self, registry: Any, prefix: str = "tree_cache") -> None:
+    def publish(
+        self, registry: MetricsRegistry, prefix: str = "tree_cache"
+    ) -> None:
         """Publish the counters into a :class:`repro.obs.MetricsRegistry`."""
-        registry.counter(f"{prefix}.hits").inc(self.hits)
-        registry.counter(f"{prefix}.misses").inc(self.misses)
-        registry.counter(f"{prefix}.evictions").inc(self.evictions)
+        publish_fields(self, registry, prefix)
 
 
 @dataclass

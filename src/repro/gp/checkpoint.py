@@ -16,7 +16,7 @@ precisely for the moments when processes die mid-write:
   renamed into place, so a crash never leaves a half-written checkpoint
   under the real name;
 * **versioned**: files open with an 8-byte magic that encodes the format
-  version; readers refuse anything they do not understand;
+  version; readers refuse every version but their own;
 * **integrity-checked**: a SHA-256 digest over the payload is stored in
   the header and verified on load, so silent truncation or corruption
   surfaces as :class:`CheckpointError`, never as a garbage resume;
@@ -46,22 +46,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.gp.engine import GenerationRecord, RunResult
 
 #: Format version encoded in the file magic; bump on layout changes.
-#: v2 (PR 5): adds ``trace_seq`` and preserves cache hit/miss/eviction
-#: counters through the evaluator pickle round-trip.
-#: v3 (PR 6): adds ``domain`` and ``domain_spec_hash`` so resuming under
-#: the wrong domain -- or under a domain whose knowledge spec changed
-#: since the snapshot -- fails loudly instead of silently continuing a
-#: run over a different search space.
-#: v4 (PR 8): adds ``stop_reason`` so a budget- or signal-stopped run's
-#: final envelope records why it stopped.
-CHECKPOINT_VERSION = 4
-
-#: Versions this build still reads; older envelopes are migrated in
-#: memory (missing fields get their v1-era defaults, e.g. a zero trace
-#: offset; pre-domain envelopes default to the ``river`` domain with no
-#: spec hash; pre-governor envelopes have no stop reason) instead of
-#: raising.
-COMPATIBLE_VERSIONS = (1, 2, 3, 4)
+#: This build reads exactly this version: older checkpoints and results
+#: are refused with :class:`CheckpointError`, never migrated.
+CHECKPOINT_VERSION = 5
 
 #: File magics: 7 identifying bytes plus the format version byte.
 _CHECKPOINT_MAGIC = b"GMRCKPT" + bytes([CHECKPOINT_VERSION])
@@ -211,10 +198,10 @@ def _load(path: str | os.PathLike[str], magic: bytes, kind: str) -> Any:
     header = len(magic) + _DIGEST_BYTES
     if len(blob) < header or blob[: len(magic) - 1] != magic[:-1]:
         raise CheckpointError(f"{path!s} is not a {kind} file")
-    if blob[len(magic) - 1] not in COMPATIBLE_VERSIONS:
+    if blob[len(magic) - 1] != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"{path!s} uses {kind} format version {blob[len(magic) - 1]}, "
-            f"this build reads versions {COMPATIBLE_VERSIONS}"
+            f"this build reads only version {CHECKPOINT_VERSION}"
         )
     digest = blob[len(magic) : header]
     payload = blob[header:]
@@ -295,13 +282,11 @@ def load_checkpoint(path: str | os.PathLike[str]) -> RunCheckpoint:
         raise CheckpointError(
             f"{path!s} holds a {type(checkpoint).__name__}, not a RunCheckpoint"
         )
-    if checkpoint.version not in COMPATIBLE_VERSIONS:
+    if checkpoint.version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"{path!s} holds checkpoint version {checkpoint.version}, "
-            f"this build reads versions {COMPATIBLE_VERSIONS}"
+            f"this build reads only version {CHECKPOINT_VERSION}"
         )
-    if checkpoint.version < CHECKPOINT_VERSION:
-        _migrate_checkpoint(checkpoint)
     return checkpoint
 
 
@@ -336,35 +321,6 @@ def load_checkpoint_resilient(
             )
             return checkpoint
         raise
-
-
-def _migrate_checkpoint(checkpoint: RunCheckpoint) -> None:
-    """Upgrade an older envelope in memory (v1/v2/v3 -> v4).
-
-    v1 predates the observability layer: there was no trace offset, and
-    the evaluator's compiled-cache counters were zeroed by its pickle
-    round-trip, so the honest migration is zero defaults.  (The
-    evaluator- and cache-level attribute gaps are already healed by
-    their own ``__setstate__`` hooks during unpickling.)
-
-    v1/v2 predate the domain registry: every run revised the river
-    model, so pre-domain envelopes migrate to ``domain="river"`` with an
-    empty spec hash -- resume then skips the spec comparison (there is
-    no save-time hash to compare against) but still refuses to resume
-    the snapshot under a non-river domain.
-
-    v1-v3 predate the resource governor; their envelopes were only ever
-    written on the cadence, so the honest ``stop_reason`` is None.
-    """
-    if not hasattr(checkpoint, "trace_seq"):
-        checkpoint.trace_seq = 0
-    if not hasattr(checkpoint, "domain"):
-        checkpoint.domain = "river"
-    if not hasattr(checkpoint, "domain_spec_hash"):
-        checkpoint.domain_spec_hash = ""
-    if not hasattr(checkpoint, "stop_reason"):
-        checkpoint.stop_reason = None
-    checkpoint.version = CHECKPOINT_VERSION
 
 
 #: Advisory lockfile name inside a claimed checkpoint directory.

@@ -152,13 +152,6 @@ class GMREngine:
         state["progress"] = None
         return state
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.__dict__.setdefault("tracer", None)
-        self.__dict__.setdefault("trace_dir", None)
-        self.__dict__.setdefault("governor", None)
-        self.__dict__.setdefault("progress", None)
-
     def make_evaluator(self) -> GMRFitnessEvaluator:
         return GMRFitnessEvaluator(task=self.task, config=self.config)
 
@@ -201,21 +194,16 @@ class GMREngine:
         return cls(spec.make_knowledge(), task, config, **kwargs)
 
     def _check_checkpoint_domain(self, checkpoint: RunCheckpoint) -> None:
-        """Refuse to resume under the wrong domain or a changed spec.
-
-        ``getattr`` defaults mirror the v2->v3 migration because
-        ``resume_from`` may be a :class:`RunCheckpoint` instance that
-        never went through :func:`~repro.gp.checkpoint.load_checkpoint`.
-        """
-        saved_domain = getattr(checkpoint, "domain", "river")
+        """Refuse to resume under the wrong domain or a changed spec."""
+        saved_domain = checkpoint.domain
         if saved_domain != self.config.domain:
             raise CheckpointError(
                 f"checkpoint was written for domain {saved_domain!r}, "
                 f"cannot resume it under domain {self.config.domain!r}"
             )
-        saved_hash = getattr(checkpoint, "domain_spec_hash", "")
+        saved_hash = checkpoint.domain_spec_hash
         if not saved_hash:
-            return  # pre-domain or hand-built engine: nothing to compare
+            return  # unregistered domain at save time: nothing to compare
         current_hash = self._domain_spec_hash()
         if current_hash and current_hash != saved_hash:
             raise CheckpointError(

@@ -41,7 +41,7 @@ from repro.gp.cache import CacheStats, TreeCache
 from repro.gp.config import MIN_BATCH_COLUMNS, GMRConfig  # noqa: F401 - re-export
 from repro.gp.individual import Individual
 from repro.gp.phenotype import PhenotypeCache
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, merge_fields, publish_fields
 from repro.obs.profile import PhaseProfile
 from repro.obs.trace import Tracer
 
@@ -90,6 +90,10 @@ class EvaluationStats:
     from a :class:`~repro.obs.profile.PhaseProfile`, so they are
     mutually disjoint and their sum never exceeds ``wall_time`` -- on
     either path (``tests/gp/test_phase_partition.py``).
+
+    The field list is the only list of counters: ``merge`` and
+    ``publish`` are derived from it, so a new counter is one declaration
+    (``int`` fields publish as counters, ``float`` timers as gauges).
     """
 
     evaluations: int = 0
@@ -118,6 +122,8 @@ class EvaluationStats:
     #: Process-pool backends that degraded to serial evaluation after
     #: exhausting their rebuild budget (``ProcessPoolBackend``).
     pool_fallbacks: int = 0
+    #: Broken evaluation pools rebuilt by ``ProcessPoolBackend``.
+    pool_rebuilds: int = 0
     #: Fused multi-structure cohort kernels run to completion
     #: (``GMRFitnessEvaluator._simulate_cohort``).
     fused_cohorts: int = 0
@@ -134,20 +140,6 @@ class EvaluationStats:
     #: the rest, can differ from an uninterrupted run's.
     phenotype_hits: int = 0
     phenotype_misses: int = 0
-
-    def __setstate__(self, state: dict) -> None:
-        # Checkpoints written before the static-triage fields pickle
-        # without them; heal with the dataclass defaults.
-        self.__dict__.update(state)
-        self.__dict__.setdefault("triage_skips", 0)
-        self.__dict__.setdefault("triage_time", 0.0)
-        self.__dict__.setdefault("kernel_fallbacks", 0)
-        self.__dict__.setdefault("pool_fallbacks", 0)
-        self.__dict__.setdefault("fused_cohorts", 0)
-        self.__dict__.setdefault("fused_columns", 0)
-        self.__dict__.setdefault("fusion_fallbacks", 0)
-        self.__dict__.setdefault("phenotype_hits", 0)
-        self.__dict__.setdefault("phenotype_misses", 0)
 
     @property
     def mean_time_per_individual(self) -> float:
@@ -169,30 +161,7 @@ class EvaluationStats:
         back into one aggregate; wall times add up to total CPU seconds
         spent evaluating, not elapsed wall-clock.
         """
-        return EvaluationStats(
-            evaluations=self.evaluations + other.evaluations,
-            cache_hits=self.cache_hits + other.cache_hits,
-            short_circuits=self.short_circuits + other.short_circuits,
-            full_evaluations=self.full_evaluations + other.full_evaluations,
-            divergences=self.divergences + other.divergences,
-            steps_evaluated=self.steps_evaluated + other.steps_evaluated,
-            steps_possible=self.steps_possible + other.steps_possible,
-            wall_time=self.wall_time + other.wall_time,
-            batched_evaluations=self.batched_evaluations
-            + other.batched_evaluations,
-            compile_time=self.compile_time + other.compile_time,
-            step_time=self.step_time + other.step_time,
-            batch_fill=self.batch_fill + other.batch_fill,
-            triage_skips=self.triage_skips + other.triage_skips,
-            triage_time=self.triage_time + other.triage_time,
-            kernel_fallbacks=self.kernel_fallbacks + other.kernel_fallbacks,
-            pool_fallbacks=self.pool_fallbacks + other.pool_fallbacks,
-            fused_cohorts=self.fused_cohorts + other.fused_cohorts,
-            fused_columns=self.fused_columns + other.fused_columns,
-            fusion_fallbacks=self.fusion_fallbacks + other.fusion_fallbacks,
-            phenotype_hits=self.phenotype_hits + other.phenotype_hits,
-            phenotype_misses=self.phenotype_misses + other.phenotype_misses,
-        )
+        return merge_fields(self, other)
 
     @classmethod
     def merge_all(cls, parts: "Iterable[EvaluationStats]") -> "EvaluationStats":
@@ -214,37 +183,7 @@ class EvaluationStats:
 
     def publish(self, registry: MetricsRegistry, prefix: str = "eval") -> None:
         """Publish the counters into a :class:`~repro.obs.MetricsRegistry`."""
-        registry.counter(f"{prefix}.evaluations").inc(self.evaluations)
-        registry.counter(f"{prefix}.cache_hits").inc(self.cache_hits)
-        registry.counter(f"{prefix}.short_circuits").inc(self.short_circuits)
-        registry.counter(f"{prefix}.full_evaluations").inc(
-            self.full_evaluations
-        )
-        registry.counter(f"{prefix}.divergences").inc(self.divergences)
-        registry.counter(f"{prefix}.steps_evaluated").inc(self.steps_evaluated)
-        registry.counter(f"{prefix}.steps_possible").inc(self.steps_possible)
-        registry.counter(f"{prefix}.batched_evaluations").inc(
-            self.batched_evaluations
-        )
-        registry.counter(f"{prefix}.triage_skips").inc(self.triage_skips)
-        registry.counter(f"{prefix}.kernel_fallbacks").inc(
-            self.kernel_fallbacks
-        )
-        registry.counter(f"{prefix}.pool_fallbacks").inc(self.pool_fallbacks)
-        registry.counter(f"{prefix}.fused_cohorts").inc(self.fused_cohorts)
-        registry.counter(f"{prefix}.fused_columns").inc(self.fused_columns)
-        registry.counter(f"{prefix}.fusion_fallbacks").inc(
-            self.fusion_fallbacks
-        )
-        registry.counter(f"{prefix}.phenotype_hits").inc(self.phenotype_hits)
-        registry.counter(f"{prefix}.phenotype_misses").inc(
-            self.phenotype_misses
-        )
-        registry.gauge(f"{prefix}.wall_time").add(self.wall_time)
-        registry.gauge(f"{prefix}.compile_time").add(self.compile_time)
-        registry.gauge(f"{prefix}.step_time").add(self.step_time)
-        registry.gauge(f"{prefix}.batch_fill").add(self.batch_fill)
-        registry.gauge(f"{prefix}.triage_time").add(self.triage_time)
+        publish_fields(self, registry, prefix)
 
 
 @dataclass
@@ -369,7 +308,7 @@ class GMRFitnessEvaluator:
         #: misses).  Never pickled -- kernels are exec-generated.
         self._demoted_scalar: dict[Hashable, CompiledModel] = {}
         #: Derived models per derivation shape (repro.gp.phenotype);
-        #: never pickled -- an unpickled evaluator starts empty.
+        #: pickled empty, so an unpickled evaluator starts empty.
         self._phenotypes = PhenotypeCache()
 
     @property
@@ -432,27 +371,15 @@ class GMRFitnessEvaluator:
     def __getstate__(self) -> dict:
         # The kernel cache drops its exec-generated entries but keeps its
         # counters (see KernelCache.__getstate__); tracers hold sink file
-        # handles and stay behind; the profiler restarts empty.
+        # handles and stay behind; the profiler, the triage context, the
+        # demoted kernels and the phenotype memo restart empty.
         state = dict(self.__dict__)
         state["tracer"] = None
         state["_profile"] = PhaseProfile()
         state["_triage_context"] = None
         state["_demoted_scalar"] = {}
-        del state["_phenotypes"]
+        state["_phenotypes"] = PhenotypeCache()
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        # Envelopes pickled before the observability layer (checkpoint
-        # schema v1) predate these attributes.
-        self.__dict__.setdefault("tracer", None)
-        self.__dict__.setdefault("_triage_context", None)
-        self.__dict__.setdefault("_kernel_blocklist", set())
-        self.__dict__.setdefault("_fusion_blocklist", set())
-        self.__dict__.setdefault("_demoted_scalar", {})
-        self._phenotypes = PhenotypeCache()
-        if "_profile" not in self.__dict__:
-            self._profile = PhaseProfile()
 
     def _phenotype(
         self, individual: Individual

@@ -191,10 +191,6 @@ class RunGovernor:
         state["_stop_reason"] = None
         return state
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.__dict__.setdefault("_stop_reason", None)
-
     @property
     def stop_requested(self) -> str | None:
         """The pending cooperative stop reason, if any."""

@@ -62,7 +62,6 @@ from repro.gp.resilience import (
     FailurePolicy,
     RunFailure,
 )
-from repro.obs.metrics import GLOBAL_METRICS
 from repro.obs.trace import MemorySink, TraceEvent, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -442,7 +441,6 @@ def _campaign_pooled(
                     rebuild_seeds = []
                 else:
                     rebuilds += 1
-                    GLOBAL_METRICS.counter("pool.campaign_rebuilds").inc()
                     pool = ProcessPoolExecutor(max_workers=workers)
                     # The pool died under these seeds; they never failed
                     # on their own, so give their attempts back.
@@ -569,12 +567,13 @@ class ProcessPoolBackend(EvaluationBackend):
     A worker dying mid-batch (OOM kill, segfault) breaks the whole pool;
     the backend detects ``BrokenProcessPool``, rebuilds its pool, and
     re-submits only the chunks whose results it never received -- at most
-    ``max_pool_rebuilds`` times per batch.  Statistics are folded in once
-    per *successfully returned* chunk, so recovery never double-counts
-    evaluations and the ES marker stays consistent.  (Re-submitted chunks
-    observe the ``best_prev_full`` current at re-submission, which is at
-    least as tight as the original broadcast -- within the documented
-    per-batch synchronisation semantics.)
+    ``max_pool_rebuilds`` times per batch, each counted in the evaluator's
+    ``pool_rebuilds``.  Statistics are folded in once per *successfully
+    returned* chunk, so recovery never double-counts evaluations and the
+    ES marker stays consistent.  (Re-submitted chunks observe the
+    ``best_prev_full`` current at re-submission, which is at least as
+    tight as the original broadcast -- within the documented per-batch
+    synchronisation semantics.)
 
     When the rebuild budget is exhausted the backend descends the
     degradation ladder instead of aborting the campaign: with
@@ -602,11 +601,6 @@ class ProcessPoolBackend(EvaluationBackend):
         state = dict(self.__dict__)
         state["_pool"] = None
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.__dict__.setdefault("serial_fallback", True)
-        self.__dict__.setdefault("_degraded", False)
 
     @property
     def effective_workers(self) -> int:
@@ -702,7 +696,7 @@ class ProcessPoolBackend(EvaluationBackend):
                         evaluator.evaluate_batch(chunk)
                     return
                 rebuilds += 1
-                GLOBAL_METRICS.counter("pool.eval_rebuilds").inc()
+                evaluator.stats.pool_rebuilds += 1
             remaining = unfinished
 
     def _degrade(
@@ -711,7 +705,6 @@ class ProcessPoolBackend(EvaluationBackend):
         """Flip the sticky serial-fallback flag and account for it."""
         self._degraded = True
         evaluator.stats.pool_fallbacks += 1
-        GLOBAL_METRICS.counter("pool.serial_fallbacks").inc()
         tracer = evaluator._active_tracer()
         if tracer is not None:
             tracer.point(

@@ -17,7 +17,6 @@ recorded trace with ``python -m repro.obs report run.jsonl``.
 """
 
 from repro.obs.metrics import (
-    GLOBAL_METRICS,
     Counter,
     Gauge,
     Histogram,
@@ -46,7 +45,6 @@ from repro.obs.trace import (
 
 __all__ = [
     "EVENT_SCHEMAS",
-    "GLOBAL_METRICS",
     "NULL_TRACER",
     "ROOT_SPAN",
     "Counter",

@@ -8,17 +8,19 @@ instead of each inventing ad-hoc result fields.  A registry snapshot is
 a flat ``{name: value}`` mapping that serialises straight into the
 ``BENCH_*.json`` baselines and the trace report's JSON summary.
 
-Metrics are process-local and in-memory; there is no background thread,
-no lock (the engine is single-threaded per run; worker processes own
-their registries and fan results in through existing merge paths), and
-recording costs an attribute lookup plus an add.
+Registries are created by their callers, in-memory, with no background
+thread and no lock; counts made in worker processes travel back inside
+the stats objects' merge paths, not through a shared registry.  Stats
+dataclasses declare each counter once, as a field, and derive their
+``merge`` and ``publish`` from that declaration (:func:`merge_fields`,
+:func:`publish_fields`).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Iterator
 
 
@@ -167,6 +169,25 @@ class MetricsRegistry:
         self._metrics.clear()
 
 
-#: Process-global registry: cheap always-on counters (kernel rollouts,
-#: pool rebuilds) land here so any caller can snapshot them.
-GLOBAL_METRICS = MetricsRegistry()
+def merge_fields(left: Any, right: Any) -> Any:
+    """A new stats dataclass holding ``left + right`` field by field."""
+    return type(left)(
+        **{
+            f.name: getattr(left, f.name) + getattr(right, f.name)
+            for f in fields(left)
+        }
+    )
+
+
+def publish_fields(stats: Any, registry: MetricsRegistry, prefix: str) -> None:
+    """Publish every field of a stats dataclass as ``prefix.<field>``.
+
+    ``float`` fields (timers) add to gauges; every other field is a count
+    and increments a counter.
+    """
+    for f in fields(stats):
+        value = getattr(stats, f.name)
+        if f.type in (float, "float"):
+            registry.gauge(f"{prefix}.{f.name}").add(value)
+        else:
+            registry.counter(f"{prefix}.{f.name}").inc(value)

@@ -1,16 +1,12 @@
-"""Domain-aware checkpoints: envelope fields, resume guards, migration.
+"""Domain-aware checkpoints: envelope fields and resume guards.
 
-The satellite requirement: the v3 envelope records the domain name and
-its spec hash; resume refuses the wrong domain or a changed spec with a
-clear :class:`CheckpointError`, and pre-domain (v1/v2) checkpoints
-migrate to ``domain="river"`` with no hash, staying resumable.
+The envelope records the domain name and its spec hash; resume refuses
+the wrong domain or a changed spec with a clear :class:`CheckpointError`.
 """
 
 from __future__ import annotations
 
 import copy
-import hashlib
-import pickle
 
 import pytest
 
@@ -118,93 +114,6 @@ class TestResumeGuards:
     def test_matching_domain_resumes(self, lv_engine, lv_checkpoint_path):
         resumed = lv_engine.run(resume_from=lv_checkpoint_path)
         assert histories(resumed) == histories(lv_engine.run(seed=1))
-
-
-def craft_pre_domain_blob(path, version: int = 2) -> bytes:
-    """Re-encode an on-disk v3 checkpoint as a genuine pre-domain file:
-    old magic byte, and no ``domain``/``domain_spec_hash`` (nor, for v1,
-    ``trace_seq``) in the pickled envelope."""
-    checkpoint = load_checkpoint(path)
-    del checkpoint.__dict__["domain"]
-    del checkpoint.__dict__["domain_spec_hash"]
-    if version < 2:
-        del checkpoint.__dict__["trace_seq"]
-    checkpoint.version = version
-    payload = pickle.dumps(checkpoint, protocol=pickle.HIGHEST_PROTOCOL)
-    return (
-        b"GMRCKPT"
-        + bytes([version])
-        + hashlib.sha256(payload).digest()
-        + payload
-    )
-
-
-class TestPreDomainMigration:
-    @pytest.fixture()
-    def toy_engine(self, toy_knowledge, toy_task):
-        def factory():
-            return GMREngine(
-                toy_knowledge,
-                toy_task,
-                GMRConfig(
-                    population_size=6,
-                    max_generations=3,
-                    max_size=8,
-                    local_search_steps=1,
-                    checkpoint_every=1,
-                ),
-            )
-
-        return factory
-
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_pre_domain_checkpoint_defaults_to_river(
-        self, toy_engine, tmp_path, version
-    ):
-        path = tmp_path / "toy.ckpt"
-        toy_engine().run(seed=5, checkpoint_path=path)
-        old_path = tmp_path / f"toy-v{version}.ckpt"
-        old_path.write_bytes(craft_pre_domain_blob(path, version))
-
-        migrated = load_checkpoint(old_path)
-        assert migrated.version == CHECKPOINT_VERSION
-        assert migrated.domain == "river"
-        assert migrated.domain_spec_hash == ""
-
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_pre_domain_checkpoint_still_resumes(
-        self, toy_engine, tmp_path, version
-    ):
-        """The migration path: old envelopes keep resuming bit-identically
-        under the default (river) domain -- no hash comparison, because
-        there is no save-time hash to compare against."""
-        path = tmp_path / "toy.ckpt"
-        full = toy_engine().run(seed=5, checkpoint_path=path)
-        old_path = tmp_path / f"toy-v{version}.ckpt"
-        old_path.write_bytes(craft_pre_domain_blob(path, version))
-
-        resumed = toy_engine().run(resume_from=old_path)
-        assert histories(resumed) == histories(full)
-        assert resumed.best_fitness == full.best_fitness
-
-    def test_pre_domain_checkpoint_refuses_non_river_domain(
-        self, toy_engine, toy_knowledge, toy_task, tmp_path
-    ):
-        path = tmp_path / "toy.ckpt"
-        engine = toy_engine()
-        engine.run(seed=5, checkpoint_path=path)
-        old_path = tmp_path / "toy-v2.ckpt"
-        old_path.write_bytes(craft_pre_domain_blob(path))
-
-        import dataclasses
-
-        sir_flavoured = GMREngine(
-            toy_knowledge,
-            toy_task,
-            dataclasses.replace(engine.config, domain="sir"),
-        )
-        with pytest.raises(CheckpointError, match="river"):
-            sir_flavoured.run(resume_from=old_path)
 
 
 class TestForDomain:

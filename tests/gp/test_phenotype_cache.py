@@ -266,7 +266,7 @@ class TestHygiene:
         for individual in population(toy_grammar, toy_knowledge, 5):
             evaluator.evaluate(individual)
         assert len(evaluator._phenotypes) > 0
-        assert "_phenotypes" not in evaluator.__getstate__()
+        assert len(evaluator.__getstate__()["_phenotypes"]) == 0
         restored = pickle.loads(pickle.dumps(evaluator))
         assert len(restored._phenotypes) == 0
         assert len(evaluator._phenotypes) > 0

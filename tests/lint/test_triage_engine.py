@@ -240,18 +240,6 @@ class TestSeedTriage:
 
 
 class TestStatsCompat:
-    def test_old_stats_pickles_heal_missing_triage_fields(self):
-        stats = EvaluationStats()
-        stats.evaluations = 5
-        state = dict(stats.__dict__)
-        del state["triage_skips"]
-        del state["triage_time"]
-        healed = EvaluationStats.__new__(EvaluationStats)
-        healed.__setstate__(state)
-        assert healed.evaluations == 5
-        assert healed.triage_skips == 0
-        assert healed.triage_time == 0.0
-
     def test_stats_roundtrip_preserves_triage_fields(self):
         stats = EvaluationStats()
         stats.triage_skips = 3

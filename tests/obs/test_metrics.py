@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import pickle
 
 import pytest
 
 from repro.gp.cache import CacheStats
 from repro.gp.fitness import EvaluationStats
 from repro.expr.compile import KernelCacheStats
-from repro.obs import MetricsRegistry, MetricTypeError
+from repro.obs import Counter, Gauge, MetricsRegistry, MetricTypeError
 
 
 class TestInstruments:
@@ -115,3 +117,60 @@ class TestPublishers:
         assert snapshot["kc.hits"] == 5
         assert snapshot["kc.misses"] == 4
         assert snapshot["kc.evictions"] == 3
+
+
+STATS_CLASSES = [EvaluationStats, CacheStats, KernelCacheStats]
+
+
+def distinct_instance(cls, scale):
+    """An instance with a different value in every field.
+
+    Values follow each field's default type, so a counter added to the
+    declaration later is covered without editing these tests.
+    """
+    values = {}
+    for index, f in enumerate(dataclasses.fields(cls), start=1):
+        if isinstance(f.default, float):
+            values[f.name] = index * scale * 0.5
+        else:
+            values[f.name] = index * scale
+    return cls(**values)
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [cls for cls in STATS_CLASSES if hasattr(cls, "merge")],
+    ids=lambda c: c.__name__,
+)
+def test_merge_sums_every_field(cls):
+    left, right = distinct_instance(cls, 1), distinct_instance(cls, 100)
+    merged = left.merge(right)
+    assert type(merged) is cls
+    for f in dataclasses.fields(cls):
+        expected = getattr(left, f.name) + getattr(right, f.name)
+        assert getattr(merged, f.name) == expected, f.name
+
+
+@pytest.mark.parametrize("cls", STATS_CLASSES, ids=lambda c: c.__name__)
+class TestDeclarationCoverage:
+    """Every declared field is published and pickled."""
+
+    def test_publish_registers_one_instrument_per_field(self, cls):
+        stats = distinct_instance(cls, 3)
+        registry = MetricsRegistry()
+        stats.publish(registry, prefix="p")
+        instruments = {instrument.name: instrument for instrument in registry}
+        assert sorted(instruments) == sorted(
+            f"p.{f.name}" for f in dataclasses.fields(cls)
+        )
+        for f in dataclasses.fields(cls):
+            instrument = instruments[f"p.{f.name}"]
+            expected = Gauge if isinstance(f.default, float) else Counter
+            assert type(instrument) is expected, f.name
+            assert instrument.value == getattr(stats, f.name)
+
+    def test_pickle_round_trip_keeps_every_field(self, cls):
+        stats = distinct_instance(cls, 7)
+        clone = pickle.loads(pickle.dumps(stats))
+        for f in dataclasses.fields(cls):
+            assert getattr(clone, f.name) == getattr(stats, f.name), f.name

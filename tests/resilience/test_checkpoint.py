@@ -3,7 +3,8 @@
 Checkpoints exist for the moments when processes die mid-write, so this
 suite attacks the on-disk format directly: flipped bytes, truncation,
 foreign files, and future format versions must all surface as
-:class:`CheckpointError`, never as a garbage resume.
+:class:`CheckpointError`, never as a garbage resume; so must every
+envelope older than the one format this build reads.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ import pytest
 
 from repro.gp.checkpoint import (
     CHECKPOINT_VERSION,
-    COMPATIBLE_VERSIONS,
     CheckpointError,
     RunCheckpoint,
     checkpoint_file,
     load_checkpoint,
+    load_checkpoint_resilient,
     load_result,
     result_file,
     save_checkpoint,
@@ -122,58 +123,56 @@ class TestEnvelope:
         assert result_file(tmp_path, 3) == str(tmp_path / "run-3.result")
 
 
-def _write_v1_envelope(checkpoint: RunCheckpoint, path) -> None:
-    """Serialise ``checkpoint`` the way the v1 format did.
-
-    v1 predates ``trace_seq``: the field is absent from the pickled
-    ``__dict__`` and the magic's version byte is 1.
-    """
-    checkpoint.version = 1
-    checkpoint.__dict__.pop("trace_seq", None)
-    payload = pickle.dumps(checkpoint, protocol=pickle.HIGHEST_PROTOCOL)
-    blob = b"GMRCKPT" + bytes([1]) + hashlib.sha256(payload).digest() + payload
-    path.write_bytes(blob)
+def _envelope(obj: object, magic: bytes) -> bytes:
+    """A well-formed envelope around ``obj`` under an arbitrary magic."""
+    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    return magic + hashlib.sha256(payload).digest() + payload
 
 
-class TestMigration:
-    def test_v1_is_a_compatible_version(self):
-        assert 1 in COMPATIBLE_VERSIONS
-        assert CHECKPOINT_VERSION in COMPATIBLE_VERSIONS
+class TestVersionRefusal:
+    """This build reads only the current format: every older envelope is
+    refused with a message naming the version found, never migrated."""
 
-    def test_v1_envelope_loads_and_migrates(self, checkpointed, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", ["checkpoint", "result"])
+    def test_older_envelope_refused(
+        self, checkpointed, tmp_path, kind, version
+    ):
+        __, path, result = checkpointed
+        if kind == "result":
+            path = tmp_path / "run.result"
+            save_result(result, path)
+        blob = bytearray(path.read_bytes())
+        blob[7] = version  # the magic's version byte
+        path.write_bytes(bytes(blob))
+        load = load_checkpoint if kind == "checkpoint" else load_result
+        with pytest.raises(CheckpointError) as excinfo:
+            load(path)
+        message = str(excinfo.value)
+        assert f"version {version}," in message
+        assert f"reads only version {CHECKPOINT_VERSION}" in message
+
+    def test_older_pickled_version_refused(self, checkpointed):
         __, path, __ = checkpointed
-        old_path = tmp_path / "old.ckpt"
-        _write_v1_envelope(load_checkpoint(path), old_path)
+        checkpoint = load_checkpoint(path)
+        checkpoint.version = 4
+        path.write_bytes(_envelope(checkpoint, path.read_bytes()[:8]))
+        with pytest.raises(CheckpointError, match="checkpoint version 4,"):
+            load_checkpoint(path)
 
-        migrated = load_checkpoint(old_path)
-        assert migrated.version == CHECKPOINT_VERSION
-        # The v1-era default: no trace offset was recorded.
-        assert migrated.trace_seq == 0
-
-    def test_v1_envelope_resumes(self, checkpointed, tmp_path):
-        engine, path, result = checkpointed
-        old_path = tmp_path / "old.ckpt"
-        _write_v1_envelope(load_checkpoint(path), old_path)
-
-        resumed = engine.run(resume_from=old_path)
-        assert resumed.best_fitness == result.best_fitness
-        assert [g.best_fitness for g in resumed.history] == [
-            g.best_fitness for g in result.history
-        ]
-
-    def test_v1_evaluator_state_heals(self, checkpointed):
-        # An evaluator pickled before the observability layer carries
-        # neither a tracer slot nor a profiler; __setstate__ must supply
-        # both so resumed evaluations run (and trace) normally.
-        __, path, __ = checkpointed
-        evaluator = load_checkpoint(path).evaluator
-        state = evaluator.__getstate__()
-        state.pop("tracer", None)
-        state.pop("_profile", None)
-        healed = GMRFitnessEvaluator.__new__(GMRFitnessEvaluator)
-        healed.__setstate__(state)
-        assert healed.tracer is None
-        assert healed._profile.total() == 0.0
+    def test_resilient_load_falls_back_to_current_ring_sibling(
+        self, make_engine, tmp_path
+    ):
+        engine = make_engine(checkpoint_every=1, checkpoint_keep=2)
+        path = tmp_path / "run.ckpt"
+        engine.run(seed=5, checkpoint_path=path)
+        stale = load_checkpoint(path)
+        stale.version = 4
+        path.write_bytes(_envelope(stale, path.read_bytes()[:8]))
+        with pytest.warns(RuntimeWarning, match="retention-ring"):
+            checkpoint = load_checkpoint_resilient(path)
+        assert checkpoint.version == CHECKPOINT_VERSION
+        assert checkpoint.generation == engine.config.max_generations
 
 
 class TestCacheCounterPreservation:

@@ -223,6 +223,7 @@ class TestBrokenEvaluationPool:
         assert all(ind.fitness is not None for ind in individuals)
         # No double-counting: exactly one evaluation per individual.
         assert evaluator.stats.evaluations == len(individuals)
+        assert evaluator.stats.pool_rebuilds == 1
         fully = [
             ind.fitness for ind in individuals if ind.fully_evaluated
         ]
