@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -23,6 +23,22 @@ from repro.expr.compile import CompiledCohortKernel
 #: Element budget for hoisted driver-dependent temporaries in batched
 #: rollouts (~16 MiB of float64) -- bounds memory on long trajectories.
 _HOIST_ELEMENT_BUDGET = 1 << 21
+
+#: Rows a batched rollout integrates between two calls of its stop
+#: callback (see :data:`StopCallback`).
+_STOP_CHECK_ROWS = 32
+
+#: Most rows whose driver-dependent temporaries a rollout with a stop
+#: callback hoists at once (a multiple of :data:`_STOP_CHECK_ROWS`).
+_STOP_HOIST_ROWS = 4 * _STOP_CHECK_ROWS
+
+#: Early-stop hook of the batched rollouts:
+#: ``stop(states, diverged_at, rows_done) -> bool``.  It is called every
+#: :data:`_STOP_CHECK_ROWS` rows with the state buffer (rows
+#: ``[0, rows_done)`` are filled), the per-column divergence rows so far
+#: and the number of rows integrated, and returns True once no column
+#: needs further rows; the rollout then stops.
+StopCallback = Callable[[np.ndarray, np.ndarray, int], bool]
 
 
 class SimulationDiverged(ArithmeticError):
@@ -150,15 +166,24 @@ def rk4_steps(
 class BatchedRollout:
     """Outcome of a batched Euler integration over K parameter columns.
 
+    A rollout given a stop callback may end before the last driver row:
+    once the callback reports that no column needs further rows, or once
+    every column has diverged.  ``states`` then holds exactly the rows
+    integrated, so ``T`` (:attr:`n_steps`) is the number of rows run, and
+    every column still alive at the stop -- a *retired* column -- has
+    ``diverged_at == T``.  A retired column never diverged; it only ran
+    out of rows.
+
     Attributes:
         states: Trajectory array of shape ``(T, n_states, K)``; column
             ``k`` of a non-diverged candidate matches the scalar
             :func:`euler_steps` trajectory for its parameter vector.
         diverged_at: Shape ``(K,)``; the first driver row whose update
             produced a NaN in column ``k``, or ``T`` when the column
-            never diverged.  Rows at and after ``diverged_at[k]`` hold
-            the column's last good state (frozen, then clamped) -- they
-            carry no information and must not be scored.
+            never diverged (or retired).  Rows at and after
+            ``diverged_at[k]`` hold the column's last good state (frozen,
+            then clamped) -- they carry no information and must not be
+            scored.
     """
 
     states: np.ndarray
@@ -173,6 +198,19 @@ class BatchedRollout:
         """Boolean mask of shape ``(K,)``: which columns went NaN."""
         return self.diverged_at < self.n_steps
 
+    @property
+    def rows_run(self) -> int:
+        """Driver rows the step loop actually integrated.
+
+        Equal to :attr:`n_steps` except when every column diverged in a
+        rollout without a stop callback: the loop then ended after the
+        last column's divergence row and froze the remaining rows.
+        """
+        diverged_at = self.diverged_at
+        if len(diverged_at) and bool((diverged_at < self.n_steps).all()):
+            return int(diverged_at.max()) + 1
+        return self.n_steps
+
     def target_series(self, state_index: int) -> np.ndarray:
         """One state's trajectories, shape ``(T, K)``."""
         return self.states[:, state_index, :]
@@ -185,6 +223,7 @@ def batched_euler_rollout(
     initial_state: Sequence[float],
     dt: float = 1.0,
     clamp: ClampSpec = ClampSpec(),
+    stop: StopCallback | None = None,
 ) -> BatchedRollout:
     """Integrate K parameter columns of one structure in a single pass.
 
@@ -208,6 +247,8 @@ def batched_euler_rollout(
             (shared by all K candidates).
         dt: Step size (days).
         clamp: Clamping band applied to every state after each step.
+        stop: Optional early-stop hook (:data:`StopCallback`); without
+            it every row is integrated.
     """
     if drivers.names != model.var_order:
         drivers = drivers.select(model.var_order)
@@ -236,6 +277,7 @@ def batched_euler_rollout(
         n_states,
         dt,
         clamp,
+        stop,
     )
 
 
@@ -247,6 +289,7 @@ def _euler_rollout_core(
     n_states: int,
     dt: float,
     clamp: ClampSpec,
+    stop: StopCallback | None = None,
 ) -> BatchedRollout:
     """The shared per-step loop of the batched and fused rollout forms.
 
@@ -255,6 +298,10 @@ def _euler_rollout_core(
     freezing work identically whether the columns belong to one
     structure's K candidates or to M structures' padded lanes, because
     every operation in the loop is elementwise over that axis.
+
+    With a ``stop`` callback the loop ends as soon as it returns True,
+    or as soon as every column has diverged, and the result is cut to
+    the rows integrated (see :class:`BatchedRollout`).
     """
     n_steps = len(rows)
     n_columns = params.shape[1]
@@ -266,6 +313,10 @@ def _euler_rollout_core(
     alive = np.ones(n_columns, dtype=bool)
     any_dead = False
     finished = False
+    # Rows integrated when the loop ends early under a stop callback;
+    # row numbers start at 1, so 0 never triggers a check without one.
+    rows_run = n_steps
+    next_check = _STOP_CHECK_ROWS if stop is not None else 0
     # Driver-dependent temporaries are hoisted out of the step loop and
     # evaluated over whole blocks of rows at once; the block length keeps
     # the hoisted arrays within a fixed element budget.
@@ -275,6 +326,10 @@ def _euler_rollout_core(
         )
     else:
         block = n_steps
+    if stop is not None:
+        # Rows past an early stop are never integrated, so hoist only a
+        # few stop intervals ahead instead of over the whole horizon.
+        block = min(block, _STOP_HOIST_ROWS)
     with np.errstate(all="ignore"):
         for block_start in range(0, n_steps, block):
             block_rows = rows[block_start : block_start + block]
@@ -300,15 +355,28 @@ def _euler_rollout_core(
                             frozen = np.clip(
                                 state, clamp.minimum, clamp.maximum
                             )
-                            states[index:] = frozen
+                            if stop is None:
+                                states[index:] = frozen
+                            else:
+                                states[index] = frozen
+                                rows_run = index + 1
                             finished = True
                             break
                     dead = ~alive
                     updated[:, dead] = state[:, dead]
                 np.clip(updated, clamp.minimum, clamp.maximum, out=updated)
                 state = updated
+                if index + 1 == next_check:
+                    next_check += _STOP_CHECK_ROWS
+                    if stop(states, diverged_at, index + 1):
+                        rows_run = index + 1
+                        finished = True
+                        break
             if finished:
                 break
+    if rows_run < n_steps:
+        states = states[:rows_run]
+        np.minimum(diverged_at, rows_run, out=diverged_at)
     return BatchedRollout(states=states, diverged_at=diverged_at)
 
 
@@ -320,6 +388,7 @@ def fused_euler_rollout(
     var_order: Sequence[str],
     dt: float = 1.0,
     clamp: ClampSpec = ClampSpec(),
+    stop: StopCallback | None = None,
 ) -> BatchedRollout:
     """Integrate a fused multi-structure cohort kernel in a single pass.
 
@@ -343,6 +412,8 @@ def fused_euler_rollout(
             (shared by all cohort members).
         dt: Step size (days).
         clamp: Clamping band applied to every state after each step.
+        stop: Optional early-stop hook, as for
+            :func:`batched_euler_rollout`.
     """
     var_order = tuple(var_order)
     if drivers.names != var_order:
@@ -360,7 +431,14 @@ def fused_euler_rollout(
             f"{kernel.n_states} states"
         )
     return _euler_rollout_core(
-        kernel, params, drivers.values, initial, kernel.n_states, dt, clamp
+        kernel,
+        params,
+        drivers.values,
+        initial,
+        kernel.n_states,
+        dt,
+        clamp,
+        stop,
     )
 
 

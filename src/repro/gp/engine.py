@@ -416,6 +416,8 @@ class GMREngine:
                         ),
                         generations=len(history),
                         evaluations=evaluator.stats.evaluations,
+                        steps_evaluated=evaluator.stats.steps_evaluated,
+                        steps_integrated=evaluator.stats.steps_integrated,
                     )
                     if stop_reason is not None:
                         end_fields["stop_reason"] = stop_reason

@@ -4,7 +4,8 @@
 :class:`~repro.obs.trace.JsonlSink` and reconstructs what the run did:
 one row per generation (best/mean fitness, cumulative evaluations, and
 the engine phase breakdown), plus run-level headlines (seed, resume
-points, checkpoints written, evaluation-batch traffic).  Because
+points, checkpoints written, evaluation-batch traffic, and the fitness
+cases simulated against those Algorithm 1 counted).  Because
 ``generation`` events carry the exact floats the engine recorded,
 the reconstruction is exact: the report's per-generation best fitness
 equals ``RunResult.history`` bit for bit (asserted by
@@ -64,9 +65,35 @@ class TraceReport:
             row.generation: row.best_fitness for row in self.generations
         }
 
+    @property
+    def steps(self) -> tuple[int, int] | None:
+        """``(steps_evaluated, steps_integrated)`` over the trace's seeds.
+
+        Run end events carry the evaluator's cumulative counts, so a
+        resumed run's end event supersedes its earlier segments': the
+        last run record per seed counts.  None when no run end event
+        carries the counts (traces from before they were recorded).
+        """
+        last: dict[Any, tuple[int, int]] = {}
+        for run in self.runs:
+            if "steps_evaluated" in run and "steps_integrated" in run:
+                last[run.get("seed")] = (
+                    run["steps_evaluated"],
+                    run["steps_integrated"],
+                )
+        if not last:
+            return None
+        return (
+            sum(counted for counted, __ in last.values()),
+            sum(integrated for __, integrated in last.values()),
+        )
+
     def to_json(self) -> dict[str, Any]:
+        steps = self.steps
         return {
             "n_events": self.n_events,
+            "steps_evaluated": steps[0] if steps else None,
+            "steps_integrated": steps[1] if steps else None,
             "runs": self.runs,
             "checkpoints": self.checkpoints,
             "retries": self.retries,
@@ -115,6 +142,16 @@ class TraceReport:
             f"{self.evaluation_batches} evaluation batch(es) "
             f"({self.batch_wall_time:.3f}s evaluator wall time)"
         )
+        steps = self.steps
+        if steps is not None:
+            counted, integrated = steps
+            line = (
+                f"steps: {integrated} integrated vs {counted} counted "
+                "by Algorithm 1"
+            )
+            if counted:
+                line += f" ({integrated / counted:.2f}x)"
+            lines.append(line)
         for retry in self.retries:
             lines.append(
                 f"  retry: seed {retry.get('seed')} attempt "

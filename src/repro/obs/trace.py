@@ -120,7 +120,9 @@ class EventSchema:
 EVENT_SCHEMAS: dict[str, EventSchema] = {
     # One evolutionary run (span).  ``resumed`` marks checkpoint resumes;
     # ``start_generation`` is 0 for fresh runs.  ``stop_reason`` appears
-    # on the end event of a governed run that stopped early.
+    # on the end event of a governed run that stopped early.  The step
+    # counts are the evaluator's cumulative ``EvaluationStats``: fitness
+    # cases Algorithm 1 counted, and rows actually simulated.
     "run": EventSchema(
         required={"seed": int, "resumed": bool, "start_generation": int},
         optional={
@@ -128,6 +130,8 @@ EVENT_SCHEMAS: dict[str, EventSchema] = {
             "generations": int,
             "evaluations": int,
             "stop_reason": str,
+            "steps_evaluated": int,
+            "steps_integrated": int,
         },
     ),
     # One completed generation (point), emitted with its record.

@@ -103,6 +103,43 @@ class TestBuildReport:
             1.0,
         ]
 
+    def test_trace_without_step_counts_has_no_steps_line(self, recorded):
+        report = build_report(recorded)
+        assert report.steps is None
+        assert "integrated vs" not in report.render_text()
+        payload = report.to_json()
+        assert payload["steps_evaluated"] is None
+        assert payload["steps_integrated"] is None
+
+    def test_integrated_vs_counted_line(self):
+        sink = MemorySink()
+        tracer = Tracer(sink)
+        # Seed 3 stops and resumes: its second end event is cumulative
+        # and supersedes the first.  Seed 4 runs once.
+        for seed, resumed, counted, integrated in (
+            (3, False, 100, 250),
+            (3, True, 180, 400),
+            (4, False, 20, 50),
+        ):
+            with tracer.span(
+                "run", seed=seed, resumed=resumed, start_generation=0
+            ) as span:
+                tracer.end_span_fields(
+                    "run",
+                    span,
+                    steps_evaluated=counted,
+                    steps_integrated=integrated,
+                )
+        report = build_report(sink.events)
+        assert report.steps == (200, 450)
+        assert (
+            "steps: 450 integrated vs 200 counted by Algorithm 1 (2.25x)"
+            in report.render_text().splitlines()
+        )
+        payload = json.loads(report.render_json())
+        assert payload["steps_evaluated"] == 200
+        assert payload["steps_integrated"] == 450
+
 
 class TestCli:
     def _trace_file(self, tmp_path):

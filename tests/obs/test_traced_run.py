@@ -103,6 +103,13 @@ class TestReportExactness:
         (run,) = report.runs
         assert run["best_fitness"] == result.best_fitness
         assert run["evaluations"] == result.stats.evaluations
+        assert run["steps_evaluated"] == result.stats.steps_evaluated
+        assert run["steps_integrated"] == result.stats.steps_integrated
+        assert report.steps == (
+            result.stats.steps_evaluated,
+            result.stats.steps_integrated,
+        )
+        assert "integrated vs" in report.render_text()
 
     def test_phase_times_recorded_per_generation(self, make_engine, tmp_path):
         engine = make_engine(max_generations=2)
@@ -158,6 +165,11 @@ class TestResumeStitching:
             record.generation: record.best_fitness
             for record in full.history
         }
+        # Step counts come from the resumed run's cumulative end event.
+        assert report.steps == (
+            resumed.stats.steps_evaluated,
+            resumed.stats.steps_integrated,
+        )
 
 
 class TestCampaignTracing:
