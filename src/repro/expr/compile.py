@@ -358,15 +358,22 @@ class _BatchedEmitter:
     stay defined in exactly one place.  A parameter-only subtree feeding
     a hoisted temporary is re-emitted into the precompute stream; both
     streams apply the scalar emitter's value numbering independently.
+
+    One emitter can lower several structures (a cohort) in sequence into
+    a *single* pair of streams: :meth:`begin_member` switches to the next
+    member.  The per-stream value tables, the hoisted-temporary registry
+    and the temp counter persist across members, so a subexpression that
+    is positionally identical in two members (same parameter/state/driver
+    indices, same operators) is computed once over the full fused width.
+    Only the identity memos and the parameter index mapping are
+    member-local: each member's ``param_order`` maps its own names onto
+    the shared ``P`` rows, and expression objects must never inherit a
+    temp emitted under another member's parameter mapping.
     """
 
     def __init__(
-        self,
-        param_order: Sequence[str],
-        var_order: Sequence[str],
-        state_order: Sequence[str],
+        self, var_order: Sequence[str], state_order: Sequence[str]
     ) -> None:
-        self._param_index = {name: i for i, name in enumerate(param_order)}
         self._var_index = {name: i for i, name in enumerate(var_order)}
         self._state_index = {name: i for i, name in enumerate(state_order)}
         self.pre_lines: list[str] = []
@@ -374,9 +381,6 @@ class _BatchedEmitter:
         self._counter = 0
         self._pre_values: dict[str, str] = {}
         self._step_values: dict[str, str] = {}
-        self._pre_memo: dict[int, str] = {}
-        self._step_memo: dict[int, str] = {}
-        self._dep_memo: dict[int, int] = {}
         self._rows: dict[str, str] = {}
         #: Hoisted temp names in precompute-return order.
         self.hoisted: list[str] = []
@@ -387,6 +391,13 @@ class _BatchedEmitter:
         #: partial output writes) must consult this set, because slicing
         #: a narrow temp would misalign it.
         self._wide: set[str] = set()
+
+    def begin_member(self, param_order: Sequence[str]) -> None:
+        """Switch to the next member's parameter mapping."""
+        self._param_index = {name: i for i, name in enumerate(param_order)}
+        self._pre_memo: dict[int, str] = {}
+        self._step_memo: dict[int, str] = {}
+        self._dep_memo: dict[int, int] = {}
 
     def _deps(self, expr: Expr) -> int:
         key = id(expr)
@@ -548,34 +559,6 @@ class _BatchedEmitter:
         return name
 
 
-def _generate_batched(
-    exprs: Sequence[Expr],
-    param_order: Sequence[str],
-    var_order: Sequence[str],
-    state_order: Sequence[str],
-    name: str = "_compiled_batched",
-) -> tuple[str, int]:
-    """Batched two-phase source plus its hoisted-temporary count."""
-    emitter = _BatchedEmitter(param_order, var_order, state_order)
-    results = [emitter.emit(expr) for expr in exprs]
-    returns = ", ".join(emitter.hoisted)
-    if len(emitter.hoisted) == 1:
-        returns += ","
-    lines = [
-        "def _precompute_batched(P, VT):",
-        *emitter.pre_lines,
-        f"    return ({returns})",
-        "",
-        f"def {name}(P, C, t, S):",
-        *emitter.step_lines,
-        f"    _out = _empty(({len(results)}, S.shape[1]))",
-    ]
-    for index, result in enumerate(results):
-        lines.append(f"    _out[{index}] = {result}")
-    lines.append("    return _out")
-    return "\n".join(lines), len(emitter.hoisted)
-
-
 def generate_batched_source(
     exprs: Sequence[Expr],
     param_order: Sequence[str],
@@ -589,12 +572,13 @@ def generate_batched_source(
     every driver-dependent, state-independent temporary over the whole
     ``(T, n_vars)`` driver table, and ``f(P, C, t, S)`` computes one
     derivative row from the hoisted tuple ``C`` at row ``t`` plus the
-    state-dependent remainder, writing one ``(K,)`` row per expression
-    into a fresh ``(n_exprs, K)`` output (assignment broadcasting also
-    covers constant-only equations, whose temporaries stay scalars).
+    state-dependent remainder, writing one ``(K,)`` row per state into a
+    fresh ``(n_states, K)`` output (assignment broadcasting also covers
+    constant-only equations, whose temporaries stay scalars).  This is
+    the one-member form of :func:`generate_cohort_source`.
     """
-    source, __ = _generate_batched(
-        exprs, param_order, var_order, state_order, name
+    source, __ = _generate_cohort(
+        [(exprs, param_order)], var_order, state_order, 1, name
     )
     return source
 
@@ -613,8 +597,8 @@ def compile_model_batched(
     edge cases and NaN propagation, so a diverging column behaves exactly
     as its scalar simulation would while leaving its neighbours intact.
     """
-    source, n_hoisted = _generate_batched(
-        exprs, param_order, var_order, state_order
+    source, n_hoisted = _generate_cohort(
+        [(exprs, param_order)], var_order, state_order, 1, "_compiled_batched"
     )
     namespace = _batched_namespace()
     code = compile(source, filename="<repro:_compiled_batched>", mode="exec")
@@ -637,29 +621,6 @@ def _batched_namespace() -> dict[str, Any]:
         "_pmin": batched_min,
         "_pmax": batched_max,
     }
-
-
-class _CohortEmitter(_BatchedEmitter):
-    """A :class:`_BatchedEmitter` whose value tables span a whole cohort.
-
-    One emitter lowers several structures in sequence into a *single*
-    pair of precompute/step streams.  The per-stream value tables, the
-    hoisted-temporary registry, and the temp counter persist across
-    members, so a subexpression that is positionally identical in two
-    members (same parameter/state/driver indices, same operators) hits
-    the value-numbering table and is computed once over the full fused
-    width.  Only the identity memos and the parameter index mapping are
-    member-local: each member's ``param_order`` maps its own names onto
-    the shared ``P`` rows, and expression objects must never inherit a
-    temp emitted under another member's parameter mapping.
-    """
-
-    def begin_member(self, param_order: Sequence[str]) -> None:
-        """Switch to the next member's parameter mapping."""
-        self._param_index = {name: i for i, name in enumerate(param_order)}
-        self._pre_memo = {}
-        self._step_memo = {}
-        self._dep_memo = {}
 
 
 def _merge_lane_runs(temps: Sequence[str]) -> list[tuple[int, int, str]]:
@@ -691,27 +652,26 @@ def _generate_cohort(
     ``state_order``.  The generated step function writes member ``m``'s
     results into lanes ``[m * K, (m + 1) * K)`` of the output; temps
     that stay narrow (constant- or driver-only) are assigned unsliced
-    and broadcast into the slice.
+    and broadcast into the slice.  A one-member cohort writes whole
+    output rows, whatever ``K``: that is the batched kernel.
     """
     if not members:
         raise CompilationError("a cohort needs at least one member")
     if lanes_per_member < 1:
         raise CompilationError("lanes_per_member must be >= 1")
     n_states = len(state_order)
-    emitter = _CohortEmitter((), var_order, state_order)
+    emitter = _BatchedEmitter(var_order, state_order)
     results: list[list[str]] = []
     for exprs, param_order in members:
         if len(exprs) != n_states:
             raise CompilationError(
-                f"cohort member has {len(exprs)} equations, "
-                f"cohort states are {n_states}"
+                f"member has {len(exprs)} equations for {n_states} states"
             )
         emitter.begin_member(param_order)
         results.append([emitter.emit(expr) for expr in exprs])
     returns = ", ".join(emitter.hoisted)
     if len(emitter.hoisted) == 1:
         returns += ","
-    width = len(members) * lanes_per_member
     lines = [
         "def _precompute_batched(P, VT):",
         *emitter.pre_lines,

@@ -20,12 +20,6 @@ from repro.gp.governor import (
     GovernorConfigError,
     RunGovernor,
 )
-from repro.gp.faults import (
-    FaultInjectingEngine,
-    FaultInjectingEvaluator,
-    FaultPlan,
-    InjectedFault,
-)
 from repro.gp.fitness import (
     EvaluationStats,
     GMRFitnessEvaluator,
@@ -87,9 +81,6 @@ __all__ = [
     "EvaluationStats",
     "ExtensionSpec",
     "FailurePolicy",
-    "FaultInjectingEngine",
-    "FaultInjectingEvaluator",
-    "FaultPlan",
     "GMRConfig",
     "GMREngine",
     "GMRFitnessEvaluator",
@@ -97,7 +88,6 @@ __all__ = [
     "GovernorConfigError",
     "Individual",
     "InitialisationError",
-    "InjectedFault",
     "KnowledgeError",
     "OperatorProbabilities",
     "ParallelRunError",

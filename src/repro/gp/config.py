@@ -17,9 +17,9 @@ class ConfigError(ValueError):
 
 
 #: Historical default of :attr:`GMRConfig.kernel_min_batch`: structure
-#: groups smaller than this take the scalar path, because a batched
-#: rollout always integrates the full horizon while the scalar kernel
-#: can still short-circuit.
+#: groups smaller than this take the scalar path, because a vector
+#: rollout's per-row NumPy dispatch overhead is not amortised over a
+#: single column.
 MIN_BATCH_COLUMNS = 2
 
 
@@ -115,9 +115,10 @@ class GMRConfig:
             the ``(T, n_states, K)`` trajectory memory of one rollout.
         kernel_min_batch: Minimum distinct parameter columns a structure
             group needs to take the batched (or fused) kernel path;
-            smaller groups evaluate through the scalar kernel, which can
-            still short-circuit mid-horizon.  Default is the historical
-            module constant (:data:`MIN_BATCH_COLUMNS`).  Excluded from
+            smaller groups evaluate through the scalar kernel, because
+            a vector rollout pays NumPy dispatch overhead on every row
+            that too few columns do not amortise.  Default is the
+            historical module constant (:data:`MIN_BATCH_COLUMNS`).  Excluded from
             ``repr`` (like ``domain``): the threshold only moves work
             between bit-identical kernels, so checkpoints written under
             a different setting stay resumable.

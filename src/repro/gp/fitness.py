@@ -34,12 +34,11 @@ from repro.dynamics.system import ProcessModel, compile_cohort
 from repro.dynamics.task import BAD_FITNESS, ModelingTask
 from repro.expr.compile import (
     CompiledCohortKernel,
-    CompiledModel,
     KernelCache,
     KernelCacheStats,
 )
 from repro.gp.cache import CacheStats, TreeCache
-from repro.gp.config import MIN_BATCH_COLUMNS, GMRConfig  # noqa: F401 - re-export
+from repro.gp.config import GMRConfig
 from repro.gp.individual import Individual
 from repro.gp.phenotype import PhenotypeCache
 from repro.obs.metrics import MetricsRegistry, merge_fields, publish_fields
@@ -124,9 +123,9 @@ class EvaluationStats:
     triage_skips: int = 0
     #: Exclusive seconds spent in the static-triage analysis phase.
     triage_time: float = 0.0
-    #: Structures demoted from the batched kernel to the scalar path
-    #: after their batched rollout raised (degradation ladder; see
-    #: ``GMRFitnessEvaluator._simulate_group``).
+    #: Structure groups demoted from the batched kernel to the scalar
+    #: path after their batched rollout raised (degradation ladder; see
+    #: ``GMRFitnessEvaluator._run_kernel``).
     kernel_fallbacks: int = 0
     #: Process-pool backends that degraded to serial evaluation after
     #: exhausting their rebuild budget (``ProcessPoolBackend``).
@@ -139,9 +138,9 @@ class EvaluationStats:
     #: Live parameter columns integrated through fused cohort kernels
     #: (padding lanes excluded).
     fused_columns: int = 0
-    #: Cohorts demoted from the fused kernel back to per-structure
-    #: batched rollouts after the fused kernel raised (degradation
-    #: ladder rung above ``kernel_fallbacks``).
+    #: Cohorts demoted from the fused kernel to scalar after the fused
+    #: kernel raised (the same rung as ``kernel_fallbacks``, counted
+    #: for the fused kernel).
     fusion_fallbacks: int = 0
     #: Phenotypes served from the per-shape derivation memo
     #: (:mod:`repro.gp.phenotype`) and phenotypes derived in full.  A
@@ -422,24 +421,12 @@ class GMRFitnessEvaluator:
         #: Lazily built static-triage context (repro.lint.triage); not
         #: pickled -- rebuilt from task/config after resume.
         self._triage_context = None
-        #: Structure keys demoted to the scalar path after their batched
-        #: kernel raised (degradation ladder).  Because the batched path
-        #: is bit-identical with the scalar one, demotion changes only
-        #: where the work happens, never the fitness stream.
+        #: Structure keys demoted to the scalar path after a vector
+        #: kernel containing them raised (degradation ladder, see
+        #: :meth:`_run_kernel`).  Every path is bit-identical with the
+        #: scalar one, so demotion changes only where the work happens,
+        #: never the fitness stream.
         self._kernel_blocklist: set[str] = set()
-        #: Structure keys excluded from cohort fusion after a fused
-        #: kernel containing them raised (the ladder rung above
-        #: ``_kernel_blocklist``: fused -> per-structure batched ->
-        #: scalar).  A fused failure cannot be attributed to one member,
-        #: so the whole cohort is demoted together.
-        self._fusion_blocklist: set[str] = set()
-        #: Pinned scalar kernels of demoted structures, keyed like the
-        #: share table.  A blocklisted structure is a permanent scalar
-        #: resident: routing it around both kernel caches keeps it from
-        #: skewing hit-rate/eviction accounting with lookups whose
-        #: answer never changes (and from being evicted into rebuild
-        #: misses).  Never pickled -- kernels are exec-generated.
-        self._demoted_scalar: dict[Hashable, CompiledModel] = {}
         #: Derived models per derivation shape (repro.gp.phenotype);
         #: pickled empty, so an unpickled evaluator starts empty.
         self._phenotypes = PhenotypeCache()
@@ -504,13 +491,12 @@ class GMRFitnessEvaluator:
     def __getstate__(self) -> dict:
         # The kernel cache drops its exec-generated entries but keeps its
         # counters (see KernelCache.__getstate__); tracers hold sink file
-        # handles and stay behind; the profiler, the triage context, the
-        # demoted kernels and the phenotype memo restart empty.
+        # handles and stay behind; the profiler, the triage context and
+        # the phenotype memo restart empty.
         state = dict(self.__dict__)
         state["tracer"] = None
         state["_profile"] = PhaseProfile()
         state["_triage_context"] = None
-        state["_demoted_scalar"] = {}
         state["_phenotypes"] = PhenotypeCache()
         return state
 
@@ -626,23 +612,11 @@ class GMRFitnessEvaluator:
                 # raw parameter vectors) onto one canonical key, but a
                 # compiled step function indexes parameters positionally.
                 share_key = (structure_key, model.param_order)
-                if structure_key in self._kernel_blocklist:
-                    # Demoted structures are permanent scalar residents:
-                    # serve them from the pinned dictionary instead of
-                    # the LRU caches, so they stop registering lookups
-                    # whose answer never changes -- hit-rate and eviction
-                    # counters keep describing the *live* kernel traffic.
-                    pinned = self._demoted_scalar.get(share_key)
-                    if pinned is None:
-                        pinned = model._build_scalar_kernel()
-                        self._demoted_scalar[share_key] = pinned
-                    model._compiled = pinned
+                shared = self._compiled.get(share_key)
+                if shared is not None:
+                    model._compiled = shared
                 else:
-                    shared = self._compiled.get(share_key)
-                    if shared is not None:
-                        model._compiled = shared
-                    else:
-                        self._compiled.put(share_key, model.compiled())
+                    self._compiled.put(share_key, model.compiled())
 
         self.stats.steps_possible += total_cases
         threshold = config.es_threshold
@@ -697,12 +671,14 @@ class GMRFitnessEvaluator:
         :attr:`GMRConfig.fuse_cohort_size` structure groups into one
         padded multi-structure kernel run (:meth:`_simulate_cohort`),
         which pools shared subexpressions across structures and removes
-        the per-structure Python dispatch -- then finalises every
-        member *in cohort order*, replaying exactly the decisions the
-        scalar path would have made: tree-cache lookups (hits produced by
-        earlier members of this very cohort included), Algorithm 1
-        short-circuits against the live ``best_prev_full`` marker,
-        divergence scoring, and cache write-back.  Fitness values, the
+        the per-structure Python dispatch.  A vector kernel that raises
+        demotes its structures to the scalar path (:meth:`_run_kernel`).
+        It then finalises every member *in cohort order*, replaying
+        exactly the decisions the scalar path would have made:
+        tree-cache lookups (hits produced by earlier members of this
+        very cohort included), Algorithm 1 short-circuits against the
+        live ``best_prev_full`` marker, divergence scoring, and cache
+        write-back.  Fitness values, the
         marker, and all statistics therefore match a sequence of
         :meth:`evaluate` calls to float tolerance.  The vector kernels
         integrate ahead of the replay, and with ES on they stop
@@ -718,9 +694,7 @@ class GMRFitnessEvaluator:
         ``use_compilation`` off), when the task lacks the plain-ODE
         surface batched rollouts integrate (``drivers``,
         ``initial_state``, ``dt``, ``clamp`` -- duck-typed tasks like the
-        network-coupled river task only provide ``error_stream``), or
-        when a subclass overrides :meth:`evaluate` (per-evaluation hooks
-        such as fault injection must keep firing once per individual).
+        network-coupled river task only provide ``error_stream``).
         """
         cohort = list(individuals)
         if not cohort:
@@ -731,7 +705,6 @@ class GMRFitnessEvaluator:
             not config.use_batched_kernel
             or not config.use_compilation
             or not self._batchable
-            or type(self).evaluate is not GMRFitnessEvaluator.evaluate
         ):
             if trace is None:
                 return [self.evaluate(individual) for individual in cohort]
@@ -756,13 +729,11 @@ class GMRFitnessEvaluator:
                 self.stats.batch_fill,
             )
         batch_started = time.perf_counter()
-        entries, groups = self._plan_batch(cohort)
         with self._profile.phase("fill"):
+            entries, groups = self._plan_batch(cohort)
             fused, loose = self._plan_cohorts(groups)
-        for fused_cohort in fused:
-            self._simulate_cohort(fused_cohort)
-        for group in loose:
-            self._simulate_group(group)
+        for unit in [*fused, *loose]:
+            self._run_kernel(unit)
         results = []
         for entry in entries:
             fitness, fully = self._finalize_entry(entry, groups)
@@ -793,13 +764,11 @@ class GMRFitnessEvaluator:
     def _plan_batch(
         self, cohort: list[Individual]
     ) -> tuple[list[_BatchEntry], dict[Hashable, _BatchGroup]]:
-        """Resolve cohort members to cache hits or simulation columns."""
-        with self._profile.phase("fill"):
-            return self._plan_batch_inner(cohort)
+        """Resolve cohort members to cache hits or simulation columns.
 
-    def _plan_batch_inner(
-        self, cohort: list[Individual]
-    ) -> tuple[list[_BatchEntry], dict[Hashable, _BatchGroup]]:
+        Structures on the kernel blocklist get no column: finalisation
+        scores them through the scalar path.
+        """
         entries: list[_BatchEntry] = []
         groups: dict[Hashable, _BatchGroup] = {}
         use_cache = self.config.use_tree_cache
@@ -843,8 +812,6 @@ class GMRFitnessEvaluator:
                     entry.triaged = True
                     continue
             if entry.structure_key in self._kernel_blocklist:
-                # Structure demoted after a batched-kernel failure;
-                # finalisation evaluates it through the scalar path.
                 continue
             group_key = (entry.structure_key, model.param_order)
             group = groups.get(group_key)
@@ -879,9 +846,9 @@ class GMRFitnessEvaluator:
     ) -> tuple[list[_FusedCohort], list[_BatchGroup]]:
         """Pack structure groups into fused cohorts; the rest stay loose.
 
-        Groups are eligible when fusion is on, their structure is not
-        fusion-blocklisted, and their column count fits one rollout
-        chunk (fused kernels never chunk: ``K <= kernel_batch_size``).
+        Groups are eligible when fusion is on and their column count
+        fits one rollout chunk (fused kernels never chunk: ``K <=
+        kernel_batch_size``).
         Eligible groups are partitioned by the orders the kernel bakes
         in (``var_order``/``state_names``), sorted by their group key,
         and packed ``fuse_cohort_size`` at a time -- deterministic given
@@ -889,26 +856,17 @@ class GMRFitnessEvaluator:
         recurring set of structures re-produces the same cohort
         signatures and keeps hitting compiled kernels across shuffled
         generations.  A chunk of one fuses with nobody and stays loose.
-
-        Subclasses that override :meth:`_simulate_group_inner` (the
-        fault-injection harness) keep the per-structure routing: their
-        hook must fire once per structure group.
+        Blocklisted structures never reach this point: planning leaves
+        them out of every group.
         """
         config = self.config
         fused: list[_FusedCohort] = []
         loose: list[_BatchGroup] = []
-        if (
-            not config.fuse_structures
-            or type(self)._simulate_group_inner
-            is not GMRFitnessEvaluator._simulate_group_inner
-        ):
+        if not config.fuse_structures:
             return fused, list(groups.values())
         partitions: dict[tuple, list[tuple[Hashable, _BatchGroup]]] = {}
         for group_key, group in groups.items():
-            if (
-                group.structure_key in self._fusion_blocklist
-                or len(group.params) > config.kernel_batch_size
-            ):
+            if len(group.params) > config.kernel_batch_size:
                 loose.append(group)
                 continue
             partition_key = (group.model.var_order, group.model.state_names)
@@ -932,42 +890,53 @@ class GMRFitnessEvaluator:
                 )
         return fused, loose
 
-    def _simulate_cohort(self, cohort: _FusedCohort) -> None:
-        """Run one fused cohort's rollout and error curves.
+    def _run_kernel(self, unit: _FusedCohort | _BatchGroup) -> None:
+        """Simulate ``unit`` through one vector kernel: a fused cohort's
+        kernel, or a lone structure group's batched rollouts.
 
-        Top rung of the degradation ladder: if the fused kernel raises
-        (compile or rollout), every member structure is blocklisted
-        from fusion and the cohort re-simulates through the
-        per-structure batched path (:meth:`_simulate_group`), which on
-        failure demotes a structure the rest of the way to scalar.  The
-        fused path is bit-identical with the per-structure one, so the
-        only observable differences are the ``fusion_fallbacks``
-        counter and a ``degradation`` trace event.
+        The degradation ladder has one rung.  If the kernel raises
+        (compile or rollout), every member structure goes on the kernel
+        blocklist and its curves stay unset, so finalisation scores its
+        members through the scalar path and later batches plan it
+        straight to scalar.  A fused failure cannot be attributed to one
+        member, so the whole cohort is demoted together.  Every path is
+        bit-identical with the scalar one, so the only observable
+        differences are the failed kernel's counter (``fusion_fallbacks``
+        or ``kernel_fallbacks``) and a ``degradation`` trace event.
         """
+        fused = isinstance(unit, _FusedCohort)
         try:
-            with self._profile.phase("compile"):
-                kernel = compile_cohort(
-                    [group.model for group in cohort.groups], cohort.lanes
-                )
-            with self._profile.phase("step"):
-                self._simulate_cohort_inner(cohort, kernel)
+            if fused:
+                self._simulate_cohort(unit)
+            else:
+                self._simulate_group(unit)
         except Exception as error:
-            for group in cohort.groups:
+            for group in unit.groups if fused else [unit]:
                 group.curves = None
-                group.diverged_at = None
-                self._fusion_blocklist.add(group.structure_key)
-            self.stats.fusion_fallbacks += 1
+                self._kernel_blocklist.add(group.structure_key)
+            if fused:
+                self.stats.fusion_fallbacks += 1
+                what = "cohort_scalar_fallback"
+            else:
+                self.stats.kernel_fallbacks += 1
+                what = "kernel_scalar_fallback"
             tracer = self._active_tracer()
             if tracer is not None:
                 tracer.point(
                     "degradation",
-                    what="cohort_structure_fallback",
+                    what=what,
                     error_type=type(error).__name__,
                     detail=str(error)[:200],
                 )
-            for group in cohort.groups:
-                self._simulate_group(group)
-            return
+
+    def _simulate_cohort(self, cohort: _FusedCohort) -> None:
+        """Run one fused cohort's rollout and error curves."""
+        with self._profile.phase("compile"):
+            kernel = compile_cohort(
+                [group.model for group in cohort.groups], cohort.lanes
+            )
+        with self._profile.phase("step"):
+            self._simulate_cohort_inner(cohort, kernel)
         self.stats.fused_cohorts += 1
         self.stats.fused_columns += sum(
             len(group.params) for group in cohort.groups
@@ -1029,62 +998,36 @@ class GMRFitnessEvaluator:
             group.rows_run = np.full(live, rows)
 
     def _simulate_group(self, group: _BatchGroup) -> None:
-        """Run one structure group's batched rollouts and error curves.
-
-        First rung of the degradation ladder: if the batched kernel
-        raises (compile or rollout), the group's curves stay unset -- so
-        finalisation falls through to the scalar path for every member
-        -- and the structure is blocklisted from future batching.  The
-        batched path is bit-identical with the scalar one, so the only
-        observable differences are the ``kernel_fallbacks`` counter and
-        a ``degradation`` trace event.
-        """
-        try:
-            with self._profile.phase("compile"):
-                group.model.compiled_batched()
-            with self._profile.phase("step"):
-                self._simulate_group_inner(group)
-        except Exception as error:
-            group.curves = None
-            group.diverged_at = None
-            self._kernel_blocklist.add(group.structure_key)
-            self.stats.kernel_fallbacks += 1
-            tracer = self._active_tracer()
-            if tracer is not None:
-                tracer.point(
-                    "degradation",
-                    what="kernel_scalar_fallback",
-                    error_type=type(error).__name__,
-                    detail=str(error)[:200],
+        """Run one structure group's batched rollouts and error curves."""
+        with self._profile.phase("compile"):
+            group.model.compiled_batched()
+        with self._profile.phase("step"):
+            task = self.task
+            target_index = group.model.state_names.index(task.target_state)
+            n_columns = len(group.params)
+            params_matrix = np.array(group.params, dtype=float).T
+            curves = np.empty((task.n_cases, n_columns))
+            diverged_at = np.empty(n_columns, dtype=np.int64)
+            rows_run = np.empty(n_columns, dtype=np.int64)
+            width = self.config.kernel_batch_size
+            for start in range(0, n_columns, width):
+                stop = min(start + width, n_columns)
+                chunk = _LaneCurves(self, target_index, curves[:, start:stop])
+                rollout = batched_euler_rollout(
+                    group.model,
+                    params_matrix[:, start:stop],
+                    task.drivers,
+                    task.initial_state,
+                    dt=task.dt,
+                    clamp=task.clamp,
+                    stop=chunk if chunk.retiring else None,
                 )
-
-    def _simulate_group_inner(self, group: _BatchGroup) -> None:
-        task = self.task
-        target_index = group.model.state_names.index(task.target_state)
-        n_columns = len(group.params)
-        params_matrix = np.array(group.params, dtype=float).T
-        curves = np.empty((task.n_cases, n_columns))
-        diverged_at = np.empty(n_columns, dtype=np.int64)
-        rows_run = np.empty(n_columns, dtype=np.int64)
-        width = self.config.kernel_batch_size
-        for start in range(0, n_columns, width):
-            stop = min(start + width, n_columns)
-            chunk = _LaneCurves(self, target_index, curves[:, start:stop])
-            rollout = batched_euler_rollout(
-                group.model,
-                params_matrix[:, start:stop],
-                task.drivers,
-                task.initial_state,
-                dt=task.dt,
-                clamp=task.clamp,
-                stop=chunk if chunk.retiring else None,
-            )
-            diverged_at[start:stop] = chunk.finish(rollout)
-            rows_run[start:stop] = rollout.rows_run
-            self.stats.steps_integrated += rollout.rows_run * (stop - start)
-        group.curves = curves
-        group.diverged_at = diverged_at
-        group.rows_run = rows_run
+                diverged_at[start:stop] = chunk.finish(rollout)
+                rows_run[start:stop] = rollout.rows_run
+                self.stats.steps_integrated += rollout.rows_run * (stop - start)
+            group.curves = curves
+            group.diverged_at = diverged_at
+            group.rows_run = rows_run
 
     def _finalize_entry(
         self, entry: _BatchEntry, groups: dict[Hashable, _BatchGroup]
@@ -1105,8 +1048,9 @@ class GMRFitnessEvaluator:
             else None
         )
         if group is None or group.curves is None:
-            # Either an anticipated cache hit whose entry was evicted
-            # mid-batch, or a structure group below kernel_min_batch.
+            # An anticipated cache hit whose entry was evicted mid-batch,
+            # a structure group below kernel_min_batch, a blocklisted
+            # structure, or a group whose vector kernel just raised.
             return self._evaluate_scalar(
                 entry.model, entry.params, entry.structure_key, entry.cache_key
             )

@@ -196,10 +196,10 @@ EVENT_SCHEMAS: dict[str, EventSchema] = {
         required={"reason": str, "generation": int},
         optional={"evaluations": int, "elapsed": float},
     ),
-    # The degradation ladder engaged (point): a batched kernel fell back
-    # to the scalar path for one structure, or a broken process pool
-    # fell back to serial evaluation.  Results are unchanged; only the
-    # execution strategy degraded.
+    # The degradation ladder engaged (point): a batched or fused kernel
+    # fell back to the scalar path for its structures, or a broken
+    # process pool fell back to serial evaluation.  Results are
+    # unchanged; only the execution strategy degraded.
     "degradation": EventSchema(
         required={"what": str},
         optional={"error_type": str, "detail": str},

@@ -165,27 +165,6 @@ class TestCohortEquivalence:
         assert ev_wrapped.stats.batched_evaluations == 0
         assert ev_wrapped.stats.evaluations == len(cohort)
 
-    def test_subclass_override_keeps_per_individual_hook(
-        self, toy_grammar, toy_knowledge, toy_task, small_config
-    ):
-        """A subclass overriding evaluate() must see every individual."""
-
-        calls = []
-
-        @dataclasses.dataclass
-        class Hooked(GMRFitnessEvaluator):
-            def evaluate(self, individual):
-                calls.append(individual)
-                return super().evaluate(individual)
-
-        cohort = make_cohort(
-            toy_grammar, toy_knowledge, small_config, seed=4, size=12,
-            duplicates=0,
-        )
-        evaluator = Hooked(task=toy_task, config=small_config)
-        evaluator.evaluate_batch(cohort)
-        assert len(calls) == len(cohort)
-
     def test_timing_fields_populated(
         self, toy_grammar, toy_knowledge, toy_task, small_config
     ):

@@ -324,7 +324,6 @@ class TestFaultSeam:
         assert ev_batched.stats.kernel_fallbacks == 0
         assert ev_batched.stats.fusion_fallbacks == 0
         assert not ev_batched._kernel_blocklist
-        assert not ev_batched._fusion_blocklist
 
     def test_replay_past_a_retired_column_raises(
         self, toy_grammar, toy_knowledge, toy_task, small_config, monkeypatch

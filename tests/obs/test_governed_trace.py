@@ -9,9 +9,9 @@ every rung the degradation ladder descended (``degradation``).
 
 from __future__ import annotations
 
-from repro.gp.faults import KernelFaultInjectingEvaluator
 from repro.gp.governor import CampaignBudget, RunGovernor
 from repro.obs import MemorySink, Tracer, build_report
+from tests.faults import fail_first_rollouts
 
 
 def histories(result):
@@ -95,15 +95,13 @@ class TestStopEvents:
 
 class TestDegradationEvents:
     def test_kernel_fallback_emits_degradation_event(
-        self, make_engine, toy_task
+        self, make_engine, monkeypatch
     ):
         engine = make_engine(max_generations=2, eval_batch_size=6)
-        evaluator = KernelFaultInjectingEvaluator(
-            task=toy_task, config=engine.config, fail_first_groups=1
-        )
+        fail_first_rollouts(monkeypatch, 1)
         sink = MemorySink()
         engine.tracer = Tracer(sink)
-        engine.run(seed=4, evaluator=evaluator)
+        engine.run(seed=4)
         events = kinds(sink, "degradation")
         assert len(events) == 1
         assert events[0].fields["what"] == "kernel_scalar_fallback"
@@ -111,17 +109,15 @@ class TestDegradationEvents:
 
 
 class TestGovernedReport:
-    def test_report_folds_governor_events(self, make_engine, toy_task):
+    def test_report_folds_governor_events(self, make_engine, monkeypatch):
         engine = governed(
             make_engine(max_generations=3, eval_batch_size=6),
             budget=CampaignBudget(max_generations=2),
         )
-        evaluator = KernelFaultInjectingEvaluator(
-            task=toy_task, config=engine.config, fail_first_groups=1
-        )
+        fail_first_rollouts(monkeypatch, 1)
         sink = MemorySink()
         engine.tracer = Tracer(sink)
-        result = engine.run(seed=4, evaluator=evaluator)
+        result = engine.run(seed=4)
 
         report = build_report(sink.events)
         assert report.heartbeats == len(result.history)

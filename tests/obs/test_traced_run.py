@@ -18,10 +18,10 @@ import pytest
 
 from repro.gp.checkpoint import load_checkpoint
 from repro.gp.engine import GMREngine, run_many
-from repro.gp.faults import FaultInjectingEngine, FaultPlan
 from repro.gp.resilience import FailurePolicy, run_campaign
 from repro.obs import JsonlSink, MemorySink, Tracer, build_report, read_trace
 from repro.obs.report import report_from_file
+from tests.faults import FaultInjectingEngine, FaultPlan
 
 
 def histories(result):

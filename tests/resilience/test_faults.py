@@ -22,15 +22,7 @@ from concurrent.futures import BrokenExecutor
 
 from repro.gp.config import GMRConfig
 from repro.gp.engine import GMREngine, run_many
-from repro.gp.faults import (
-    FaultInjectingEngine,
-    FaultInjectingEvaluator,
-    FaultPlan,
-    InjectedFault,
-    KernelFaultInjectingEvaluator,
-    current_attempt,
-    record_attempt,
-)
+from repro.gp.fitness import GMRFitnessEvaluator
 from repro.gp.init import random_individual
 from repro.gp.parallel import (
     ProcessPoolBackend,
@@ -38,6 +30,15 @@ from repro.gp.parallel import (
     run_many_parallel,
 )
 from repro.gp.resilience import FailurePolicy
+from tests.faults import (
+    FaultInjectingEngine,
+    FaultInjectingEvaluator,
+    FaultPlan,
+    InjectedFault,
+    current_attempt,
+    fail_first_rollouts,
+    record_attempt,
+)
 
 
 class TestAttemptLedger:
@@ -79,6 +80,27 @@ class TestEvaluatorFaults:
         )
         result = engine.run(seed=0, evaluator=retry)
         assert result.best_fitness is not None
+
+    def test_cohort_evaluation_sees_every_individual(
+        self, toy_grammar, toy_knowledge, toy_task
+    ):
+        """Per-evaluation faults count individuals on the cohort path
+        too: the harness evaluates a cohort one individual at a time."""
+        config = GMRConfig(population_size=8, max_generations=1, max_size=8)
+        individuals = [
+            random_individual(
+                toy_grammar, toy_knowledge, config, random.Random(seed)
+            )
+            for seed in range(8)
+        ]
+        evaluator = FaultInjectingEvaluator(
+            task=toy_task, config=config, plan=FaultPlan(fail_at_evaluation=6)
+        )
+        with pytest.raises(InjectedFault, match="evaluation 6"):
+            evaluator.evaluate_batch(individuals)
+        assert evaluator.evaluations_seen == 6
+        assert evaluator.stats.evaluations == 5
+        assert evaluator.stats.batched_evaluations == 0
 
 
 class TestKilledWorkers:
@@ -326,17 +348,16 @@ class TestBrokenEvaluationPool:
 
 class TestKernelLadder:
     def test_kernel_failure_falls_back_to_scalar_bit_identically(
-        self, make_engine, toy_task
+        self, make_engine, toy_task, monkeypatch
     ):
-        """First rung of the degradation ladder: a raising batched
-        kernel drops the affected structure group onto the scalar path
-        (and blocklists it) with results identical to a healthy run."""
+        """The degradation ladder's rung: a raising batched kernel drops
+        the affected structure group onto the scalar path (and
+        blocklists it) with results identical to a healthy run."""
         healthy = make_engine(eval_batch_size=6).run(seed=7)
 
         engine = make_engine(eval_batch_size=6)
-        evaluator = KernelFaultInjectingEvaluator(
-            task=toy_task, config=engine.config, fail_first_groups=2
-        )
+        evaluator = GMRFitnessEvaluator(task=toy_task, config=engine.config)
+        fail_first_rollouts(monkeypatch, 2)
         degraded = engine.run(seed=7, evaluator=evaluator)
 
         assert evaluator.stats.kernel_fallbacks >= 1

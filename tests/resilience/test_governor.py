@@ -17,7 +17,6 @@ from repro.gp.checkpoint import (
     load_checkpoint,
     result_file,
 )
-from repro.gp.faults import FaultInjectingEngine, FaultPlan
 from repro.gp.governor import (
     CampaignBudget,
     GovernorConfigError,
@@ -27,6 +26,7 @@ from repro.gp.governor import (
     STOP_WALL_CLOCK,
 )
 from repro.gp.resilience import run_campaign
+from tests.faults import FaultInjectingEngine, FaultPlan
 
 
 def histories(result):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro.gp.engine import GMREngine, run_many
-from repro.gp.faults import FaultInjectingEngine, FaultPlan, current_attempt
 from repro.gp.parallel import ParallelRunError, run_many_parallel
 from repro.gp.resilience import (
     CampaignError,
@@ -22,6 +21,7 @@ from repro.gp.resilience import (
     RunFailure,
     run_campaign,
 )
+from tests.faults import FaultInjectingEngine, FaultPlan, current_attempt
 
 
 class TestRetryPolicy:
