@@ -12,14 +12,18 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.expr import ast
 from repro.expr.ast import Const, Param, State, Var, strip_ext
 from repro.expr.compile import (
+    CompilationError,
     KernelCache,
     compile_model,
     compile_model_batched,
+    compile_model_cohort,
     generate_batched_source,
+    generate_cohort_source,
 )
 from repro.expr.evaluate import (
     DIV_EPS,
@@ -181,6 +185,31 @@ class TestGeneratedSource:
             [expr], PARAM_NAMES, VAR_NAMES, STATE_NAMES
         )
         assert "_out" in source
+
+    @settings(max_examples=60, deadline=None)
+    @given(expressions(), st.sampled_from([1, 3, 8]))
+    def test_source_is_one_member_cohort(self, expr, lanes):
+        """The batched kernel is the one-member cohort kernel: same
+        source for any lane count, same hoisted temporaries."""
+        exprs = [strip_ext(expr)]
+        member = [(exprs, PARAM_NAMES)]
+        source = generate_batched_source(
+            exprs, PARAM_NAMES, VAR_NAMES, STATE_NAMES
+        )
+        assert source == generate_cohort_source(
+            member, VAR_NAMES, STATE_NAMES, lanes, name="_compiled_batched"
+        )
+        batched = compile_model_batched(
+            exprs, PARAM_NAMES, VAR_NAMES, STATE_NAMES
+        )
+        cohort = compile_model_cohort(member, VAR_NAMES, STATE_NAMES, lanes)
+        assert batched.n_hoisted == cohort.n_hoisted
+
+    def test_wrong_equation_count_rejected(self):
+        with pytest.raises(CompilationError, match="2 equations for 1 states"):
+            compile_model_batched(
+                [State("s0"), State("s0")], PARAM_NAMES, VAR_NAMES, STATE_NAMES
+            )
 
 
 class TestKernelCache:
