@@ -18,9 +18,11 @@ from repro.expr.compile import (
     CompiledBatchedModel,
     CompiledCohortKernel,
     CompiledModel,
+    CompiledStationKernel,
     compile_model,
     compile_model_batched,
     compile_model_cohort,
+    compile_station_kernel,
 )
 from repro.expr.evaluate import evaluate
 from repro.expr.simplify import canonical_key
@@ -47,6 +49,9 @@ class ProcessModel:
     var_order: tuple[str, ...]
     _compiled: CompiledModel | None = field(default=None, repr=False, compare=False)
     _compiled_batched: CompiledBatchedModel | None = field(
+        default=None, repr=False, compare=False
+    )
+    _station: CompiledStationKernel | None = field(
         default=None, repr=False, compare=False
     )
 
@@ -79,13 +84,14 @@ class ProcessModel:
                 )
 
     def __getstate__(self) -> dict:
-        # Compiled step functions (scalar and batched) are exec-generated
-        # and unpicklable; they are rebuilt lazily (``compiled()`` /
-        # ``compiled_batched()``) after transfer to a worker, where the
-        # worker's own process-global kernel cache takes over sharing.
+        # Compiled kernels (scalar, batched and station) are
+        # exec-generated and unpicklable; they are rebuilt lazily after
+        # transfer to a worker, where the worker's own process-global
+        # kernel cache takes over sharing.
         state = dict(self.__dict__)
         state["_compiled"] = None
         state["_compiled_batched"] = None
+        state["_station"] = None
         return state
 
     @property
@@ -170,6 +176,31 @@ class ProcessModel:
         return compile_model_batched(
             exprs, self.param_order, self.var_order, self.state_names
         )
+
+    def station_kernel(self) -> CompiledStationKernel:
+        """Return (compiling on first use) the river-network station
+        kernel (:class:`repro.expr.compile.CompiledStationKernel`),
+        shared per structure through the process-global kernel cache."""
+        if self._station is None:
+            self._station = KERNEL_CACHE.get_or_build(
+                self._kernel_key("station"), self._build_station_kernel
+            )
+        return self._station
+
+    def _build_station_kernel(self) -> CompiledStationKernel:
+        exprs = [strip_ext(self.equations[name]) for name in self.state_names]
+        return compile_station_kernel(
+            exprs, self.param_order, self.var_order, self.state_names
+        )
+
+    def adopt_kernel(self, kernel: CompiledModel | CompiledStationKernel) -> None:
+        """Bind a kernel compiled for a structurally identical model (same
+        structure key and parameter order): a station kernel or a scalar
+        step function."""
+        if isinstance(kernel, CompiledStationKernel):
+            self._station = kernel
+        else:
+            self._compiled = kernel
 
     def interpret_step(
         self,

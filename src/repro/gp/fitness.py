@@ -404,9 +404,9 @@ class GMRFitnessEvaluator:
         self._cache = TreeCache(max_entries=self.config.tree_cache_size)
         self._compiled = KernelCache(max_entries=self.config.compiled_cache_size)
         # Batched rollouts re-integrate the model themselves, so they need
-        # the plain-ODE task surface; duck-typed tasks that only provide
-        # ``error_stream`` (e.g. the network-coupled river task) evaluate
-        # through the scalar path.
+        # the plain-ODE task surface; duck-typed tasks without it (e.g.
+        # the network-coupled river task, which streams errors from its
+        # own compiled day loop) evaluate one candidate at a time.
         self._batchable = all(
             hasattr(self.task, attr)
             for attr in ("drivers", "initial_state", "dt", "clamp")
@@ -614,9 +614,9 @@ class GMRFitnessEvaluator:
                 share_key = (structure_key, model.param_order)
                 shared = self._compiled.get(share_key)
                 if shared is not None:
-                    model._compiled = shared
+                    model.adopt_kernel(shared)
                 else:
-                    self._compiled.put(share_key, model.compiled())
+                    self._compiled.put(share_key, self._task_kernel(model))
 
         self.stats.steps_possible += total_cases
         threshold = config.es_threshold
@@ -661,6 +661,16 @@ class GMRFitnessEvaluator:
             self._cache.put(cache_key, fitness)
         return fitness, True
 
+    def _task_kernel(self, model: ProcessModel):
+        """Compile the kernel the task's compiled error stream runs.
+
+        A task names it with a ``compiled_kernel(model)`` hook (the river
+        network's station kernel, :meth:`repro.river.simulator.RiverTask.
+        compiled_kernel`); by default it is the scalar step function.
+        """
+        hook = getattr(self.task, "compiled_kernel", None)
+        return model.compiled() if hook is None else hook(model)
+
     def evaluate_batch(self, individuals: Sequence[Individual]) -> list[float]:
         """Evaluate a cohort through the batched NumPy kernels.
 
@@ -691,10 +701,11 @@ class GMRFitnessEvaluator:
 
         Falls back to sequential :meth:`evaluate` calls when batched
         kernels are disabled (``use_batched_kernel`` or
-        ``use_compilation`` off), when the task lacks the plain-ODE
+        ``use_compilation`` off), or when the task lacks the plain-ODE
         surface batched rollouts integrate (``drivers``,
-        ``initial_state``, ``dt``, ``clamp`` -- duck-typed tasks like the
-        network-coupled river task only provide ``error_stream``).
+        ``initial_state``, ``dt``, ``clamp``): the network-coupled river
+        task has none of it and scores each candidate through its own
+        compiled network stream.
         """
         cohort = list(individuals)
         if not cohort:
