@@ -15,7 +15,6 @@ from typing import Mapping, Sequence
 from repro.expr.ast import Expr, free_params, free_states, free_vars, strip_ext
 from repro.expr.compile import (
     KERNEL_CACHE,
-    CompiledBatchedModel,
     CompiledCohortKernel,
     CompiledModel,
     CompiledStationKernel,
@@ -48,7 +47,7 @@ class ProcessModel:
     param_order: tuple[str, ...]
     var_order: tuple[str, ...]
     _compiled: CompiledModel | None = field(default=None, repr=False, compare=False)
-    _compiled_batched: CompiledBatchedModel | None = field(
+    _compiled_batched: CompiledCohortKernel | None = field(
         default=None, repr=False, compare=False
     )
     _station: CompiledStationKernel | None = field(
@@ -156,7 +155,7 @@ class ProcessModel:
             exprs, self.param_order, self.var_order, self.state_names
         )
 
-    def compiled_batched(self) -> CompiledBatchedModel:
+    def compiled_batched(self) -> CompiledCohortKernel:
         """Return (compiling on first use) the batched step function.
 
         The batched kernel has signature ``step(P, V, S) -> ndarray``
@@ -171,7 +170,7 @@ class ProcessModel:
             )
         return self._compiled_batched
 
-    def _build_batched_kernel(self) -> CompiledBatchedModel:
+    def _build_batched_kernel(self) -> CompiledCohortKernel:
         exprs = [strip_ext(self.equations[name]) for name in self.state_names]
         return compile_model_batched(
             exprs, self.param_order, self.var_order, self.state_names

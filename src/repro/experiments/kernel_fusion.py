@@ -20,9 +20,10 @@ seeded founders the one whose offspring cohort pools best is kept
 (deterministically), since that is the regime runs converge to.
 
 A second pass times the same generation end to end through
-``GMRFitnessEvaluator.evaluate_batch`` with ``fuse_structures`` on vs.
-off; that ratio is smaller (scoring and planning are shared either way)
-but shows the fused path's payoff where it is actually wired in.
+``GMRFitnessEvaluator.evaluate_batch`` with ``fuse_cohort_size`` at the
+generation's structure count vs. 1 (no fusion); that ratio is smaller
+(scoring and planning are shared either way) but shows the fused path's
+payoff where it is actually wired in.
 
 Run:  python -m repro.experiments run fusion --scale smoke
 """
@@ -303,7 +304,6 @@ def run_kernel_fusion(
         es_threshold=None,
         use_tree_cache=False,
         kernel_min_batch=1,
-        fuse_cohort_size=max(2, n_structures),
     )
     mutation_rng = random.Random(seed + 1)
     cohort = []
@@ -318,7 +318,9 @@ def run_kernel_fusion(
     timings: dict[bool, float] = {}
     fused_stats = None
     for fuse in (True, False):
-        run_config = dataclasses.replace(config, fuse_structures=fuse)
+        run_config = dataclasses.replace(
+            config, fuse_cohort_size=max(2, n_structures) if fuse else 1
+        )
         # Warm the kernel cache with a throwaway evaluator, then time
         # fresh evaluators on fresh copies (caches are process-global).
         GMRFitnessEvaluator(task=task, config=run_config).evaluate_batch(

@@ -15,22 +15,33 @@ The compiler and the reference interpreter in :mod:`repro.expr.evaluate`
 implement identical protected semantics; the property-based test suite
 checks them against each other on random expressions.
 
-Three kernel forms are emitted from the same lowering pass:
+One lowering pass (:class:`_Lowering`) emits every kernel form.  It
+walks a tree once, value-numbers every assignment into a *stream*
+(:class:`_Stream`), and lets each stream route a subtree to another
+stream by its dependency mask -- which of parameters ``P``, drivers
+``V`` and states ``S`` it reads.  A form supplies only its streams'
+operator spelling (scalar inline guards, or the NumPy helpers of
+:mod:`repro.expr.evaluate`), its leaf spelling and the routing tables:
 
-* the **scalar** form (:func:`compile_model`) steps one candidate at a
-  time through plain Python floats, and
-* the **batched** form (:func:`compile_model_batched`) evaluates K
-  parameter columns at once through NumPy: ``P`` is an ``(n_params, K)``
-  matrix, ``S`` an ``(n_states, K)`` state matrix, and every protected
-  operator is the vectorised twin of the interpreter's
-  (:func:`repro.expr.evaluate.batched_protected_div` and friends), so a
-  batched step agrees with K scalar steps to float tolerance, and
-* the **cohort** form (:func:`compile_model_cohort`) fuses M distinct
-  structures into one kernel over ``M * K`` padded lanes: every member's
-  subexpressions are evaluated over the full fused width through a
-  cohort-wide value-numbering table, so positionally identical
-  subexpressions of *different* structures are computed once, and each
-  member's results are written only to its own lane slice.
+* the **scalar** form (:func:`compile_model`) is one scalar stream with
+  no routing: one candidate steps through plain Python floats;
+* the **cohort** form (:func:`compile_model_cohort`) fuses M structures
+  into one NumPy kernel over ``M * K`` padded lanes.  Its step stream
+  sends driver-dependent, state-free subtrees to a *precompute* stream
+  that evaluates them for a whole ``(T, n_vars)`` driver table at once;
+  every other subtree stays in the step.  Value numbering is
+  cohort-wide, so positionally identical subexpressions of *different*
+  structures are computed once, and each member's results are written
+  only to its own lane slice;
+* the **batched** form (:func:`compile_model_batched`) is the
+  one-member cohort: K parameter columns of one structure, whole output
+  rows; and
+* the **station** form (:func:`compile_station_kernel`) splits one
+  structure for the river network: state-dependent subtrees stay in a
+  scalar step stream, driver-dependent, state-free ones go to a NumPy
+  *hoist* stream evaluated over blocks of days (with ``exp``/``log``
+  mapped through libm), and constant or parameter-only ones go to a
+  scalar *setup* stream run once per parameter vector.
 
 Compilation cost is paid once per structure per process: kernels are
 memoised in a bounded process-global LRU (:data:`KERNEL_CACHE`), which
@@ -43,7 +54,9 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Sequence
+from functools import lru_cache
+from itertools import count
+from typing import Any, Callable, Hashable, Iterator, Sequence
 
 import numpy as np
 
@@ -68,8 +81,21 @@ CompiledModel = Callable[
     [Sequence[float], Sequence[float], Sequence[float]], tuple[float, ...]
 ]
 
-class CompiledBatchedModel:
-    """A two-phase batched step kernel over K parameter columns.
+
+class CompiledCohortKernel:
+    """A two-phase NumPy step kernel integrating structures side by side.
+
+    The kernel advances M structures × K lanes: parameter matrix ``P``
+    has shape ``(n_params, M * K)`` (rows follow each member's own
+    ``param_order`` within its lane block, unused rows are ignored) and
+    the state matrix ``S`` has shape ``(n_states, M * K)``.  Member
+    ``m`` owns lanes ``[m * K, (m + 1) * K)``; every subexpression is
+    evaluated over the *full* fused width, so positionally identical
+    subexpressions of different members collapse to one temp under value
+    numbering -- the lanes a member does not own carry other members'
+    values (or garbage) and are never written to its output slice.  A
+    one-member kernel (the batched form) writes whole output rows, so
+    it takes any number K of parameter columns.
 
     Euler integration is sequential in the state, but every temporary
     that depends only on parameters and drivers is constant across the
@@ -85,57 +111,16 @@ class CompiledBatchedModel:
     row -- the convenient form for tests and one-off evaluations.
     """
 
-    __slots__ = ("_precompute_fn", "_step_fn", "source", "n_hoisted")
-
-    def __init__(
-        self,
-        precompute_fn: Callable,
-        step_fn: Callable,
-        source: str,
-        n_hoisted: int,
-    ) -> None:
-        self._precompute_fn = precompute_fn
-        self._step_fn = step_fn
-        self.source = source
-        self.n_hoisted = n_hoisted
-
-    def precompute(self, params: np.ndarray, driver_table: np.ndarray) -> tuple:
-        """Hoisted temporaries for all rows of ``driver_table``.
-
-        Each element is an array whose leading axis indexes the table's
-        rows; pass the tuple to :meth:`step` with the row offset.
-        """
-        return self._precompute_fn(params, driver_table)
-
-    def step(
-        self, params: np.ndarray, hoisted: tuple, row: int, states: np.ndarray
-    ) -> np.ndarray:
-        """One derivative step: ``(n_states, K)`` for driver row ``row``."""
-        return self._step_fn(params, hoisted, row, states)
-
-    def __call__(
-        self, params: np.ndarray, driver_row: np.ndarray, states: np.ndarray
-    ) -> np.ndarray:
-        table = np.asarray(driver_row, dtype=float).reshape(1, -1)
-        return self._step_fn(params, self._precompute_fn(params, table), 0, states)
-
-
-class CompiledCohortKernel(CompiledBatchedModel):
-    """A fused step kernel integrating several structures side by side.
-
-    The cohort form generalises the batched kernel from one structure's
-    K parameter columns to M structures × K lanes: parameter matrix
-    ``P`` has shape ``(n_params, M * K)`` (rows follow each member's own
-    ``param_order`` within its lane block, unused rows are ignored) and
-    the state matrix ``S`` has shape ``(n_states, M * K)``.  Member
-    ``m`` owns lanes ``[m * K, (m + 1) * K)``; every subexpression is
-    evaluated over the *full* fused width, so positionally identical
-    subexpressions of different members collapse to one temp under value
-    numbering -- the lanes a member does not own carry other members'
-    values (or garbage) and are never written to its output slice.
-    """
-
-    __slots__ = ("n_members", "lanes_per_member", "n_params", "n_states")
+    __slots__ = (
+        "_precompute_fn",
+        "_step_fn",
+        "source",
+        "n_hoisted",
+        "n_members",
+        "lanes_per_member",
+        "n_params",
+        "n_states",
+    )
 
     def __init__(
         self,
@@ -148,7 +133,10 @@ class CompiledCohortKernel(CompiledBatchedModel):
         n_params: int,
         n_states: int,
     ) -> None:
-        super().__init__(precompute_fn, step_fn, source, n_hoisted)
+        self._precompute_fn = precompute_fn
+        self._step_fn = step_fn
+        self.source = source
+        self.n_hoisted = n_hoisted
         self.n_members = n_members
         self.lanes_per_member = lanes_per_member
         self.n_params = n_params
@@ -159,86 +147,91 @@ class CompiledCohortKernel(CompiledBatchedModel):
         """Total fused lane count ``n_members * lanes_per_member``."""
         return self.n_members * self.lanes_per_member
 
+    def precompute(self, params: np.ndarray, driver_table: np.ndarray) -> tuple:
+        """Hoisted temporaries for all rows of ``driver_table``.
+
+        Each element is an array whose leading axis indexes the table's
+        rows; pass the tuple to :meth:`step` with the row offset.
+        """
+        return self._precompute_fn(params, driver_table)
+
+    def step(
+        self, params: np.ndarray, hoisted: tuple, row: int, states: np.ndarray
+    ) -> np.ndarray:
+        """One derivative step: ``(n_states, width)`` for driver row ``row``."""
+        return self._step_fn(params, hoisted, row, states)
+
+    def __call__(
+        self, params: np.ndarray, driver_row: np.ndarray, states: np.ndarray
+    ) -> np.ndarray:
+        table = np.asarray(driver_row, dtype=float).reshape(1, -1)
+        return self._step_fn(params, self._precompute_fn(params, table), 0, states)
+
 
 class CompilationError(ValueError):
     """Raised when an expression cannot be lowered to source."""
 
 
-class _Emitter:
-    """Lowers expression trees to straight-line Python assignments."""
+class _Stream:
+    """A value-numbered sink of straight-line assignments.
+
+    Every emitted rhs is a pure expression over earlier temps, so
+    textually identical rhs compute identical values and structurally
+    repeated subtrees collapse to one temp.  This base class spells the
+    protected operators as the scalar inline guards; streams sharing a
+    ``counter`` draw unique temp names from it.
+
+    :attr:`route` maps a subtree's dependency mask to the stream that
+    lowers it, and :meth:`export` turns a temp of this stream into the
+    leaf another stream reads it through.
+    """
 
     def __init__(
         self,
-        param_order: Sequence[str],
-        var_order: Sequence[str],
-        state_order: Sequence[str],
-        prefix: str = "t",
+        prefix: str,
+        counter: Iterator[int] | None = None,
+        bind_leaves: bool = True,
     ) -> None:
-        self._param_index = {name: i for i, name in enumerate(param_order)}
-        self._var_index = {name: i for i, name in enumerate(var_order)}
-        self._state_index = {name: i for i, name in enumerate(state_order)}
         self.lines: list[str] = []
-        self._prefix = prefix
-        self._counter = 0
-        self._memo: dict[int, str] = {}
         self._values: dict[str, str] = {}
+        self._prefix = prefix
+        self._counter = count() if counter is None else counter
+        #: Whether a leaf gets its own temp; False when the leaves are
+        #: already names (the station step's state arguments).
+        self.bind_leaves = bind_leaves
+        #: Node identity -> the name this stream reads the node by.
+        self.memo: dict[int, str] = {}
+        #: Stream lowering a subtree, indexed by its dependency mask; a
+        #: None table or entry keeps the subtree in this stream.
+        self.route: tuple[_Stream | None, ...] | None = None
+        #: Format of the leaf through which another stream reads this
+        #: stream's ``j``-th exported temp; None lets other streams read
+        #: the temps by name (closure variables).
+        self.reader: str | None = None
+        #: Temps other streams read, in export order.
+        self.exported: list[str] = []
+        self._exports: dict[str, str] = {}
 
-    def _fresh(self) -> str:
-        name = f"{self._prefix}{self._counter}"
-        self._counter += 1
-        return name
-
-    def _assign(self, rhs: str) -> str:
-        # Value numbering: every emitted rhs is a pure expression over
-        # SSA temps, so textually identical rhs compute identical values
-        # and structurally repeated subtrees collapse to one temp.
+    def assign(self, rhs: str) -> str:
         cached = self._values.get(rhs)
         if cached is not None:
             return cached
-        name = self._fresh()
+        name = f"{self._prefix}{next(self._counter)}"
         self.lines.append(f"    {name} = {rhs}")
         self._values[rhs] = name
         return name
 
-    def emit(self, expr: Expr) -> str:
-        """Emit assignments computing ``expr``; return its temp name."""
-        memo_key = id(expr)
-        cached = self._memo.get(memo_key)
-        if cached is not None:
-            return cached
-        name = self._emit(expr)
-        self._memo[memo_key] = name
-        return name
+    def leaf(self, spelling: str) -> str:
+        """The name this stream reads a leaf spelled ``spelling`` by."""
+        return self.assign(spelling) if self.bind_leaves else spelling
 
-    def _emit(self, expr: Expr) -> str:
-        if isinstance(expr, Const):
-            return self._assign(repr(expr.value))
-        if isinstance(expr, Param):
-            index = self._lookup(self._param_index, expr.name, "parameter")
-            return self._assign(f"P[{index}]")
-        if isinstance(expr, Var):
-            index = self._lookup(self._var_index, expr.name, "variable")
-            return self._assign(f"V[{index}]")
-        if isinstance(expr, State):
-            index = self._lookup(self._state_index, expr.name, "state")
-            return self._assign(f"S[{index}]")
-        if isinstance(expr, Ext):
-            return self.emit(expr.operand)
-        if isinstance(expr, UnOp):
-            operand = self.emit(expr.operand)
-            return self._emit_unary(expr.op, operand)
-        if isinstance(expr, BinOp):
-            lhs = self.emit(expr.lhs)
-            rhs = self.emit(expr.rhs)
-            return self._emit_binary(expr.op, lhs, rhs)
-        raise CompilationError(f"cannot compile node type {type(expr).__name__}")
-
-    @staticmethod
-    def _lookup(index: dict[str, int], name: str, kind: str) -> int:
-        try:
-            return index[name]
-        except KeyError:
-            raise CompilationError(f"unbound {kind} {name!r}") from None
+    def export(self, name: str) -> str:
+        """The leaf spelling another stream reads temp ``name`` through."""
+        read = self._exports.get(name)
+        if read is None:
+            read = self._exports[name] = self.reader.format(len(self.exported))
+            self.exported.append(name)
+        return read
 
     # Every guard below keeps the *protected* branch on the `if` side of
     # the conditional, mirroring the interpreter's comparison direction.
@@ -247,38 +240,202 @@ class _Emitter:
     # like protected_div does, while the flipped spelling
     # ``x / y if m >= eps else 0.0`` would silently map it to 0.0.
 
-    def _emit_unary(self, op: str, operand: str) -> str:
+    def unary(self, op: str, operand: str) -> str:
         if op == "neg":
-            return self._assign(f"-{operand}")
+            return self.assign(f"-{operand}")
         if op == "exp":
-            clamped = self._assign(
+            clamped = self.assign(
                 f"{EXP_MAX!r} if {operand} > {EXP_MAX!r} else {operand}"
             )
-            return self._assign(f"_exp({clamped})")
+            return self.assign(f"_exp({clamped})")
         if op == "log":
-            magnitude = self._assign(
+            magnitude = self.assign(
                 f"{operand} if {operand} >= 0.0 else -{operand}"
             )
-            return self._assign(
+            return self.assign(
                 f"0.0 if {magnitude} < {LOG_EPS!r} else _log({magnitude})"
             )
         raise CompilationError(f"unknown unary operator {op!r}")
 
-    def _emit_binary(self, op: str, lhs: str, rhs: str) -> str:
+    def binary(self, op: str, lhs: str, rhs: str) -> str:
         if op in ("+", "-", "*"):
-            return self._assign(f"{lhs} {op} {rhs}")
+            return self.assign(f"{lhs} {op} {rhs}")
         if op == "/":
-            magnitude = self._assign(f"{rhs} if {rhs} >= 0.0 else -{rhs}")
-            return self._assign(
+            magnitude = self.assign(f"{rhs} if {rhs} >= 0.0 else -{rhs}")
+            return self.assign(
                 f"0.0 if {magnitude} < {DIV_EPS!r} else {lhs} / {rhs}"
             )
         # Python's min/max return the *first* argument on ties and on any
         # NaN-poisoned comparison; spell out the exact builtin semantics.
         if op == "min":
-            return self._assign(f"{rhs} if {rhs} < {lhs} else {lhs}")
+            return self.assign(f"{rhs} if {rhs} < {lhs} else {lhs}")
         if op == "max":
-            return self._assign(f"{rhs} if {rhs} > {lhs} else {lhs}")
+            return self.assign(f"{rhs} if {rhs} > {lhs} else {lhs}")
         raise CompilationError(f"unknown binary operator {op!r}")
+
+
+class _ArrayStream(_Stream):
+    """A stream spelling the protected operators as NumPy helper calls.
+
+    The helpers (``_pdiv`` and friends) are the vectorised twins of the
+    interpreter's, so the array semantics stay defined in exactly one
+    place; the kernel's namespace binds them.
+    """
+
+    def unary(self, op: str, operand: str) -> str:
+        if op == "neg":
+            return self.assign(f"-{operand}")
+        if op == "exp":
+            return self.assign(f"_pexp({operand})")
+        if op == "log":
+            return self.assign(f"_plog({operand})")
+        raise CompilationError(f"unknown unary operator {op!r}")
+
+    def binary(self, op: str, lhs: str, rhs: str) -> str:
+        if op in ("+", "-", "*"):
+            return self.assign(f"{lhs} {op} {rhs}")
+        if op == "/":
+            return self.assign(f"_pdiv({lhs}, {rhs})")
+        if op == "min":
+            return self.assign(f"_pmin({lhs}, {rhs})")
+        if op == "max":
+            return self.assign(f"_pmax({lhs}, {rhs})")
+        raise CompilationError(f"unknown binary operator {op!r}")
+
+
+#: Dependency bits of an expression: which leaf kinds it reads.
+_DEP_P, _DEP_V, _DEP_S = 1, 2, 4
+
+
+def _dep_mask(expr: Expr, memo: dict[int, int]) -> int:
+    """The dependency bits of ``expr``, memoised by node identity."""
+    key = id(expr)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    if isinstance(expr, Const):
+        mask = 0
+    elif isinstance(expr, Param):
+        mask = _DEP_P
+    elif isinstance(expr, Var):
+        mask = _DEP_V
+    elif isinstance(expr, State):
+        mask = _DEP_S
+    elif isinstance(expr, (Ext, UnOp)):
+        mask = _dep_mask(expr.operand, memo)
+    elif isinstance(expr, BinOp):
+        mask = _dep_mask(expr.lhs, memo) | _dep_mask(expr.rhs, memo)
+    else:
+        raise CompilationError(
+            f"cannot compile node type {type(expr).__name__}"
+        )
+    memo[key] = mask
+    return mask
+
+
+def _routes(
+    lower: Callable[[int], _Stream | None]
+) -> tuple[_Stream | None, ...]:
+    """A routing table: the stream lowering each dependency mask."""
+    return tuple(lower(mask) for mask in range((_DEP_P | _DEP_V | _DEP_S) + 1))
+
+
+class _Lowering:
+    """Lowers expression trees into a form's streams.
+
+    ``leaves`` spells parameter, driver and state reads as format
+    strings over the leaf's index ``{0}`` (and ``{1}``, the index plus
+    one, for column slices).  One lowering can emit several structures
+    (a cohort) in sequence into the same streams: :meth:`begin_member`
+    switches to the next member's parameter mapping.  Value tables,
+    exports and temp counters persist across members; only the identity
+    memos are member-local, because an expression object must never
+    inherit a temp emitted under another member's parameter mapping.
+    """
+
+    def __init__(
+        self,
+        leaves: tuple[str, str, str],
+        var_order: Sequence[str],
+        state_order: Sequence[str],
+        streams: Sequence[_Stream],
+    ) -> None:
+        self._leaves = leaves
+        self._spellings: dict[type, tuple[dict[str, str], str]] = {
+            Var: (_spelled(leaves[1], tuple(var_order)), "variable"),
+            State: (_spelled(leaves[2], tuple(state_order)), "state"),
+        }
+        self._streams = streams
+        self._masks: dict[int, int] = {}
+
+    def begin_member(self, param_order: Sequence[str]) -> None:
+        """Switch to the next member's parameter mapping."""
+        self._spellings[Param] = (
+            _spelled(self._leaves[0], tuple(param_order)),
+            "parameter",
+        )
+        for stream in self._streams:
+            stream.memo.clear()
+
+    def reads_lanes(self, expr: Expr) -> bool:
+        """Whether ``expr`` reads parameters or states, so its value
+        spans the lane axis (constants and drivers only broadcast)."""
+        return bool(_dep_mask(expr, self._masks) & (_DEP_P | _DEP_S))
+
+    def lower(self, expr: Expr, stream: _Stream) -> str:
+        """Emit ``expr`` for ``stream``; return the name it reads it by."""
+        key = id(expr)
+        memo = stream.memo
+        name = memo.get(key)
+        if name is not None:
+            return name
+        route = stream.route
+        if route is not None:
+            mask = self._masks.get(key)
+            if mask is None:
+                mask = _dep_mask(expr, self._masks)
+            target = route[mask]
+            if target is not None:
+                name = self.lower(expr, target)
+                if target.reader is not None:
+                    name = stream.leaf(target.export(name))
+                memo[key] = name
+                return name
+        if isinstance(expr, Const):
+            name = stream.assign(repr(expr.value))
+        elif isinstance(expr, (Param, Var, State)):
+            name = stream.leaf(self._lookup(expr))
+        elif isinstance(expr, Ext):
+            name = self.lower(expr.operand, stream)
+        elif isinstance(expr, UnOp):
+            name = stream.unary(expr.op, self.lower(expr.operand, stream))
+        elif isinstance(expr, BinOp):
+            lhs = self.lower(expr.lhs, stream)
+            name = stream.binary(expr.op, lhs, self.lower(expr.rhs, stream))
+        else:
+            raise CompilationError(
+                f"cannot compile node type {type(expr).__name__}"
+            )
+        memo[key] = name
+        return name
+
+    def _lookup(self, leaf: Param | Var | State) -> str:
+        spelled, kind = self._spellings[type(leaf)]
+        try:
+            return spelled[leaf.name]
+        except KeyError:
+            raise CompilationError(f"unbound {kind} {leaf.name!r}") from None
+
+
+@lru_cache(maxsize=256)
+def _spelled(spelling: str, order: tuple[str, ...]) -> dict[str, str]:
+    """Leaf name -> its spelling at the leaf's position in ``order``.
+
+    Memoised, because every structure of a domain shares its driver and
+    state orders and structures of one knowledge bundle often share a
+    parameter order; callers never mutate the result.
+    """
+    return {name: spelling.format(i, i + 1) for i, name in enumerate(order)}
 
 
 def generate_source(
@@ -294,11 +451,13 @@ def generate_source(
     tuple with one value per expression (or a bare float for a single
     expression, see :func:`compile_expr`).
     """
-    emitter = _Emitter(param_order, var_order, state_order)
-    results = [emitter.emit(expr) for expr in exprs]
+    step = _Stream("t")
+    lowering = _Lowering(("P[{0}]", "V[{0}]", "S[{0}]"), var_order, state_order, [step])
+    lowering.begin_member(param_order)
+    results = [lowering.lower(expr, step) for expr in exprs]
     header = f"def {name}(P, V, S):"
     returns = "    return (" + ", ".join(results) + ("," if len(results) == 1 else "") + ")"
-    return "\n".join([header, *emitter.lines, returns])
+    return "\n".join([header, *step.lines, returns])
 
 
 def _compile_source(
@@ -345,256 +504,14 @@ def compile_model(
     return func
 
 
-#: Dependency bits of an expression: which leaf kinds it reads.
-_DEP_P, _DEP_V, _DEP_S = 1, 2, 4
-
-
-def _dep_mask(expr: Expr, memo: dict[int, int]) -> int:
-    """The dependency bits of ``expr``, memoised by node identity."""
-    key = id(expr)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    if isinstance(expr, Const):
-        mask = 0
-    elif isinstance(expr, Param):
-        mask = _DEP_P
-    elif isinstance(expr, Var):
-        mask = _DEP_V
-    elif isinstance(expr, State):
-        mask = _DEP_S
-    elif isinstance(expr, (Ext, UnOp)):
-        mask = _dep_mask(expr.operand, memo)
-    elif isinstance(expr, BinOp):
-        mask = _dep_mask(expr.lhs, memo) | _dep_mask(expr.rhs, memo)
-    else:
-        raise CompilationError(
-            f"cannot compile node type {type(expr).__name__}"
-        )
-    memo[key] = mask
-    return mask
-
-
-class _BatchedEmitter:
-    """Lowers expression trees to two-phase NumPy source.
-
-    Temporaries that depend on drivers but not on state are *hoisted*:
-    the precompute function evaluates them for every time row at once
-    over the full ``(T, n_vars)`` driver table (``VT[:, i:i+1]`` columns
-    broadcast against ``(K,)`` parameter rows into ``(T, K)`` arrays),
-    and the step function only extracts their current row from the
-    hoisted tuple ``C`` and evaluates the state-dependent remainder.
-    Protected operators route through the vectorised helpers of
-    :mod:`repro.expr.evaluate` in both phases, so the batched semantics
-    stay defined in exactly one place.  A parameter-only subtree feeding
-    a hoisted temporary is re-emitted into the precompute stream; both
-    streams apply the scalar emitter's value numbering independently.
-
-    One emitter can lower several structures (a cohort) in sequence into
-    a *single* pair of streams: :meth:`begin_member` switches to the next
-    member.  The per-stream value tables, the hoisted-temporary registry
-    and the temp counter persist across members, so a subexpression that
-    is positionally identical in two members (same parameter/state/driver
-    indices, same operators) is computed once over the full fused width.
-    Only the identity memos and the parameter index mapping are
-    member-local: each member's ``param_order`` maps its own names onto
-    the shared ``P`` rows, and expression objects must never inherit a
-    temp emitted under another member's parameter mapping.
-    """
-
-    def __init__(
-        self, var_order: Sequence[str], state_order: Sequence[str]
-    ) -> None:
-        self._var_index = {name: i for i, name in enumerate(var_order)}
-        self._state_index = {name: i for i, name in enumerate(state_order)}
-        self.pre_lines: list[str] = []
-        self.step_lines: list[str] = []
-        self._counter = 0
-        self._pre_values: dict[str, str] = {}
-        self._step_values: dict[str, str] = {}
-        self._rows: dict[str, str] = {}
-        #: Hoisted temp names in precompute-return order.
-        self.hoisted: list[str] = []
-        #: Temps whose trailing axis spans the full column width.  Temps
-        #: built from constants and drivers alone stay scalar or
-        #: ``(1,)``-shaped and only *broadcast* against the K columns;
-        #: callers that slice a temp column-wise (the cohort form's
-        #: partial output writes) must consult this set, because slicing
-        #: a narrow temp would misalign it.
-        self._wide: set[str] = set()
-
-    def begin_member(self, param_order: Sequence[str]) -> None:
-        """Switch to the next member's parameter mapping."""
-        self._param_index = {name: i for i, name in enumerate(param_order)}
-        self._pre_memo: dict[int, str] = {}
-        self._step_memo: dict[int, str] = {}
-        self._dep_memo: dict[int, int] = {}
-
-    def _assign(self, lines: list[str], values: dict[str, str], rhs: str) -> str:
-        # Value numbering, per stream: every rhs is a pure expression
-        # over earlier temps, so identical rhs share one temp.
-        cached = values.get(rhs)
-        if cached is not None:
-            return cached
-        name = f"t{self._counter}"
-        self._counter += 1
-        lines.append(f"    {name} = {rhs}")
-        values[rhs] = name
-        return name
-
-    @staticmethod
-    def _unary_rhs(op: str, operand: str) -> str:
-        if op == "neg":
-            return f"-{operand}"
-        if op == "exp":
-            return f"_pexp({operand})"
-        if op == "log":
-            return f"_plog({operand})"
-        raise CompilationError(f"unknown unary operator {op!r}")
-
-    @staticmethod
-    def _binary_rhs(op: str, lhs: str, rhs: str) -> str:
-        if op in ("+", "-", "*"):
-            return f"{lhs} {op} {rhs}"
-        if op == "/":
-            return f"_pdiv({lhs}, {rhs})"
-        if op == "min":
-            return f"_pmin({lhs}, {rhs})"
-        if op == "max":
-            return f"_pmax({lhs}, {rhs})"
-        raise CompilationError(f"unknown binary operator {op!r}")
-
-    @staticmethod
-    def _lookup(index: dict[str, int], name: str, kind: str) -> int:
-        try:
-            return index[name]
-        except KeyError:
-            raise CompilationError(f"unbound {kind} {name!r}") from None
-
-    def _emit_pre(self, expr: Expr) -> str:
-        """Emit ``expr`` (driver/parameter-only) into the precompute body."""
-        if isinstance(expr, Ext):
-            return self._emit_pre(expr.operand)
-        key = id(expr)
-        cached = self._pre_memo.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(expr, Const):
-            rhs = repr(expr.value)
-            wide = False
-        elif isinstance(expr, Param):
-            rhs = f"P[{self._lookup(self._param_index, expr.name, 'parameter')}]"
-            wide = True
-        elif isinstance(expr, Var):
-            index = self._lookup(self._var_index, expr.name, "variable")
-            rhs = f"VT[:, {index}:{index + 1}]"
-            wide = False
-        elif isinstance(expr, UnOp):
-            operand = self._emit_pre(expr.operand)
-            rhs = self._unary_rhs(expr.op, operand)
-            wide = operand in self._wide
-        elif isinstance(expr, BinOp):
-            lhs = self._emit_pre(expr.lhs)
-            rhs_operand = self._emit_pre(expr.rhs)
-            rhs = self._binary_rhs(expr.op, lhs, rhs_operand)
-            wide = lhs in self._wide or rhs_operand in self._wide
-        else:
-            raise CompilationError(
-                f"cannot compile node type {type(expr).__name__}"
-            )
-        name = self._assign(self.pre_lines, self._pre_values, rhs)
-        if wide:
-            self._wide.add(name)
-        self._pre_memo[key] = name
-        return name
-
-    def _row_of(self, hoisted: str) -> str:
-        """The step-side temp extracting a hoisted temp's current row."""
-        row = self._rows.get(hoisted)
-        if row is None:
-            index = len(self.hoisted)
-            self.hoisted.append(hoisted)
-            row = self._assign(
-                self.step_lines, self._step_values, f"C[{index}][t]"
-            )
-            if hoisted in self._wide:
-                self._wide.add(row)
-            self._rows[hoisted] = row
-        return row
-
-    def emit(self, expr: Expr) -> str:
-        """Emit assignments computing ``expr``; return its step temp."""
-        if isinstance(expr, Ext):
-            return self.emit(expr.operand)
-        key = id(expr)
-        cached = self._step_memo.get(key)
-        if cached is not None:
-            return cached
-        mask = _dep_mask(expr, self._dep_memo)
-        if mask & _DEP_V and not mask & _DEP_S:
-            name = self._row_of(self._emit_pre(expr))
-            self._step_memo[key] = name
-            return name
-        if isinstance(expr, Const):
-            rhs = repr(expr.value)
-            wide = False
-        elif isinstance(expr, Param):
-            rhs = f"P[{self._lookup(self._param_index, expr.name, 'parameter')}]"
-            wide = True
-        elif isinstance(expr, State):
-            rhs = f"S[{self._lookup(self._state_index, expr.name, 'state')}]"
-            wide = True
-        elif isinstance(expr, UnOp):
-            operand = self.emit(expr.operand)
-            rhs = self._unary_rhs(expr.op, operand)
-            wide = operand in self._wide
-        elif isinstance(expr, BinOp):
-            lhs = self.emit(expr.lhs)
-            rhs_operand = self.emit(expr.rhs)
-            rhs = self._binary_rhs(expr.op, lhs, rhs_operand)
-            wide = lhs in self._wide or rhs_operand in self._wide
-        else:
-            raise CompilationError(
-                f"cannot compile node type {type(expr).__name__}"
-            )
-        name = self._assign(self.step_lines, self._step_values, rhs)
-        if wide:
-            self._wide.add(name)
-        self._step_memo[key] = name
-        return name
-
-
-def generate_batched_source(
-    exprs: Sequence[Expr],
-    param_order: Sequence[str],
-    var_order: Sequence[str],
-    state_order: Sequence[str],
-    name: str = "_compiled_batched",
-) -> str:
-    """Generate NumPy source for a two-phase batched step kernel.
-
-    Two functions are emitted: ``_precompute_batched(P, VT)`` evaluates
-    every driver-dependent, state-independent temporary over the whole
-    ``(T, n_vars)`` driver table, and ``f(P, C, t, S)`` computes one
-    derivative row from the hoisted tuple ``C`` at row ``t`` plus the
-    state-dependent remainder, writing one ``(K,)`` row per state into a
-    fresh ``(n_states, K)`` output (assignment broadcasting also covers
-    constant-only equations, whose temporaries stay scalars).  This is
-    the one-member form of :func:`generate_cohort_source`.
-    """
-    source, __ = _generate_cohort(
-        [(exprs, param_order)], var_order, state_order, 1, name
-    )
-    return source
-
-
 def compile_model_batched(
     exprs: Sequence[Expr],
     param_order: Sequence[str],
     var_order: Sequence[str],
     state_order: Sequence[str],
-) -> CompiledBatchedModel:
-    """Compile a batched step kernel over K parameter columns.
+) -> CompiledCohortKernel:
+    """Compile a batched step kernel over K parameter columns: the
+    one-member cohort kernel (see :func:`compile_model_cohort`).
 
     The returned kernel agrees with K applications of the scalar
     interpreter column by column (to float tolerance -- libm and NumPy
@@ -602,30 +519,7 @@ def compile_model_batched(
     edge cases and NaN propagation, so a diverging column behaves exactly
     as its scalar simulation would while leaving its neighbours intact.
     """
-    source, n_hoisted = _generate_cohort(
-        [(exprs, param_order)], var_order, state_order, 1, "_compiled_batched"
-    )
-    namespace = _batched_namespace()
-    code = compile(source, filename="<repro:_compiled_batched>", mode="exec")
-    exec(code, namespace)  # noqa: S102 - generated from our own AST only
-    return CompiledBatchedModel(
-        precompute_fn=namespace["_precompute_batched"],
-        step_fn=namespace["_compiled_batched"],
-        source=source,
-        n_hoisted=n_hoisted,
-    )
-
-
-def _batched_namespace() -> dict[str, Any]:
-    """Exec namespace shared by the batched and cohort kernel forms."""
-    return {
-        "_empty": np.empty,
-        "_pdiv": batched_protected_div,
-        "_plog": batched_protected_log,
-        "_pexp": batched_protected_exp,
-        "_pmin": batched_min,
-        "_pmax": batched_max,
-    }
+    return compile_model_cohort([(exprs, param_order)], var_order, state_order, 1)
 
 
 def _merge_lane_runs(temps: Sequence[str]) -> list[tuple[int, int, str]]:
@@ -648,60 +542,82 @@ def _generate_cohort(
     var_order: Sequence[str],
     state_order: Sequence[str],
     lanes_per_member: int,
-    name: str = "_compiled_cohort",
 ) -> tuple[str, int]:
     """Fused cohort source plus its hoisted-temporary count.
 
     ``members`` holds one ``(exprs, param_order)`` pair per structure;
     every member must supply one expression per state of
-    ``state_order``.  The generated step function writes member ``m``'s
-    results into lanes ``[m * K, (m + 1) * K)`` of the output; temps
-    that stay narrow (constant- or driver-only) are assigned unsliced
-    and broadcast into the slice.  A one-member cohort writes whole
-    output rows, whatever ``K``: that is the batched kernel.
+    ``state_order``.  Two functions are emitted: ``_precompute_batched(P,
+    VT)`` evaluates every driver-dependent, state-free temporary over the
+    whole ``(T, n_vars)`` driver table (``VT[:, i:i+1]`` columns
+    broadcast against ``(K,)`` parameter rows into ``(T, K)`` arrays),
+    and ``_compiled_cohort(P, C, t, S)`` reads their row ``t`` from the
+    hoisted tuple ``C`` and computes the state-dependent remainder.  A
+    parameter-only subtree feeding a hoisted temporary is re-emitted
+    into the precompute stream.  The step function writes member ``m``'s
+    results into lanes ``[m * K, (m + 1) * K)`` of a fresh ``(n_states,
+    M * K)`` output; temps that read no parameter or state stay narrow
+    (scalars or ``(1,)``-shaped) and are assigned unsliced, broadcast
+    into the slice.  A one-member cohort writes whole output rows,
+    whatever ``K``: that is the batched kernel.
     """
     if not members:
         raise CompilationError("a cohort needs at least one member")
     if lanes_per_member < 1:
         raise CompilationError("lanes_per_member must be >= 1")
     n_states = len(state_order)
-    emitter = _BatchedEmitter(var_order, state_order)
+    temps = count()
+    pre = _ArrayStream("t", temps)
+    step = _ArrayStream("t", temps)
+    step.route = _routes(
+        lambda mask: pre if mask & _DEP_V and not mask & _DEP_S else None
+    )
+    pre.reader = "C[{}][t]"
+    lowering = _Lowering(
+        ("P[{0}]", "VT[:, {0}:{1}]", "S[{0}]"), var_order, state_order, [pre, step]
+    )
     results: list[list[str]] = []
+    wide: set[str] = set()
     for exprs, param_order in members:
         if len(exprs) != n_states:
             raise CompilationError(
                 f"member has {len(exprs)} equations for {n_states} states"
             )
-        emitter.begin_member(param_order)
-        results.append([emitter.emit(expr) for expr in exprs])
-    returns = ", ".join(emitter.hoisted)
-    if len(emitter.hoisted) == 1:
+        lowering.begin_member(param_order)
+        results.append([lowering.lower(expr, step) for expr in exprs])
+        wide.update(
+            temp
+            for temp, expr in zip(results[-1], exprs)
+            if lowering.reads_lanes(expr)
+        )
+    returns = ", ".join(pre.exported)
+    if len(pre.exported) == 1:
         returns += ","
     lines = [
         "def _precompute_batched(P, VT):",
-        *emitter.pre_lines,
+        *pre.lines,
         f"    return ({returns})",
         "",
-        f"def {name}(P, C, t, S):",
-        *emitter.step_lines,
+        "def _compiled_cohort(P, C, t, S):",
+        *step.lines,
         f"    _out = _empty(({n_states}, S.shape[1]))",
     ]
     for state_index in range(n_states):
-        temps = [member_results[state_index] for member_results in results]
-        for start, stop, temp in _merge_lane_runs(temps):
+        outputs = [member_results[state_index] for member_results in results]
+        for start, stop, temp in _merge_lane_runs(outputs):
             if start == 0 and stop == len(members):
                 lines.append(f"    _out[{state_index}] = {temp}")
                 continue
             lo = start * lanes_per_member
             hi = stop * lanes_per_member
-            if temp in emitter._wide:
+            if temp in wide:
                 lines.append(
                     f"    _out[{state_index}, {lo}:{hi}] = {temp}[{lo}:{hi}]"
                 )
             else:
                 lines.append(f"    _out[{state_index}, {lo}:{hi}] = {temp}")
     lines.append("    return _out")
-    return "\n".join(lines), len(emitter.hoisted)
+    return "\n".join(lines), len(pre.exported)
 
 
 def generate_cohort_source(
@@ -709,11 +625,10 @@ def generate_cohort_source(
     var_order: Sequence[str],
     state_order: Sequence[str],
     lanes_per_member: int,
-    name: str = "_compiled_cohort",
 ) -> str:
     """Generate NumPy source for a fused multi-structure cohort kernel."""
     source, __ = _generate_cohort(
-        members, var_order, state_order, lanes_per_member, name
+        members, var_order, state_order, lanes_per_member
     )
     return source
 
@@ -739,12 +654,18 @@ def compile_model_cohort(
     source, n_hoisted = _generate_cohort(
         members, var_order, state_order, lanes_per_member
     )
-    namespace = _batched_namespace()
-    code = compile(source, filename="<repro:_compiled_cohort>", mode="exec")
-    exec(code, namespace)  # noqa: S102 - generated from our own AST only
+    namespace = {
+        "_empty": np.empty,
+        "_pdiv": batched_protected_div,
+        "_plog": batched_protected_log,
+        "_pexp": batched_protected_exp,
+        "_pmin": batched_min,
+        "_pmax": batched_max,
+    }
+    step_fn = _compile_source(source, "_compiled_cohort", namespace)
     return CompiledCohortKernel(
         precompute_fn=namespace["_precompute_batched"],
-        step_fn=namespace["_compiled_cohort"],
+        step_fn=step_fn,
         source=source,
         n_hoisted=n_hoisted,
         n_members=len(members),
@@ -788,85 +709,6 @@ class CompiledStationKernel:
         self.n_frontier = n_frontier
 
 
-class _StationEmitter(_Emitter):
-    """Lowers a structure into the three streams of a station kernel.
-
-    This emitter's own ``lines`` are the step stream: the
-    state-dependent remainder under the scalar lowering, with state
-    ``i`` read from argument ``S{i}``.  Every other subtree leaves it.
-    Parameter-only (and constant) subtrees go to :attr:`setup`, a
-    scalar emitter that runs once per parameter vector.  Maximal
-    driver-dependent, state-free subtrees go to the hoist stream and
-    become frontier arguments ``c{j}`` of the step function, the subtrees
-    :meth:`_BatchedEmitter._row_of` selects for the batched kernels.
-    """
-
-    def __init__(
-        self,
-        param_order: Sequence[str],
-        var_order: Sequence[str],
-        state_order: Sequence[str],
-    ) -> None:
-        super().__init__(param_order, var_order, state_order)
-        self.setup = _Emitter(param_order, (), (), prefix="k")
-        #: Value-numbered sink of the hoist stream's array assignments.
-        self.hoist = _Emitter((), (), (), prefix="h")
-        #: Hoisted temps in frontier-argument order.
-        self.frontier: list[str] = []
-        self._frontier_names: dict[str, str] = {}
-        self._hoist_memo: dict[int, str] = {}
-        self._masks: dict[int, int] = {}
-
-    def emit(self, expr: Expr) -> str:
-        if isinstance(expr, Ext):
-            return self.emit(expr.operand)
-        mask = _dep_mask(expr, self._masks)
-        if mask & _DEP_S:
-            return super().emit(expr)
-        if mask & _DEP_V:
-            return self._read(self._emit_hoisted(expr))
-        return self.setup.emit(expr)
-
-    def _emit(self, expr: Expr) -> str:
-        if isinstance(expr, State):
-            return f"S{self._lookup(self._state_index, expr.name, 'state')}"
-        return super()._emit(expr)
-
-    def _read(self, hoisted: str) -> str:
-        """The frontier argument carrying a hoisted temp's value."""
-        name = self._frontier_names.get(hoisted)
-        if name is None:
-            name = f"c{len(self.frontier)}"
-            self.frontier.append(hoisted)
-            self._frontier_names[hoisted] = name
-        return name
-
-    def _emit_hoisted(self, expr: Expr) -> str:
-        """Emit a state-free subtree into the hoist stream."""
-        if isinstance(expr, Ext):
-            return self._emit_hoisted(expr.operand)
-        if not _dep_mask(expr, self._masks) & _DEP_V:
-            return self.setup.emit(expr)
-        key = id(expr)
-        cached = self._hoist_memo.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(expr, Var):
-            index = self._lookup(self._var_index, expr.name, "variable")
-            rhs = f"VB[{index}]"
-        elif isinstance(expr, UnOp):
-            operand = self._emit_hoisted(expr.operand)
-            rhs = _BatchedEmitter._unary_rhs(expr.op, operand)
-        else:
-            assert isinstance(expr, BinOp)
-            lhs = self._emit_hoisted(expr.lhs)
-            rhs_operand = self._emit_hoisted(expr.rhs)
-            rhs = _BatchedEmitter._binary_rhs(expr.op, lhs, rhs_operand)
-        name = self.hoist._assign(rhs)
-        self._hoist_memo[key] = name
-        return name
-
-
 def _generate_station(
     exprs: Sequence[Expr],
     param_order: Sequence[str],
@@ -874,27 +716,49 @@ def _generate_station(
     state_order: Sequence[str],
 ) -> tuple[str, int]:
     """Source of a station kernel's factory ``_make_station`` (see
-    :class:`CompiledStationKernel`), plus its frontier size."""
-    emitter = _StationEmitter(param_order, var_order, state_order)
-    results = [emitter.emit(expr) for expr in exprs]
-    hoisted = "".join(f"{name}, " for name in emitter.frontier)
+    :class:`CompiledStationKernel`), plus its frontier size.
+
+    The step stream holds the state-dependent remainder under the
+    scalar spelling, with state ``i`` read from argument ``S{i}``.
+    Constant and parameter-only subtrees go to the scalar setup stream
+    (``k`` temps, run once per parameter vector, read by name from the
+    closures); maximal driver-dependent, state-free subtrees go to the
+    hoist stream (``h`` temps over ``VB``) and reach the step function
+    as frontier arguments ``c{j}`` -- the subtrees the cohort form
+    hoists into its precompute stream.
+    """
+    setup = _Stream("k")
+    hoist = _ArrayStream("h")
+    step = _Stream("t", bind_leaves=False)
+    step.route = _routes(
+        lambda mask: None if mask & _DEP_S else hoist if mask & _DEP_V else setup
+    )
+    hoist.route = _routes(lambda mask: None if mask & _DEP_V else setup)
+    hoist.reader = "c{}"
+    lowering = _Lowering(
+        ("P[{0}]", "VB[{0}]", "S{0}"), var_order, state_order, [setup, hoist, step]
+    )
+    lowering.begin_member(param_order)
+    results = [lowering.lower(expr, step) for expr in exprs]
+    frontier = hoist.exported
+    hoisted = "".join(f"{name}, " for name in frontier)
     states = "".join(f", S{index}" for index in range(len(state_order)))
     lines = [
         "def _make_station(P):",
-        *emitter.setup.lines,
+        *setup.lines,
         "    def hoist(VB):",
         '        with _errstate(all="ignore"):',
-        *(f"        {line}" for line in emitter.hoist.lines),
+        *(f"        {line}" for line in hoist.lines),
         f"            return _frontier(({hoisted}), VB)",
         f"    def station(F{states}):",
     ]
-    if emitter.frontier:
-        arguments = "".join(f"c{j}, " for j in range(len(emitter.frontier)))
+    if frontier:
+        arguments = "".join(f"c{j}, " for j in range(len(frontier)))
         lines.append(f"        {arguments}= F")
-    lines.extend(f"    {line}" for line in emitter.lines)
+    lines.extend(f"    {line}" for line in step.lines)
     lines.append(f"        return ({''.join(f'{name}, ' for name in results)})")
     lines.append("    return hoist, station")
-    return "\n".join(lines), len(emitter.frontier)
+    return "\n".join(lines), len(frontier)
 
 
 def _libm_map(function: Callable[[float], float], values: np.ndarray) -> np.ndarray:

@@ -120,24 +120,24 @@ class GMRConfig:
             that too few columns do not amortise.  Default is the
             historical module constant (:data:`MIN_BATCH_COLUMNS`).  Excluded from
             ``repr`` (like ``domain``): the threshold only moves work
-            between bit-identical kernels, so checkpoints written under
-            a different setting stay resumable.
-        fuse_structures: Fuse several structure groups of a cohort into
-            one padded multi-structure kernel
-            (:func:`repro.expr.compile.compile_model_cohort`): up to
-            ``fuse_cohort_size`` groups sharing variable and state
-            orders integrate in a single ``(structures x K)``-lane
-            NumPy pass, pooling positionally identical subexpressions
-            across structures.  Lane results are bit-identical to the
-            per-structure batched path (and hence the scalar path), so
-            the switch changes throughput only; set False to keep the
-            per-structure batched kernels.  Excluded from ``repr`` for
-            the same reason as ``kernel_min_batch``.
-        fuse_cohort_size: Maximum structure groups fused into one cohort
-            kernel (>= 2).  Bounds both the fused kernel's lane width
-            (at ``fuse_cohort_size * kernel_batch_size``) and the cost
-            of recompiling when a cohort's membership changes.  Excluded
-            from ``repr``.
+            between the scalar and vector kernels, which are
+            bit-identical except that the vector kernels evaluate
+            ``exp``/``log`` through NumPy, matching libm to float
+            tolerance; checkpoints written under a different setting
+            stay resumable.
+        fuse_cohort_size: Maximum structure groups fused into one padded
+            multi-structure kernel
+            (:func:`repro.expr.compile.compile_model_cohort`): up to this
+            many groups sharing variable and state orders integrate in a
+            single ``(structures x K)``-lane NumPy pass, pooling
+            positionally identical subexpressions across structures.
+            Lane results are bit-identical to the per-structure batched
+            path, so the size changes throughput only; 1 fuses nothing
+            and keeps the per-structure batched kernels.  Bounds both the
+            fused kernel's lane width (at ``fuse_cohort_size *
+            kernel_batch_size``) and the cost of recompiling when a
+            cohort's membership changes.  Excluded from ``repr`` for the
+            same reason as ``kernel_min_batch``.
         gaussian_proposals: Candidates proposed per Gaussian-mutation
             move (engine operator and hill-climb move alike).  With K > 1
             each move proposes K parameter vectors of the *same*
@@ -223,7 +223,6 @@ class GMRConfig:
     domain: str = field(default="river", repr=False)
     checkpoint_keep: int = field(default=1, repr=False)
     kernel_min_batch: int = field(default=MIN_BATCH_COLUMNS, repr=False)
-    fuse_structures: bool = field(default=True, repr=False)
     fuse_cohort_size: int = field(default=8, repr=False)
 
     def __post_init__(self) -> None:
@@ -259,8 +258,8 @@ class GMRConfig:
             raise ConfigError("kernel_batch_size must be positive")
         if self.kernel_min_batch < 1:
             raise ConfigError("kernel_min_batch must be positive")
-        if self.fuse_cohort_size < 2:
-            raise ConfigError("fuse_cohort_size must be >= 2")
+        if self.fuse_cohort_size < 1:
+            raise ConfigError("fuse_cohort_size must be >= 1")
         if self.gaussian_proposals < 1:
             raise ConfigError("gaussian_proposals must be positive")
         if self.tree_cache_size < 1:

@@ -340,7 +340,7 @@ class GMREngine:
                     if config.strict_validate:
                         self._lint_artifacts()
                     if config.static_triage:
-                        self._triage_seed()
+                        self._triage_seed(evaluator)
                     population = initial_population(
                         self.grammar, self.knowledge, config, rng
                     )
@@ -618,7 +618,7 @@ class GMREngine:
             "strict_validate: grammar/knowledge failed the lint pass"
         )
 
-    def _triage_seed(self) -> None:
+    def _triage_seed(self, evaluator: GMRFitnessEvaluator) -> None:
         """Static-triage mode: prove the expert seed clean up front.
 
         A seed whose equations static triage would skip (provably NaN
@@ -626,30 +626,19 @@ class GMREngine:
         task disagree -- fail loudly at generation 0 instead of running
         a search in which the seed and all its neighbourhoods score the
         divergence sentinel.  Tasks without the plain-ODE surface
-        (duck-typed ``error_stream``-only tasks) are not triaged.
+        (duck-typed ``error_stream``-only tasks) are not triaged; the
+        run's evaluator knows which tasks have it and owns the triage
+        context its candidates are checked against.
         """
-        if not all(
-            hasattr(self.task, attr)
-            for attr in ("drivers", "initial_state", "dt", "clamp")
-        ):
+        if not evaluator._batchable:
             return
         from repro.lint import LintReport
-        from repro.lint.triage import (
-            context_for_task,
-            fatal_findings,
-            triage_equations,
-        )
+        from repro.lint.triage import fatal_findings, triage_equations
 
-        spec = None
-        try:
-            from repro.domains import get_domain
-
-            spec = get_domain(self.config.domain)
-        except Exception:
-            spec = None
-        context = context_for_task(self.task, spec)
         report = triage_equations(
-            self.knowledge.seed_equations, context, obj="seed equation"
+            self.knowledge.seed_equations,
+            evaluator._triage_context_for_task(),
+            obj="seed equation",
         )
         fatal = fatal_findings(report)
         if fatal:

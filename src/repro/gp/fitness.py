@@ -423,9 +423,10 @@ class GMRFitnessEvaluator:
         self._triage_context = None
         #: Structure keys demoted to the scalar path after a vector
         #: kernel containing them raised (degradation ladder, see
-        #: :meth:`_run_kernel`).  Every path is bit-identical with the
-        #: scalar one, so demotion changes only where the work happens,
-        #: never the fitness stream.
+        #: :meth:`_run_kernel`).  The vector paths are bit-identical
+        #: with the scalar one except NumPy ``exp``/``log``, which match
+        #: libm only to float tolerance, so demotion moves the work and
+        #: can move a fitness only by those float-tolerance differences.
         self._kernel_blocklist: set[str] = set()
         #: Derived models per derivation shape (repro.gp.phenotype);
         #: pickled empty, so an unpickled evaluator starts empty.
@@ -676,8 +677,7 @@ class GMRFitnessEvaluator:
 
         Groups the cohort by model structure, integrates each group's K
         distinct parameter vectors in one vectorised rollout per
-        :attr:`GMRConfig.kernel_batch_size` chunk -- and, with
-        :attr:`GMRConfig.fuse_structures` on, fuses up to
+        :attr:`GMRConfig.kernel_batch_size` chunk -- and fuses up to
         :attr:`GMRConfig.fuse_cohort_size` structure groups into one
         padded multi-structure kernel run (:meth:`_simulate_cohort`),
         which pools shared subexpressions across structures and removes
@@ -857,24 +857,22 @@ class GMRFitnessEvaluator:
     ) -> tuple[list[_FusedCohort], list[_BatchGroup]]:
         """Pack structure groups into fused cohorts; the rest stay loose.
 
-        Groups are eligible when fusion is on and their column count
-        fits one rollout chunk (fused kernels never chunk: ``K <=
-        kernel_batch_size``).
+        Groups are eligible when their column count fits one rollout
+        chunk (fused kernels never chunk: ``K <= kernel_batch_size``).
         Eligible groups are partitioned by the orders the kernel bakes
         in (``var_order``/``state_names``), sorted by their group key,
         and packed ``fuse_cohort_size`` at a time -- deterministic given
         the group *set*, independent of cohort arrival order, so a
         recurring set of structures re-produces the same cohort
         signatures and keeps hitting compiled kernels across shuffled
-        generations.  A chunk of one fuses with nobody and stays loose.
+        generations.  A chunk of one fuses with nobody and stays loose,
+        so ``fuse_cohort_size=1`` turns fusion off.
         Blocklisted structures never reach this point: planning leaves
         them out of every group.
         """
         config = self.config
         fused: list[_FusedCohort] = []
         loose: list[_BatchGroup] = []
-        if not config.fuse_structures:
-            return fused, list(groups.values())
         partitions: dict[tuple, list[tuple[Hashable, _BatchGroup]]] = {}
         for group_key, group in groups.items():
             if len(group.params) > config.kernel_batch_size:
@@ -910,10 +908,13 @@ class GMRFitnessEvaluator:
         blocklist and its curves stay unset, so finalisation scores its
         members through the scalar path and later batches plan it
         straight to scalar.  A fused failure cannot be attributed to one
-        member, so the whole cohort is demoted together.  Every path is
-        bit-identical with the scalar one, so the only observable
-        differences are the failed kernel's counter (``fusion_fallbacks``
-        or ``kernel_fallbacks``) and a ``degradation`` trace event.
+        member, so the whole cohort is demoted together.  The vector
+        paths are bit-identical with the scalar one except that NumPy
+        evaluates ``exp``/``log``, which match libm only to float
+        tolerance, so a demoted structure's fitness can move in its
+        last bits.  Otherwise the only observable effects are the failed
+        kernel's counter (``fusion_fallbacks`` or ``kernel_fallbacks``)
+        and a ``degradation`` trace event.
         """
         fused = isinstance(unit, _FusedCohort)
         try:

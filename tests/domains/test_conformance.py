@@ -118,15 +118,13 @@ class TestKernelEquivalence:
         on = GMREngine(
             knowledge,
             mini_task,
-            conformance_config(
-                spec, fuse_structures=True, kernel_min_batch=1
-            ),
+            conformance_config(spec, kernel_min_batch=1),
         ).run(seed=seed)
         off = GMREngine(
             knowledge,
             mini_task,
             conformance_config(
-                spec, fuse_structures=False, kernel_min_batch=1
+                spec, fuse_cohort_size=1, kernel_min_batch=1
             ),
         ).run(seed=seed)
         assert on.best_fitness == pytest.approx(

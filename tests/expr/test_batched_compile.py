@@ -22,7 +22,6 @@ from repro.expr.compile import (
     compile_model,
     compile_model_batched,
     compile_model_cohort,
-    generate_batched_source,
     generate_cohort_source,
 )
 from repro.expr.evaluate import (
@@ -86,26 +85,33 @@ class TestBatchedMatchesInterpreter:
     @settings(max_examples=100, deadline=None)
     @given(expressions(), bindings(), bindings())
     def test_batched_matches_scalar_compiled(self, expr, b0, b1):
-        """Batched and scalar *compiled* kernels agree on finite inputs."""
+        """Batched and scalar *compiled* kernels agree on finite inputs,
+        every row of a driver block hoisted in one precompute."""
         columns = [b0, b1]
         scalar = compile_model(
             [strip_ext(expr)], PARAM_NAMES, VAR_NAMES, STATE_NAMES
         )
         kernel = batched_from_expr(expr)
         params, states = stack_columns(columns)
-        row = np.array([b0[1][name] for name in VAR_NAMES])
-        out = kernel(params, row, states)
-        for column, binding in enumerate(columns):
-            expected = scalar(
-                tuple(params[:, column]), tuple(row), tuple(states[:, column])
-            )[0]
-            got = out[0, column]
-            if math.isnan(expected):
-                assert math.isnan(got)
-            else:
-                assert got == pytest.approx(expected, rel=1e-9, abs=0.0) or (
-                    got == expected
-                )
+        table = np.array(
+            [[binding[1][name] for name in VAR_NAMES] for binding in columns]
+        )
+        hoisted = kernel.precompute(params, table)
+        for t, row in enumerate(table):
+            out = kernel.step(params, hoisted, t, states)
+            for column in range(len(columns)):
+                expected = scalar(
+                    tuple(params[:, column]),
+                    tuple(row),
+                    tuple(states[:, column]),
+                )[0]
+                got = out[0, column]
+                if math.isnan(expected):
+                    assert math.isnan(got)
+                else:
+                    assert got == pytest.approx(
+                        expected, rel=1e-9, abs=0.0
+                    ) or (got == expected)
 
 
 class TestProtectedOpEdges:
@@ -177,12 +183,12 @@ class TestGeneratedSource:
         expr = ast.add(ast.div(Param("p0"), State("s0")), Var("v0"))
         kernel = batched_from_expr(expr)
         assert "_pdiv" in kernel.source
-        assert "def _compiled_batched" in kernel.source
+        assert "def _compiled_cohort" in kernel.source
 
     def test_source_function_shape(self):
         expr = ast.mul(Const(2.0), State("s0"))
-        source = generate_batched_source(
-            [expr], PARAM_NAMES, VAR_NAMES, STATE_NAMES
+        source = generate_cohort_source(
+            [([expr], PARAM_NAMES)], VAR_NAMES, STATE_NAMES, 1
         )
         assert "_out" in source
 
@@ -193,14 +199,11 @@ class TestGeneratedSource:
         source for any lane count, same hoisted temporaries."""
         exprs = [strip_ext(expr)]
         member = [(exprs, PARAM_NAMES)]
-        source = generate_batched_source(
-            exprs, PARAM_NAMES, VAR_NAMES, STATE_NAMES
-        )
-        assert source == generate_cohort_source(
-            member, VAR_NAMES, STATE_NAMES, lanes, name="_compiled_batched"
-        )
         batched = compile_model_batched(
             exprs, PARAM_NAMES, VAR_NAMES, STATE_NAMES
+        )
+        assert batched.source == generate_cohort_source(
+            member, VAR_NAMES, STATE_NAMES, lanes
         )
         cohort = compile_model_cohort(member, VAR_NAMES, STATE_NAMES, lanes)
         assert batched.n_hoisted == cohort.n_hoisted

@@ -20,7 +20,7 @@ from repro.expr import ast
 from repro.expr.ast import Const, Param, State, Var, strip_ext
 from repro.expr.compile import (
     CompilationError,
-    CompiledBatchedModel,
+    CompiledCohortKernel,
     compile_model_batched,
     compile_model_cohort,
     generate_cohort_source,
@@ -77,15 +77,18 @@ class TestLaneExactness:
     @given(
         expressions(max_leaves=12),
         expressions(max_leaves=12),
-        st.lists(lane_floats, min_size=24, max_size=24),
+        st.lists(lane_floats, min_size=26, max_size=26),
     )
     def test_two_member_cohort_matches_standalone(self, e0, e1, values):
         """Random members, reversed param order for the second, random
-        lane contents (NaN included): every lane bit-identical."""
+        lane contents (NaN included): every lane bit-identical.  A third
+        member reuses the first's expression object under the reversed
+        order, which must not inherit the first member's temps."""
         lanes = 2
         members = [
             ([e0], PARAM_NAMES),
             ([e1], tuple(reversed(PARAM_NAMES))),
+            ([e0], tuple(reversed(PARAM_NAMES))),
         ]
         kernel = fused_kernel(members, lanes)
         width = kernel.width
@@ -97,17 +100,25 @@ class TestLaneExactness:
             [[next(pool) for _ in range(width)] for _ in STATE_NAMES]
         )
         row = np.array([next(pool) for _ in VAR_NAMES])
-        fused_out = kernel(params, row, states)
-        assert fused_out.shape == (len(STATE_NAMES), width)
-        outs = []
-        for member, standalone in enumerate(member_kernels(members)):
-            lo = member * lanes
-            outs.append(
-                standalone(
-                    params[:, lo : lo + lanes], row, states[:, lo : lo + lanes]
+        # A two-row driver block hoisted in one precompute; the second
+        # row reverses the first.
+        table = np.array([row, row[::-1]])
+        hoisted = kernel.precompute(params, table)
+        standalones = member_kernels(members)
+        for t, table_row in enumerate(table):
+            fused_out = kernel.step(params, hoisted, t, states)
+            assert fused_out.shape == (len(STATE_NAMES), width)
+            outs = []
+            for member, standalone in enumerate(standalones):
+                lo = member * lanes
+                outs.append(
+                    standalone(
+                        params[:, lo : lo + lanes],
+                        table_row,
+                        states[:, lo : lo + lanes],
+                    )
                 )
-            )
-        assert_lanes_match(fused_out, outs, lanes)
+            assert_lanes_match(fused_out, outs, lanes)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -223,7 +234,7 @@ class TestCohortKernelShape:
             ([State("s0")], ()),
         ]
         kernel = fused_kernel(members, 8)
-        assert isinstance(kernel, CompiledBatchedModel)
+        assert isinstance(kernel, CompiledCohortKernel)
         assert kernel.n_members == 2
         assert kernel.lanes_per_member == 8
         assert kernel.width == 16

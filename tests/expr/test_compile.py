@@ -1,7 +1,9 @@
 """Runtime compilation: correctness and equivalence with the interpreter."""
 
 import math
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -11,6 +13,7 @@ from repro.expr.compile import (
     CompilationError,
     compile_expr,
     compile_model,
+    compile_station_kernel,
     generate_source,
 )
 from repro.expr.evaluate import evaluate
@@ -98,6 +101,46 @@ class TestEquivalenceWithInterpreter:
             assert compiled == interpreted
         else:
             assert compiled == pytest.approx(interpreted, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(expressions(), bindings())
+    def test_station_kernel_matches_scalar_step(self, expr, binds):
+        """The station form (``make`` -> ``hoist`` -> ``station``) over a
+        multi-row driver block of two stations equals the scalar step
+        bit for bit, NaN positions included."""
+        params, variables, states = binds
+        orders = (PARAM_NAMES, VAR_NAMES, STATE_NAMES)
+        step = compile_model([expr], *orders)
+        kernel = compile_station_kernel([expr], *orders)
+        v0, v1 = (variables[name] for name in VAR_NAMES)
+        rows = [
+            (v0, v1),
+            (-v1, v0),
+            (v0 * 1e303, v1 * 1e303),
+            (math.nan, v1),
+            (0.0, -0.0),
+            # Moderate drivers, where NumPy's exp/log can differ from
+            # libm's in the last ulp.
+            *((v0 * 1e-6 + k / 7, v1 * 1e-6 - k / 5) for k in range(1, 17)),
+        ]
+        # Station 0 reads the rows in order, station 1 in reverse with
+        # the two drivers swapped.
+        blocks = [rows, [(b, a) for a, b in reversed(rows)]]
+        P = tuple(params[name] for name in PARAM_NAMES)
+        S = tuple(states[name] for name in STATE_NAMES)
+        hoist, station = kernel.make(P)
+        frontier = hoist(np.array(blocks).transpose(2, 0, 1))
+        for block, station_rows in zip(blocks, frontier):
+            for row, F in zip(block, station_rows):
+                assert bits(station(F, *S)) == bits(step(P, row, S))
+
+
+def bits(values) -> list[bytes | None]:
+    """Exact bit patterns, with every NaN mapped to one marker."""
+    return [
+        None if math.isnan(value) else struct.pack("<d", value)
+        for value in values
+    ]
 
 
 class TestNaNCorners:

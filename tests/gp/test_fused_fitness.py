@@ -49,11 +49,9 @@ class TestFusedEquivalence:
     def test_matches_unfused_and_scalar(
         self, toy_grammar, toy_knowledge, toy_task, small_config, overrides
     ):
-        fused_config = dataclasses.replace(
-            small_config, fuse_structures=True, **overrides
-        )
+        fused_config = dataclasses.replace(small_config, **overrides)
         unfused_config = dataclasses.replace(
-            fused_config, fuse_structures=False
+            fused_config, fuse_cohort_size=1
         )
         cohort = make_cohort(toy_grammar, toy_knowledge, fused_config, seed=5)
         pop_scalar = copy.deepcopy(cohort)
@@ -84,11 +82,9 @@ class TestFusedEquivalence:
         # kernel_min_batch=1 admits the initial population's singleton
         # structure groups to the kernel path, so the planner actually
         # packs multi-structure cohorts inside this small run.
-        on = dataclasses.replace(
-            small_config, fuse_structures=True, kernel_min_batch=1
-        )
+        on = dataclasses.replace(small_config, kernel_min_batch=1)
         off = dataclasses.replace(
-            small_config, fuse_structures=False, kernel_min_batch=1
+            small_config, fuse_cohort_size=1, kernel_min_batch=1
         )
         run_on = GMREngine(toy_knowledge, toy_task, on).run(seed=12)
         run_off = GMREngine(toy_knowledge, toy_task, off).run(seed=12)
@@ -215,7 +211,7 @@ class TestMinBatchThreshold:
         with pytest.raises(ConfigError, match="kernel_min_batch"):
             GMRConfig(kernel_min_batch=0)
         with pytest.raises(ConfigError, match="fuse_cohort_size"):
-            GMRConfig(fuse_cohort_size=1)
+            GMRConfig(fuse_cohort_size=0)
 
     def test_raised_threshold_forces_scalar(
         self, toy_grammar, toy_knowledge, toy_task, small_config

@@ -177,7 +177,7 @@ class TestRetirementEquivalence:
             small_config,
             es_threshold=threshold,
             kernel_batch_size=width,
-            fuse_structures=fuse,
+            fuse_cohort_size=8 if fuse else 1,
             kernel_min_batch=1,
         )
         cohort = make_cohort(toy_grammar, toy_knowledge, config, seed=5)
@@ -223,7 +223,9 @@ class TestRetirementEquivalence:
         fuse,
     ):
         config = dataclasses.replace(
-            small_config, fuse_structures=fuse, kernel_min_batch=1
+            small_config,
+            fuse_cohort_size=8 if fuse else 1,
+            kernel_min_batch=1,
         )
         cohort = make_cohort(toy_grammar, toy_knowledge, config, seed=5)
         marker = marker_for(toy_task, config, cohort)
@@ -307,7 +309,9 @@ class TestFaultSeam:
             return fitness
 
         config = dataclasses.replace(
-            small_config, fuse_structures=fuse, kernel_min_batch=1
+            small_config,
+            fuse_cohort_size=8 if fuse else 1,
+            kernel_min_batch=1,
         )
         cohort = make_cohort(toy_grammar, toy_knowledge, config, seed=5)
         marker = marker_for(toy_task, config, cohort)
