@@ -227,15 +227,10 @@ def batched_euler_rollout(
 ) -> BatchedRollout:
     """Integrate K parameter columns of one structure in a single pass.
 
-    The batched twin of :func:`euler_steps`: every driver row advances
-    all K columns of the ``(n_states, K)`` state matrix through the
-    model's batched kernel, with vectorised clamping.  Divergence is
-    masked per column instead of raised -- a column whose update goes NaN
-    is frozen at its last good state and recorded in
-    ``BatchedRollout.diverged_at``, so one poisoned candidate cannot
-    spoil its batch.  IEEE exceptional intermediates (overflow to inf,
-    inf - inf) are expected from evolved models and silenced for the
-    duration of the rollout; NaN detection happens explicitly per step.
+    The batched twin of :func:`euler_steps`: :func:`fused_euler_rollout`
+    over the model's batched kernel (the one-member cohort kernel), so
+    column ``k`` of the result follows candidate ``k``'s scalar
+    trajectory, and a column that goes NaN is masked instead of raised.
 
     Args:
         model: The process model to integrate.
@@ -250,59 +245,89 @@ def batched_euler_rollout(
         stop: Optional early-stop hook (:data:`StopCallback`); without
             it every row is integrated.
     """
-    if drivers.names != model.var_order:
-        drivers = drivers.select(model.var_order)
-    params = np.asarray(params, dtype=float)
-    if params.ndim != 2:
-        raise ValueError(
-            f"params must be an (n_params, K) matrix, got shape {params.shape}"
-        )
-    if params.shape[0] != len(model.param_order):
-        raise ValueError(
-            f"params has {params.shape[0]} rows, model has "
-            f"{len(model.param_order)} parameters"
-        )
-    n_states = len(model.state_names)
-    initial = np.asarray(initial_state, dtype=float)
-    if initial.shape != (n_states,):
-        raise ValueError(
-            f"initial state has shape {initial.shape}, model has "
-            f"{n_states} states"
-        )
-    return _euler_rollout_core(
+    return fused_euler_rollout(
         model.compiled_batched(),
         params,
-        drivers.values,
-        initial,
-        n_states,
+        drivers,
+        initial_state,
+        model.var_order,
         dt,
         clamp,
         stop,
     )
 
 
-def _euler_rollout_core(
-    kernel,
+def fused_euler_rollout(
+    kernel: CompiledCohortKernel,
     params: np.ndarray,
-    rows: np.ndarray,
-    initial: np.ndarray,
-    n_states: int,
-    dt: float,
-    clamp: ClampSpec,
+    drivers: DriverTable,
+    initial_state: Sequence[float],
+    var_order: Sequence[str],
+    dt: float = 1.0,
+    clamp: ClampSpec = ClampSpec(),
     stop: StopCallback | None = None,
 ) -> BatchedRollout:
-    """The shared per-step loop of the batched and fused rollout forms.
+    """Integrate every lane of a cohort kernel in a single pass.
 
-    ``kernel`` is any two-phase step kernel (batched or cohort); its
-    column axis is opaque here -- per-column divergence masking and
-    freezing work identically whether the columns belong to one
-    structure's K candidates or to M structures' padded lanes, because
-    every operation in the loop is elementwise over that axis.
+    Every driver row advances all lanes of the ``(n_states, width)``
+    state matrix through the kernel, with vectorised clamping.  The
+    lane axis is opaque here: every loop operation (derivative kernel
+    included) is elementwise over it, so lane ``m * K + k`` of a fused
+    cohort is bit-identical to column ``k`` of a rollout of member
+    ``m`` alone.  Divergence is masked per lane instead of raised -- a
+    lane whose update goes NaN is frozen at its last good state and
+    recorded in ``BatchedRollout.diverged_at``, so a poisoned candidate
+    or padding lane cannot spoil the others.  IEEE exceptional
+    intermediates (overflow to inf, inf - inf) are expected from evolved
+    models and silenced for the duration of the rollout; NaN detection
+    happens explicitly per step.  With a ``stop`` callback the loop ends
+    as soon as it returns True, or as soon as every lane has diverged,
+    and the result is cut to the rows integrated (see
+    :class:`BatchedRollout`).
 
-    With a ``stop`` callback the loop ends as soon as it returns True,
-    or as soon as every column has diverged, and the result is cut to
-    the rows integrated (see :class:`BatchedRollout`).
+    Args:
+        kernel: A cohort kernel from
+            :func:`repro.expr.compile.compile_model_cohort`.  A
+            one-member kernel (the batched form) takes any number K of
+            columns; a fused one exactly ``kernel.width`` lanes.
+        params: Parameter matrix of shape ``(kernel.n_params, K)``;
+            member ``m``'s rows beyond its own parameter count are never
+            read by its lanes.
+        drivers: Driver table; reordered to ``var_order`` if needed.
+        initial_state: Starting values shared by every lane.
+        var_order: Driver-variable order the kernel was compiled with
+            (shared by all cohort members).
+        dt: Step size (days).
+        clamp: Clamping band applied to every state after each step.
+        stop: Optional early-stop hook (:data:`StopCallback`); without
+            it every row is integrated.
     """
+    var_order = tuple(var_order)
+    if drivers.names != var_order:
+        drivers = drivers.select(var_order)
+    params = np.asarray(params, dtype=float)
+    if params.ndim != 2:
+        raise ValueError(
+            f"params must be an (n_params, K) matrix, got shape {params.shape}"
+        )
+    if kernel.n_members > 1 and params.shape[1] != kernel.width:
+        raise ValueError(
+            f"params has shape {params.shape}, fused kernel expects "
+            f"({kernel.n_params}, {kernel.width})"
+        )
+    if params.shape[0] != kernel.n_params:
+        raise ValueError(
+            f"params has {params.shape[0]} rows, kernel has "
+            f"{kernel.n_params} parameters"
+        )
+    n_states = kernel.n_states
+    initial = np.asarray(initial_state, dtype=float)
+    if initial.shape != (n_states,):
+        raise ValueError(
+            f"initial state has shape {initial.shape}, kernel has "
+            f"{n_states} states"
+        )
+    rows = drivers.values
     n_steps = len(rows)
     n_columns = params.shape[1]
     states = np.empty((n_steps, n_states, n_columns), dtype=float)
@@ -378,68 +403,6 @@ def _euler_rollout_core(
         states = states[:rows_run]
         np.minimum(diverged_at, rows_run, out=diverged_at)
     return BatchedRollout(states=states, diverged_at=diverged_at)
-
-
-def fused_euler_rollout(
-    kernel: CompiledCohortKernel,
-    params: np.ndarray,
-    drivers: DriverTable,
-    initial_state: Sequence[float],
-    var_order: Sequence[str],
-    dt: float = 1.0,
-    clamp: ClampSpec = ClampSpec(),
-    stop: StopCallback | None = None,
-) -> BatchedRollout:
-    """Integrate a fused multi-structure cohort kernel in a single pass.
-
-    The cohort twin of :func:`batched_euler_rollout`: the same per-step
-    loop advances all ``M * K`` lanes of the fused kernel at once.  Lane
-    ``m * K + k`` of the result is bit-identical to column ``k`` of a
-    :func:`batched_euler_rollout` of member ``m`` alone, because every
-    loop operation (derivative kernel included) is elementwise over the
-    lane axis; divergence is likewise masked per lane, so a padding lane
-    or another member's lane going NaN never perturbs live lanes.
-
-    Args:
-        kernel: A fused cohort kernel from
-            :func:`repro.expr.compile.compile_model_cohort`.
-        params: Padded parameter matrix of shape
-            ``(kernel.n_params, kernel.width)``; member ``m``'s rows
-            beyond its own parameter count are never read by its lanes.
-        drivers: Driver table; reordered to ``var_order`` if needed.
-        initial_state: Starting values shared by every lane.
-        var_order: Driver-variable order the kernel was compiled with
-            (shared by all cohort members).
-        dt: Step size (days).
-        clamp: Clamping band applied to every state after each step.
-        stop: Optional early-stop hook, as for
-            :func:`batched_euler_rollout`.
-    """
-    var_order = tuple(var_order)
-    if drivers.names != var_order:
-        drivers = drivers.select(var_order)
-    params = np.asarray(params, dtype=float)
-    if params.shape != (kernel.n_params, kernel.width):
-        raise ValueError(
-            f"params has shape {params.shape}, fused kernel expects "
-            f"({kernel.n_params}, {kernel.width})"
-        )
-    initial = np.asarray(initial_state, dtype=float)
-    if initial.shape != (kernel.n_states,):
-        raise ValueError(
-            f"initial state has shape {initial.shape}, cohort has "
-            f"{kernel.n_states} states"
-        )
-    return _euler_rollout_core(
-        kernel,
-        params,
-        drivers.values,
-        initial,
-        kernel.n_states,
-        dt,
-        clamp,
-        stop,
-    )
 
 
 def simulate(

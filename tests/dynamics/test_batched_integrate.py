@@ -1,175 +1,27 @@
-"""Batched Euler rollouts: per-column equivalence and divergence masking.
+"""Vector Euler rollouts: validation, and RK4's compiled/interpreted parity.
 
-:func:`repro.dynamics.integrate.batched_euler_rollout` must reproduce the
-scalar :func:`euler_steps` trajectory column by column, and must *mask*
-a diverging column (freeze it, record its first bad row) instead of
-raising -- one poisoned candidate cannot spoil its batchmates.
+:func:`repro.dynamics.integrate.batched_euler_rollout` is
+:func:`fused_euler_rollout` over a model's one-member cohort kernel.
+Their column-by-column agreement with the scalar :func:`euler_steps`
+stream, divergence masking, padding-lane isolation and early stops are
+checked by the differential oracle harness (``tests/test_oracle.py``).
 """
-
-import math
-import random
 
 import numpy as np
 import pytest
 
 from repro.dynamics.drivers import DriverTable
 from repro.dynamics.integrate import (
-    ClampSpec,
     SimulationDiverged,
     batched_euler_rollout,
     euler_steps,
+    fused_euler_rollout,
     rk4_steps,
 )
-from repro.dynamics.system import ProcessModel
+from repro.dynamics.system import ProcessModel, compile_cohort
 from repro.expr import ast
 from repro.expr.ast import Const, Param, State, Var
-
-HUGE = 1e308
-
-
-def logistic_model() -> ProcessModel:
-    """dB/dt = r*B - d*B*B + c*Vx: growth, crowding, and an input flux."""
-    return ProcessModel.from_equations(
-        {
-            "B": ast.add(
-                ast.sub(
-                    ast.mul(Param("r"), State("B")),
-                    ast.mul(Param("d"), ast.mul(State("B"), State("B"))),
-                ),
-                ast.mul(Param("c"), Var("Vx")),
-            )
-        },
-        var_order=("Vx",),
-    )
-
-
-def wavy_drivers(n: int = 60) -> DriverTable:
-    day = np.arange(n, dtype=float)
-    return DriverTable.from_mapping(
-        {"Vx": 1.0 + 0.5 * np.sin(2 * np.pi * day / 17.0)}
-    )
-
-
-def poison_model() -> ProcessModel:
-    """dB/dt = p*Vx*B*B - q*Vx*B*B: NaN (inf - inf) once Vx is non-zero.
-
-    With p = q = 1e308 the two products overflow to inf wherever
-    ``Vx != 0`` and their difference is NaN; rows with ``Vx == 0``
-    contribute a clean zero derivative.
-    """
-    term = ast.mul(
-        ast.mul(Var("Vx"), State("B")), State("B")
-    )
-    return ProcessModel.from_equations(
-        {
-            "B": ast.sub(
-                ast.mul(Param("p"), term), ast.mul(Param("q"), term)
-            )
-        },
-        var_order=("Vx",),
-    )
-
-
-class TestColumnEquivalence:
-    def test_matches_scalar_euler_bitwise(self):
-        model = logistic_model()
-        drivers = wavy_drivers()
-        rng = random.Random(7)
-        columns = [
-            tuple(rng.uniform(0.0, 0.5) for _ in model.param_order)
-            for _ in range(9)
-        ]
-        params = np.array(columns).T
-        rollout = batched_euler_rollout(model, params, drivers, (2.0,))
-        assert rollout.states.shape == (len(drivers), 1, len(columns))
-        assert not rollout.diverged.any()
-        for k, vector in enumerate(columns):
-            scalar = np.array(
-                list(euler_steps(model, vector, drivers, (2.0,)))
-            )
-            assert np.array_equal(rollout.states[:, 0, k], scalar[:, 0])
-
-    def test_single_column(self):
-        model = logistic_model()
-        drivers = wavy_drivers(10)
-        rollout = batched_euler_rollout(
-            model, np.array([[0.1], [0.01], [0.2]]), drivers, (2.0,)
-        )
-        scalar = np.array(
-            list(euler_steps(model, (0.1, 0.01, 0.2), drivers, (2.0,)))
-        )
-        assert np.array_equal(rollout.states[:, 0, 0], scalar[:, 0])
-
-    def test_respects_custom_clamp_and_dt(self):
-        model = logistic_model()
-        drivers = wavy_drivers(20)
-        clamp = ClampSpec(minimum=0.5, maximum=3.0)
-        vector = (2.0, 0.0, 0.0)
-        rollout = batched_euler_rollout(
-            model,
-            np.array(vector).reshape(-1, 1),
-            drivers,
-            (2.0,),
-            dt=0.5,
-            clamp=clamp,
-        )
-        scalar = np.array(
-            list(
-                euler_steps(model, vector, drivers, (2.0,), dt=0.5, clamp=clamp)
-            )
-        )
-        assert np.array_equal(rollout.states[:, 0, 0], scalar[:, 0])
-        assert rollout.states.max() <= 3.0
-
-
-class TestDivergenceMasking:
-    def test_poisoned_column_does_not_spoil_batch(self):
-        model = poison_model()
-        vx = np.zeros(8)
-        vx[3] = 1.0  # NaN fires at row 3 for the poisoned column
-        drivers = DriverTable.from_mapping({"Vx": vx})
-        healthy = (1e-3, 1e-3)
-        poisoned = (HUGE, HUGE)
-        params = np.array([healthy, poisoned]).T
-        rollout = batched_euler_rollout(model, params, drivers, (2.0,))
-        assert list(rollout.diverged) == [False, True]
-        assert rollout.diverged_at[0] == len(drivers)
-        assert rollout.diverged_at[1] == 3
-        # The healthy column still matches its scalar trajectory exactly.
-        scalar = np.array(
-            list(euler_steps(model, healthy, drivers, (2.0,)))
-        )
-        assert np.array_equal(rollout.states[:, 0, 0], scalar[:, 0])
-        # The poisoned column is frozen (no NaN anywhere in the output).
-        assert np.isfinite(rollout.states).all()
-        frozen = rollout.states[2, 0, 1]
-        assert (rollout.states[3:, 0, 1] == frozen).all()
-
-    def test_divergence_row_matches_scalar_raise_point(self):
-        model = poison_model()
-        vx = np.zeros(8)
-        vx[3] = 1.0
-        drivers = DriverTable.from_mapping({"Vx": vx})
-        poisoned = (HUGE, HUGE)
-        produced = []
-        with pytest.raises(SimulationDiverged):
-            for state in euler_steps(model, poisoned, drivers, (2.0,)):
-                produced.append(state)
-        rollout = batched_euler_rollout(
-            model, np.array([poisoned]).T, drivers, (2.0,)
-        )
-        # The scalar stream yields exactly `diverged_at` states first.
-        assert len(produced) == rollout.diverged_at[0] == 3
-
-    def test_all_columns_dead_short_circuits_fill(self):
-        model = poison_model()
-        drivers = DriverTable.from_mapping({"Vx": np.ones(12)})
-        params = np.array([(HUGE, HUGE), (HUGE, HUGE)]).T
-        rollout = batched_euler_rollout(model, params, drivers, (2.0,))
-        assert (rollout.diverged_at == 0).all()
-        assert rollout.states.shape[0] == 12
-        # Remaining rows carry the frozen (clamped) initial state.
-        assert np.isfinite(rollout.states).all()
+from tests.oracle import HUGE, decay_model, logistic_model, poison_model, wavy_drivers
 
 
 class TestValidation:
@@ -192,6 +44,28 @@ class TestValidation:
         with pytest.raises(ValueError, match="states"):
             batched_euler_rollout(
                 model, np.zeros((3, 4)), wavy_drivers(5), (2.0, 1.0)
+            )
+
+    def test_rejects_wrong_fused_width(self):
+        kernel = compile_cohort([logistic_model(), decay_model()], 2)
+        with pytest.raises(ValueError, match="fused kernel expects"):
+            fused_euler_rollout(
+                kernel,
+                np.zeros((kernel.n_params, kernel.width + 1)),
+                wavy_drivers(5),
+                (2.0,),
+                ("Vx",),
+            )
+
+    def test_rejects_wrong_fused_initial_state(self):
+        kernel = compile_cohort([logistic_model()], 2)
+        with pytest.raises(ValueError, match="states"):
+            fused_euler_rollout(
+                kernel,
+                np.zeros((kernel.n_params, kernel.width)),
+                wavy_drivers(5),
+                (2.0, 1.0),
+                ("Vx",),
             )
 
 

@@ -59,3 +59,20 @@ def bindings() -> st.SearchStrategy:
         st.fixed_dictionaries({name: finite_floats for name in VAR_NAMES}),
         st.fixed_dictionaries({name: finite_floats for name in STATE_NAMES}),
     )
+
+
+#: Magnitudes chosen so products overflow to inf and differences of
+#: overflowed products are NaN -- the regime where a careless rewrite
+#: (x - x -> 0, x * 0 -> 0) changes observable behaviour.
+huge_floats = st.floats(min_value=1e150, max_value=1e300).flatmap(
+    lambda x: st.sampled_from([x, -x])
+)
+
+
+def huge_bindings() -> st.SearchStrategy:
+    """Binding triples of overflow-scale magnitudes."""
+    return st.tuples(
+        st.fixed_dictionaries({name: huge_floats for name in PARAM_NAMES}),
+        st.fixed_dictionaries({name: huge_floats for name in VAR_NAMES}),
+        st.fixed_dictionaries({name: huge_floats for name in STATE_NAMES}),
+    )

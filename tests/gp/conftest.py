@@ -1,4 +1,4 @@
-"""Shared fixtures: a small synthetic model-revision problem.
+"""Shared fixtures: the toy model-revision problem of :mod:`tests.oracle`.
 
 The hidden truth is ``dB/dt = B * (mu - loss) + 0.5 * Vx``; the seed given
 to the engine omits the ``0.5 * Vx`` input flux, so revision has a real,
@@ -7,41 +7,17 @@ recoverable target.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.dynamics.drivers import DriverTable
-from repro.dynamics.integrate import ClampSpec, simulate
-from repro.dynamics.system import ProcessModel
 from repro.dynamics.task import ModelingTask
-from repro.expr import ast
-from repro.expr.ast import Const, Ext, Param, State, Var
 from repro.gp.config import GMRConfig
-from repro.gp.knowledge import (
-    ExtensionSpec,
-    ParameterPrior,
-    PriorKnowledge,
-    build_grammar,
-)
+from repro.gp.knowledge import PriorKnowledge, build_grammar
+from tests import oracle
 
 
 @pytest.fixture(scope="session")
 def toy_knowledge() -> PriorKnowledge:
-    seed = {
-        "B": Ext(
-            "Ext1",
-            ast.mul(State("B"), ast.sub(Param("mu"), Param("loss"))),
-        )
-    }
-    return PriorKnowledge(
-        seed_equations=seed,
-        priors={
-            "mu": ParameterPrior("mu", 0.10, 0.0, 0.5),
-            "loss": ParameterPrior("loss", 0.12, 0.0, 0.5),
-        },
-        extensions=[ExtensionSpec("Ext1", ("Vx",))],
-        rconst_bounds=(-10.0, 10.0),
-    )
+    return oracle.toy_knowledge()
 
 
 @pytest.fixture(scope="session")
@@ -51,45 +27,9 @@ def toy_grammar(toy_knowledge):
 
 @pytest.fixture(scope="session")
 def toy_task() -> ModelingTask:
-    rng = np.random.default_rng(0)
-    n = 160
-    day = np.arange(n, dtype=float)
-    vx = 1.0 + 0.5 * np.sin(2 * np.pi * day / 40.0) + rng.normal(0, 0.05, n)
-    drivers = DriverTable.from_mapping({"Vx": vx})
-    truth = ProcessModel.from_equations(
-        {
-            "B": ast.add(
-                ast.mul(State("B"), ast.sub(Param("mu"), Param("loss"))),
-                ast.mul(Const(0.5), Var("Vx")),
-            )
-        },
-        var_order=("Vx",),
-    )
-    observed = simulate(
-        truth,
-        (0.15, 0.10),
-        drivers,
-        (2.0,),
-        clamp=ClampSpec(minimum=1e-6, maximum=1e6),
-    )[:, 0]
-    return ModelingTask(
-        drivers=drivers,
-        observed=observed,
-        target_state="B",
-        state_names=("B",),
-        initial_state=(2.0,),
-    )
+    return oracle.toy_task()
 
 
 @pytest.fixture()
 def small_config() -> GMRConfig:
-    return GMRConfig(
-        population_size=10,
-        max_generations=3,
-        min_size=2,
-        max_size=10,
-        elite_size=1,
-        tournament_size=3,
-        local_search_steps=1,
-        sigma_rampdown_generations=1,
-    )
+    return oracle.SMALL_CONFIG

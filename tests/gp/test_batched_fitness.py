@@ -1,106 +1,28 @@
-"""Batched cohort evaluation: strict equivalence with the scalar path.
+"""Batched cohort evaluation: fallbacks, caches and proposals.
 
 ``GMRFitnessEvaluator.evaluate_batch`` must be observationally identical
-to a sequence of ``evaluate`` calls: same fitness values, same
-``fully_evaluated`` flags, same Algorithm 1 statistics, same tree-cache
-traffic, same ``best_prev_full`` trajectory.  The batched kernels only
-change *how* trajectories are computed, never *what* the evaluator says.
+to a sequence of ``evaluate`` calls; the differential oracle harness
+(``tests/test_oracle.py``) checks that over random cohorts and
+settings.  These tests pin the batch's edge cases: in-cohort cache
+hits, the scalar fallbacks, bounded caches and best-of-K proposals.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
-import math
 import random
 
 import pytest
 
-from repro.gp.config import GMRConfig
-from repro.gp.engine import GMREngine
 from repro.gp.fitness import GMRFitnessEvaluator
 from repro.gp.init import random_individual
 from repro.gp.local_search import hill_climb
 from repro.gp.operators import gaussian_mutation, gaussian_mutation_best_of
-
-
-def make_cohort(
-    grammar, knowledge, config, seed, size=40, duplicates=8, variants=3
-):
-    """A mixed cohort: random structures, Gaussian variants, duplicates.
-
-    The Gaussian variants share their parent's structure with distinct
-    parameter vectors -- the shape that actually exercises multi-column
-    batched rollouts (random individuals rarely collide on structure).
-    """
-    rng = random.Random(seed)
-    base = [
-        random_individual(grammar, knowledge, config, rng)
-        for _ in range(size)
-    ]
-    cohort = list(base)
-    for parent in base[: size // 4]:
-        for _ in range(variants):
-            cohort.append(
-                gaussian_mutation(parent, knowledge, config, rng, 1.0)
-            )
-    cohort.extend(copy.deepcopy(cohort[:duplicates]))
-    return cohort
-
-
-def assert_equivalent(ev_scalar, ev_batched, pop_scalar, pop_batched):
-    assert ev_scalar.best_prev_full == ev_batched.best_prev_full
-    for a, b in zip(pop_scalar, pop_batched):
-        assert a.fitness == pytest.approx(b.fitness, rel=1e-9, abs=0.0)
-        assert a.fully_evaluated == b.fully_evaluated
-    for name in (
-        "evaluations",
-        "cache_hits",
-        "short_circuits",
-        "full_evaluations",
-        "divergences",
-        "steps_evaluated",
-        "steps_possible",
-    ):
-        assert getattr(ev_scalar.stats, name) == getattr(
-            ev_batched.stats, name
-        ), name
-    scalar_cache = ev_scalar.cache.stats
-    batched_cache = ev_batched.cache.stats
-    assert scalar_cache.hits == batched_cache.hits
-    assert scalar_cache.misses == batched_cache.misses
-    assert scalar_cache.evictions == batched_cache.evictions
+from tests.oracle import assert_equivalent, make_cohort
 
 
 class TestCohortEquivalence:
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {},
-            {"kernel_batch_size": 3},
-            {"use_tree_cache": False},
-            {"es_threshold": None},
-            {"es_threshold": None, "use_tree_cache": False},
-        ],
-        ids=["default", "tiny-chunks", "no-cache", "no-es", "bare"],
-    )
-    def test_matches_sequential_evaluate(
-        self, toy_grammar, toy_knowledge, toy_task, small_config, overrides
-    ):
-        config = dataclasses.replace(small_config, **overrides)
-        cohort = make_cohort(toy_grammar, toy_knowledge, config, seed=5)
-        pop_scalar = copy.deepcopy(cohort)
-        pop_batched = copy.deepcopy(cohort)
-        ev_scalar = GMRFitnessEvaluator(task=toy_task, config=config)
-        ev_batched = GMRFitnessEvaluator(task=toy_task, config=config)
-        results_scalar = [ev_scalar.evaluate(ind) for ind in pop_scalar]
-        results_batched = ev_batched.evaluate_batch(pop_batched)
-        assert results_batched == pytest.approx(
-            results_scalar, rel=1e-9, abs=0.0
-        )
-        assert_equivalent(ev_scalar, ev_batched, pop_scalar, pop_batched)
-        assert ev_batched.stats.batched_evaluations > 0
-
     def test_in_cohort_duplicates_hit_the_cache(
         self, toy_grammar, toy_knowledge, toy_task, small_config
     ):
@@ -282,24 +204,3 @@ class TestProposeBest:
         )
         assert improved.fitness is not None
         assert improved.fitness <= parent.fitness
-
-
-class TestMiniRunEquivalence:
-    def test_seeded_run_identical_with_and_without_batching(
-        self, toy_knowledge, toy_task, small_config
-    ):
-        """The headline acceptance check: a full seeded engine run with
-        batched kernels produces the same champion and history as the
-        scalar path, within float tolerance."""
-        on = dataclasses.replace(small_config, use_batched_kernel=True)
-        off = dataclasses.replace(small_config, use_batched_kernel=False)
-        run_on = GMREngine(toy_knowledge, toy_task, on).run(seed=12)
-        run_off = GMREngine(toy_knowledge, toy_task, off).run(seed=12)
-        assert run_on.best_fitness == pytest.approx(
-            run_off.best_fitness, rel=1e-9, abs=0.0
-        )
-        assert [r.best_fitness for r in run_on.history] == pytest.approx(
-            [r.best_fitness for r in run_off.history], rel=1e-9, abs=0.0
-        )
-        assert run_on.stats.evaluations == run_off.stats.evaluations
-        assert run_on.stats.short_circuits == run_off.stats.short_circuits

@@ -1,13 +1,13 @@
-"""Cohort fusion in the evaluator: strict equivalence and degradation.
+"""Cohort fusion in the evaluator: kernel reuse and degradation.
 
 Fusing several structure groups into one padded cohort kernel
 (``GMRFitnessEvaluator._plan_cohorts`` / ``_simulate_cohort``) must be
-observationally invisible: same fitness stream, same Algorithm 1
-statistics, same cache traffic as the per-structure batched path and as
-sequential scalar evaluation.  These tests also pin the degradation
-ladder (fused -> scalar), the ``kernel_min_batch`` threshold,
-cohort-kernel cache reuse across reshuffled generations, and the
-share-table accounting of demoted structures.
+observationally invisible; the differential oracle harness
+(``tests/test_oracle.py``) checks that against sequential scalar
+evaluation.  These tests pin cohort-kernel cache reuse across
+reshuffled generations, the degradation ladder (fused -> scalar), the
+share-table accounting of demoted structures and the
+``kernel_min_batch`` threshold.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ import pytest
 import repro.gp.fitness as fitness_module
 from repro.expr.compile import KERNEL_CACHE
 from repro.gp.config import MIN_BATCH_COLUMNS, ConfigError, GMRConfig
-from repro.gp.engine import GMREngine
 from repro.gp.fitness import GMRFitnessEvaluator
-from tests.gp.test_batched_fitness import assert_equivalent, make_cohort
+from tests.oracle import assert_equivalent, make_cohort
 
 
 def cohort_cache_keys():
@@ -35,69 +34,7 @@ def cohort_cache_keys():
     }
 
 
-class TestFusedEquivalence:
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {},
-            {"fuse_cohort_size": 2},
-            {"es_threshold": None},
-            {"es_threshold": None, "use_tree_cache": False},
-        ],
-        ids=["default", "tiny-cohorts", "no-es", "bare"],
-    )
-    def test_matches_unfused_and_scalar(
-        self, toy_grammar, toy_knowledge, toy_task, small_config, overrides
-    ):
-        fused_config = dataclasses.replace(small_config, **overrides)
-        unfused_config = dataclasses.replace(
-            fused_config, fuse_cohort_size=1
-        )
-        cohort = make_cohort(toy_grammar, toy_knowledge, fused_config, seed=5)
-        pop_scalar = copy.deepcopy(cohort)
-        pop_unfused = copy.deepcopy(cohort)
-        pop_fused = copy.deepcopy(cohort)
-        ev_scalar = GMRFitnessEvaluator(task=toy_task, config=unfused_config)
-        ev_unfused = GMRFitnessEvaluator(task=toy_task, config=unfused_config)
-        ev_fused = GMRFitnessEvaluator(task=toy_task, config=fused_config)
-        results_scalar = [ev_scalar.evaluate(ind) for ind in pop_scalar]
-        results_unfused = ev_unfused.evaluate_batch(pop_unfused)
-        results_fused = ev_fused.evaluate_batch(pop_fused)
-        assert results_fused == pytest.approx(
-            results_scalar, rel=1e-9, abs=0.0
-        )
-        assert results_fused == pytest.approx(
-            results_unfused, rel=1e-9, abs=0.0
-        )
-        assert_equivalent(ev_scalar, ev_fused, pop_scalar, pop_fused)
-        assert_equivalent(ev_unfused, ev_fused, pop_unfused, pop_fused)
-        assert ev_fused.stats.fused_cohorts > 0
-        assert ev_fused.stats.fused_columns > 0
-        assert ev_fused.stats.fusion_fallbacks == 0
-        assert ev_unfused.stats.fused_cohorts == 0
-
-    def test_mini_run_identical_with_and_without_fusion(
-        self, toy_knowledge, toy_task, small_config
-    ):
-        # kernel_min_batch=1 admits the initial population's singleton
-        # structure groups to the kernel path, so the planner actually
-        # packs multi-structure cohorts inside this small run.
-        on = dataclasses.replace(small_config, kernel_min_batch=1)
-        off = dataclasses.replace(
-            small_config, fuse_cohort_size=1, kernel_min_batch=1
-        )
-        run_on = GMREngine(toy_knowledge, toy_task, on).run(seed=12)
-        run_off = GMREngine(toy_knowledge, toy_task, off).run(seed=12)
-        assert run_on.best_fitness == pytest.approx(
-            run_off.best_fitness, rel=1e-9, abs=0.0
-        )
-        assert [r.best_fitness for r in run_on.history] == pytest.approx(
-            [r.best_fitness for r in run_off.history], rel=1e-9, abs=0.0
-        )
-        assert run_on.stats.evaluations == run_off.stats.evaluations
-        assert run_on.stats.short_circuits == run_off.stats.short_circuits
-        assert run_on.stats.fused_cohorts > 0
-
+class TestCohortKernelReuse:
     def test_cohort_kernels_survive_reshuffling(
         self, toy_grammar, toy_knowledge, toy_task, small_config
     ):

@@ -5,10 +5,12 @@ batched and fused rollouts of ``GMRFitnessEvaluator.evaluate_batch``
 stop integrating a column once Algorithm 1 would cut it against the
 marker the batch started with, and stop altogether once every column
 has retired or diverged.  The marker only falls while the batch is
-replayed, so none of this may change what the evaluator says: fitness,
-``fully_evaluated``, the marker and every Algorithm 1 counter must match
-sequential ``evaluate`` calls, for any threshold and any pure
-extrapolator, monotone or not.  Only ``steps_integrated`` moves.
+replayed, so none of this may change what the evaluator says; the
+differential oracle harness (``tests/test_oracle.py``) checks fitness,
+``fully_evaluated``, the marker and every Algorithm 1 counter against
+sequential ``evaluate`` calls for every threshold and extrapolator.
+These tests pin the work retirement saves, the error seam of the
+extrapolator and the rollouts' stop callback.
 """
 
 from __future__ import annotations
@@ -27,191 +29,20 @@ from repro.dynamics.integrate import (
     batched_euler_rollout,
     fused_euler_rollout,
 )
-from repro.dynamics.system import ProcessModel, compile_cohort
-from repro.expr import ast
-from repro.expr.ast import Param, State, Var
-from repro.gp.fitness import (
-    GMRFitnessEvaluator,
-    linear_extrapolation,
-    pessimistic_extrapolation,
+from repro.dynamics.system import compile_cohort
+from repro.gp.fitness import GMRFitnessEvaluator
+from tests.oracle import (
+    HUGE,
+    RolloutLog,
+    logistic_model,
+    make_cohort,
+    marker_for,
+    poison_model,
+    wavy_drivers,
 )
-from tests.gp.test_batched_fitness import assert_equivalent, make_cohort
-
-HUGE = 1e308
 
 
-def wobbly_extrapolation(fitness: float, cases_done: int, total: int) -> float:
-    """A pure extrapolator that is not monotone in the partial RMSE."""
-    if not math.isfinite(fitness):
-        return fitness
-    return fitness * (1.0 + 0.9 * math.cos(fitness + cases_done))
-
-
-EXTRAPOLATORS = {
-    "linear": linear_extrapolation,
-    "pessimistic": pessimistic_extrapolation,
-    "non-monotone": wobbly_extrapolation,
-}
-
-
-def poisoned_task(task, row: int | None):
-    """``task`` with a NaN driver value at ``row``: every candidate that
-    reads the driver diverges there, the others run on."""
-    if row is None:
-        return task
-    vx = task.drivers.values[:, 0].copy()
-    vx[row] = np.nan
-    return dataclasses.replace(
-        task, drivers=DriverTable.from_mapping({"Vx": vx})
-    )
-
-
-def marker_for(task, config, cohort) -> float:
-    """A finite starting ``best_prev_full`` that a quarter of the cohort
-    beats, so members lower the marker while the batch is replayed."""
-    reference = GMRFitnessEvaluator(
-        task=task, config=dataclasses.replace(config, es_threshold=None)
-    )
-    fitnesses = sorted(
-        fitness
-        for fitness in (
-            reference.evaluate(member) for member in copy.deepcopy(cohort)
-        )
-        if fitness < 1e9
-    )
-    if not fitnesses:
-        return 1.0
-    return fitnesses[len(fitnesses) // 4]
-
-
-class RolloutLog:
-    """Records every vector rollout the evaluator runs, with its number
-    of live columns (a fused cohort's padding lanes excluded)."""
-
-    def __init__(self, monkeypatch) -> None:
-        self.batched: list = []
-        self.fused: list = []
-        live_lanes: list[int] = []
-        for name, log in (
-            ("batched_euler_rollout", self.batched),
-            ("fused_euler_rollout", self.fused),
-        ):
-            original = getattr(fitness_module, name)
-
-            def wrapper(*args, _original=original, _log=log, **kwargs):
-                rollout = _original(*args, **kwargs)
-                if _log is self.fused:
-                    _log.append((live_lanes.pop(), rollout))
-                else:
-                    _log.append((args[1].shape[1], rollout))
-                return rollout
-
-            monkeypatch.setattr(fitness_module, name, wrapper)
-        simulate = GMRFitnessEvaluator._simulate_cohort_inner
-
-        def cohort(evaluator, fused, kernel):
-            live_lanes.append(sum(len(group.params) for group in fused.groups))
-            simulate(evaluator, fused, kernel)
-
-        monkeypatch.setattr(
-            GMRFitnessEvaluator, "_simulate_cohort_inner", cohort
-        )
-
-    def columns(self) -> int:
-        return sum(live for live, __ in self.batched + self.fused)
-
-    def rows_times_columns(self) -> int:
-        return sum(
-            live * rollout.rows_run
-            for live, rollout in self.batched + self.fused
-        )
-
-    def rollouts(self):
-        return [rollout for __, rollout in self.batched + self.fused]
-
-    def retired(self, n_cases: int) -> bool:
-        """Whether any column stopped before the horizon without diverging."""
-        return any(
-            rollout.n_steps < n_cases
-            and bool((rollout.diverged_at == rollout.n_steps).any())
-            for rollout in self.rollouts()
-        )
-
-
-def run_both(task, config, cohort, marker, extrapolate):
-    pop_scalar = copy.deepcopy(cohort)
-    pop_batched = copy.deepcopy(cohort)
-    ev_scalar = GMRFitnessEvaluator(task, config, extrapolate)
-    ev_batched = GMRFitnessEvaluator(task, config, extrapolate)
-    ev_scalar.best_prev_full = marker
-    ev_batched.best_prev_full = marker
-    for member in pop_scalar:
-        ev_scalar.evaluate(member)
-    ev_batched.evaluate_batch(pop_batched)
-    return ev_scalar, ev_batched, pop_scalar, pop_batched
-
-
-class TestRetirementEquivalence:
-    @pytest.mark.parametrize(
-        "nan_row", [None, 20, 70], ids=["clean", "nan20", "nan70"]
-    )
-    @pytest.mark.parametrize("fuse", [False, True], ids=["batched", "fused"])
-    @pytest.mark.parametrize("width", [3, 64], ids=["k3", "k64"])
-    @pytest.mark.parametrize("extrapolator", sorted(EXTRAPOLATORS))
-    @pytest.mark.parametrize("threshold", [0.5, 0.7, 1.0, 1.3])
-    def test_batch_matches_sequential_evaluate(
-        self,
-        toy_grammar,
-        toy_knowledge,
-        toy_task,
-        small_config,
-        monkeypatch,
-        threshold,
-        extrapolator,
-        width,
-        fuse,
-        nan_row,
-    ):
-        task = poisoned_task(toy_task, nan_row)
-        config = dataclasses.replace(
-            small_config,
-            es_threshold=threshold,
-            kernel_batch_size=width,
-            fuse_cohort_size=8 if fuse else 1,
-            kernel_min_batch=1,
-        )
-        cohort = make_cohort(toy_grammar, toy_knowledge, config, seed=5)
-        marker = marker_for(task, config, cohort)
-        log = RolloutLog(monkeypatch)
-        ev_scalar, ev_batched, pop_scalar, pop_batched = run_both(
-            task, config, cohort, marker, EXTRAPOLATORS[extrapolator]
-        )
-
-        assert_equivalent(ev_scalar, ev_batched, pop_scalar, pop_batched)
-        # The scalar loop simulates exactly the cases it counts.
-        assert ev_scalar.stats.steps_integrated == (
-            ev_scalar.stats.steps_evaluated
-        )
-        if nan_row is None:
-            # Members beat the starting marker mid-cohort.
-            assert ev_batched.best_prev_full < marker
-
-        # Every non-cached member runs through a vector rollout
-        # (kernel_min_batch=1), so the integrated rows are exactly the
-        # rollouts' rows run times their live columns.
-        n_cases = task.n_cases
-        integrated = ev_batched.stats.steps_integrated
-        assert integrated == log.rows_times_columns()
-        assert log.columns() == (
-            ev_batched.stats.fused_columns
-            + sum(live for live, __ in log.batched)
-        )
-        assert bool(log.fused) == fuse
-        assert log.retired(n_cases)
-        assert integrated < log.columns() * n_cases
-        for rollout in log.rollouts():
-            assert rollout.rows_run == rollout.n_steps
-
+class TestRetirementWork:
     @pytest.mark.parametrize("fuse", [False, True], ids=["batched", "fused"])
     def test_retirement_saves_work_and_changes_nothing_else(
         self,
@@ -276,10 +107,10 @@ class TestRetirementEquivalence:
             )
             evaluator.best_prev_full = marker
             evaluator.evaluate_batch(copy.deepcopy(cohort))
-            assert log.rollouts()
+            assert log.rollouts
             assert all(
                 rollout.n_steps == toy_task.n_cases
-                for rollout in log.rollouts()
+                for rollout in log.rollouts
             )
 
 
@@ -347,38 +178,6 @@ class TestFaultSeam:
         evaluator.best_prev_full = 1e12
         with pytest.raises(AssertionError, match="without a cut"):
             evaluator.evaluate_batch(cohort)
-
-
-def logistic_model() -> ProcessModel:
-    """dB/dt = r*B - d*B*B + c*Vx."""
-    return ProcessModel.from_equations(
-        {
-            "B": ast.add(
-                ast.sub(
-                    ast.mul(Param("r"), State("B")),
-                    ast.mul(Param("d"), ast.mul(State("B"), State("B"))),
-                ),
-                ast.mul(Param("c"), Var("Vx")),
-            )
-        },
-        var_order=("Vx",),
-    )
-
-
-def poison_model() -> ProcessModel:
-    """dB/dt = p*term - q*term: NaN via inf - inf once Vx is non-zero."""
-    term = ast.mul(ast.mul(Var("Vx"), State("B")), State("B"))
-    return ProcessModel.from_equations(
-        {"B": ast.sub(ast.mul(Param("p"), term), ast.mul(Param("q"), term))},
-        var_order=("Vx",),
-    )
-
-
-def wavy_drivers(n: int) -> DriverTable:
-    day = np.arange(n, dtype=float)
-    return DriverTable.from_mapping(
-        {"Vx": 1.0 + 0.5 * np.sin(2 * np.pi * day / 17.0)}
-    )
 
 
 class StopAfter:

@@ -20,7 +20,7 @@ import dataclasses
 
 from repro.gp.fitness import GMRFitnessEvaluator
 
-from tests.gp.test_batched_fitness import make_cohort
+from tests.oracle import make_cohort
 
 #: Wall time is measured around the phase-timed region, so the phases
 #: can only undershoot it -- any overshoot beyond float rounding means

@@ -10,49 +10,28 @@ changes a run.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import pickle
 import random
-import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.gp.phenotype as phenotype_module
-from repro.domains import available_domains, get_domain
+from repro.domains import available_domains
 from repro.expr.ast import Const
 from repro.gp.config import GMRConfig
 from repro.gp.engine import GMREngine
 from repro.gp.fitness import GMRFitnessEvaluator
 from repro.gp.individual import Individual
 from repro.gp.init import attach, random_individual
-from repro.gp.knowledge import build_grammar
-from repro.gp.local_search import deletion, insertion
-from repro.gp.operators import crossover, gaussian_mutation, subtree_mutation
 from repro.gp.phenotype import PhenotypeCache, shape_key
 from repro.tag.derivation import DerivationNode, DerivationTree
 from repro.tag.derive import DeriveError
 from repro.tag.symbols import nonterminal
 from repro.tag.trees import Lexeme
-
-OPERATORS = ("gaussian", "subtree", "crossover", "insertion", "deletion")
-
-CHAIN_CONFIG = GMRConfig(
-    population_size=4, max_generations=1, min_size=1, max_size=14
-)
-
-
-@functools.lru_cache(maxsize=None)
-def domain_setup(name: str):
-    spec = get_domain(name)
-    knowledge = spec.make_knowledge()
-    return spec, knowledge, build_grammar(knowledge)
-
-
-def bits(values) -> list[bytes]:
-    return [struct.pack("<d", value) for value in values]
+from tests.oracle import CHAIN_CONFIG, OPERATORS, apply, bits, domain_setup
 
 
 def assert_same_phenotype(cached, reference) -> bool:
@@ -65,22 +44,6 @@ def assert_same_phenotype(cached, reference) -> bool:
     assert model.structure_key() == ref_model.structure_key()
     assert bits(params) == bits(ref_params)
     return hit
-
-
-def apply(op, individual, other, knowledge, grammar, rng):
-    """One operator step; operators that find no move keep the input."""
-    if op == "gaussian":
-        return gaussian_mutation(individual, knowledge, CHAIN_CONFIG, rng)
-    if op == "subtree":
-        child = subtree_mutation(individual, grammar, CHAIN_CONFIG, rng)
-    elif op == "crossover":
-        pair = crossover(individual, other, grammar, CHAIN_CONFIG, rng)
-        child = None if pair is None else pair[rng.randrange(2)]
-    elif op == "insertion":
-        child = insertion(individual, grammar, CHAIN_CONFIG, rng)
-    else:
-        child = deletion(individual, CHAIN_CONFIG, rng)
-    return individual if child is None else child
 
 
 class TestDifferential:

@@ -6,26 +6,22 @@ the network's generated day loop.  It must reproduce, day by day and
 bit for bit, the squared errors of the stream stepped through
 :meth:`RiverSystemSimulator.steps` with the compiled step function, and
 raise the same exception (type and message) on the same day; the
-interpreter is the oracle of both.  A hypothesis strategy draws
-candidates through the engine's initialiser and operators, with
-parameters inside and far outside the prior; named cases pin the
-NaN, clamp, lag and libm corners.  Pickling, checkpoint resume and
+interpreter is the oracle of both.  The differential oracle harness
+(``tests/test_oracle.py``) checks that on candidates drawn through the
+engine's initialiser and operators; named cases here pin the NaN,
+clamp, lag and libm corners.  Pickling, checkpoint resume and
 process-pool runs on the network task are covered at the end.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import pickle
 import random
-import struct
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.dynamics import ClampSpec, DriverTable, ProcessModel
 from repro.dynamics.integrate import SimulationDiverged
@@ -41,11 +37,8 @@ from repro.gp.config import GMRConfig
 from repro.gp.engine import GMREngine, run_many
 from repro.gp.fitness import GMRFitnessEvaluator
 from repro.gp.init import random_individual
-from repro.gp.knowledge import build_grammar
-from repro.gp.operators import crossover, gaussian_mutation, subtree_mutation
+from repro.gp.operators import gaussian_mutation
 from repro.gp.parallel import run_many_parallel
-from repro.river.dataset import load_dataset
-from repro.river.grammar_def import river_knowledge
 from repro.river.hydrology import HydrologicalProcess
 from repro.river.network import RiverNetwork, Station
 from repro.river.simulator import (
@@ -55,41 +48,13 @@ from repro.river.simulator import (
     build_mixing_schedules,
     collapse_upstream,
 )
-
-#: Parameter scales: the prior itself and far outside it (the +-1e150
-#: scales overflow some candidates into NaN raises).
-SCALES = (1.0, -1.0, 1e-6, 7.0, 50.0, 1e3, 1e150, -1e150)
-
-OPERATORS = ("gaussian", "subtree", "crossover")
-
-CHAIN_CONFIG = GMRConfig(
-    population_size=4, max_generations=1, min_size=1, max_size=14
+from tests.oracle import (
+    CHAIN_CONFIG,
+    assert_same_stream,
+    bits,
+    outcome,
+    river_setup,
 )
-
-
-@functools.lru_cache(maxsize=None)
-def river_setup():
-    """The one-year network task plus the river grammar."""
-    task = load_dataset(n_years=2, seed=7, train_years=1).river_task("train")
-    knowledge = river_knowledge()
-    return task, knowledge, build_grammar(knowledge)
-
-
-def outcome(stream, limit: int | None = None):
-    """Bit patterns of a stream's values, plus what it raised."""
-    values: list[bytes] = []
-    try:
-        for value in stream:
-            values.append(struct.pack("<d", value))
-            if len(values) == limit:
-                break
-    except Exception as error:  # noqa: BLE001 - compared, not handled
-        return values, (type(error), str(error))
-    finally:
-        close = getattr(stream, "close", None)
-        if close is not None:
-            close()
-    return values, None
 
 
 def stacked_drivers(task) -> np.ndarray:
@@ -100,65 +65,6 @@ def stacked_drivers(task) -> np.ndarray:
         [tables[name].values.T for name in task.simulator.biological_stations],
         axis=1,
     )
-
-
-def bits(values) -> list[bytes]:
-    return [struct.pack("<d", value) for value in values]
-
-
-def assert_same_stream(task, model, params, oracle_days: int = 40) -> None:
-    """Network stream == compiled ``steps()`` stream, and both agree
-    with the interpreter over the first ``oracle_days`` days."""
-    network = outcome(task.error_stream(model, params))
-    stepped = outcome(task.stepped_errors(model, params, use_compiled=True))
-    assert network == stepped
-    oracle = outcome(
-        task.stepped_errors(model, params, use_compiled=False), oracle_days
-    )
-    assert outcome(task.error_stream(model, params), oracle_days) == oracle
-
-
-@st.composite
-def river_candidates(draw):
-    """A river model and parameters, drawn through the initialiser and
-    a chain of genetic operators."""
-    task, knowledge, grammar = river_setup()
-    rng = random.Random(draw(st.integers(0, 2**20)))
-    individual = random_individual(grammar, knowledge, CHAIN_CONFIG, rng)
-    other = random_individual(grammar, knowledge, CHAIN_CONFIG, rng)
-    for op in draw(st.lists(st.sampled_from(OPERATORS), max_size=4)):
-        if op == "gaussian":
-            child = gaussian_mutation(individual, knowledge, CHAIN_CONFIG, rng)
-        elif op == "subtree":
-            child = subtree_mutation(individual, grammar, CHAIN_CONFIG, rng)
-        else:
-            pair = crossover(individual, other, grammar, CHAIN_CONFIG, rng)
-            child = None if pair is None else pair[rng.randrange(2)]
-        if child is not None:
-            individual = child
-    model, params = individual.phenotype(task.state_names, task.var_order)
-    scale = draw(st.sampled_from(SCALES))
-    return model, tuple(value * scale for value in params)
-
-
-class TestDifferential:
-    @settings(max_examples=40, deadline=None)
-    @given(candidate=river_candidates())
-    def test_network_stream_matches_stepped_stream(self, candidate):
-        task, __, __ = river_setup()
-        model, params = candidate
-        assert_same_stream(task, model, params)
-
-    def test_seed_model_runs_the_full_horizon(self):
-        task, knowledge, grammar = river_setup()
-        individual = random_individual(
-            grammar, knowledge, CHAIN_CONFIG, random.Random(3)
-        )
-        model, params = individual.phenotype(task.state_names, task.var_order)
-        values, error = outcome(task.error_stream(model, params))
-        assert error is None
-        assert len(values) == task.n_cases
-        assert_same_stream(task, model, params)
 
 
 def chain_network(horizon: int = 30):
