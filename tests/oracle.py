@@ -344,12 +344,11 @@ def scaled(vector, scale: float, length: int = 0) -> tuple[float, ...]:
 
 
 @st.composite
-def derivation_kernel_cases(draw) -> KernelCase:
-    """Two derivations of one domain as a three-member cohort (the third
+def derivation_kernel_cases(draw, domain: str) -> KernelCase:
+    """Two derivations of ``domain`` as a three-member cohort (the third
     is the first under its reversed parameter order), parameters and
     states scaled lane by lane, over a window of the domain's drivers
     plus NaN, zero and huge rows."""
-    domain = draw(st.sampled_from(DOMAINS))
     first, vector = draw(derivations(domain))
     second, other = draw(derivations(domain))
     lanes = draw(st.sampled_from((1, 3, 8)))
@@ -578,11 +577,10 @@ class RolloutCase:
 
 
 @st.composite
-def derivation_rollout_cases(draw) -> RolloutCase:
-    """One to three derivations of a domain over a window of its mini
+def derivation_rollout_cases(draw, domain: str) -> RolloutCase:
+    """One to three derivations of ``domain`` over a window of its mini
     task, some columns far outside the prior, optionally a NaN driver
     value, a custom or infinite clamp and a half step."""
-    domain = draw(st.sampled_from(DOMAINS))
     task = domain_task(domain)
     lanes = draw(st.integers(1, 4))
     models, columns = [], []
@@ -917,27 +915,30 @@ class EvaluatorCase:
     strict: bool = False
 
 
-evaluator_cases = st.builds(
-    EvaluatorCase,
-    domain=st.sampled_from(("toy",) + DOMAINS),
-    seed=st.integers(0, 2**16),
-    size=st.integers(8, 24),
-    duplicates=st.integers(0, 4),
-    variants=st.integers(0, 4),
-    fuse_cohort_size=st.sampled_from((1, 8)),
-    kernel_min_batch=st.sampled_from((1, 2)),
-    kernel_batch_size=st.sampled_from((2, 3, 64)),
-    use_tree_cache=st.booleans(),
-    es_threshold=st.sampled_from((None, 0.5, 0.7, 1.0, 1.3)),
-    marker=st.booleans(),
-    extrapolator=st.sampled_from(sorted(EXTRAPOLATORS)),
-    nan_row=st.sampled_from((None, 0, 20, 70)),
-)
+def evaluator_cases(domain: str) -> st.SearchStrategy[EvaluatorCase]:
+    """Cohorts of ``domain`` (or ``"toy"``) under drawn settings."""
+    return st.builds(
+        EvaluatorCase,
+        domain=st.just(domain),
+        seed=st.integers(0, 2**16),
+        size=st.integers(8, 24),
+        duplicates=st.integers(0, 4),
+        variants=st.integers(0, 4),
+        fuse_cohort_size=st.sampled_from((1, 8)),
+        kernel_min_batch=st.sampled_from((1, 2)),
+        kernel_batch_size=st.sampled_from((2, 3, 64)),
+        use_tree_cache=st.booleans(),
+        es_threshold=st.sampled_from((None, 0.5, 0.7, 1.0, 1.3)),
+        marker=st.booleans(),
+        extrapolator=st.sampled_from(sorted(EXTRAPOLATORS)),
+        nan_row=st.sampled_from((None, 0, 20, 70)),
+    )
 
 
-def check_evaluator(case: EvaluatorCase, monkeypatch) -> None:
+def check_evaluator(case: EvaluatorCase, monkeypatch):
     """Sequential ``evaluate`` vs one ``evaluate_batch`` from the same
-    starting marker."""
+    starting marker; returns the marker, the batched evaluator and its
+    :class:`RolloutLog`."""
     if case.domain == "toy":
         task, knowledge = toy_task(), toy_knowledge()
         grammar = build_grammar(knowledge)
@@ -991,6 +992,7 @@ def check_evaluator(case: EvaluatorCase, monkeypatch) -> None:
     assert_equivalent(
         ev_scalar, ev_batched, pop_scalar, pop_batched, compare_cut, marker_rel
     )
+    return marker, ev_batched, log
 
 
 # -- network level -----------------------------------------------------
