@@ -24,49 +24,33 @@ from repro.expr.ast import Const, Param, State, Var
 from tests.oracle import HUGE, decay_model, logistic_model, poison_model, wavy_drivers
 
 
+def batched(shape, initial):
+    model = logistic_model()
+    return batched_euler_rollout(model, np.zeros(shape), wavy_drivers(5), initial)
+
+
+def fused(shape, initial):
+    """A two-member cohort of width 4 (three parameter rows)."""
+    kernel = compile_cohort([logistic_model(), decay_model()], 2)
+    return fused_euler_rollout(
+        kernel, np.zeros(shape), wavy_drivers(5), initial, ("Vx",)
+    )
+
+
 class TestValidation:
-    def test_rejects_non_matrix_params(self):
-        model = logistic_model()
-        with pytest.raises(ValueError, match="matrix"):
-            batched_euler_rollout(
-                model, np.zeros(3), wavy_drivers(5), (2.0,)
-            )
-
-    def test_rejects_wrong_param_rows(self):
-        model = logistic_model()
-        with pytest.raises(ValueError, match="parameters"):
-            batched_euler_rollout(
-                model, np.zeros((2, 4)), wavy_drivers(5), (2.0,)
-            )
-
-    def test_rejects_wrong_initial_state(self):
-        model = logistic_model()
-        with pytest.raises(ValueError, match="states"):
-            batched_euler_rollout(
-                model, np.zeros((3, 4)), wavy_drivers(5), (2.0, 1.0)
-            )
-
-    def test_rejects_wrong_fused_width(self):
-        kernel = compile_cohort([logistic_model(), decay_model()], 2)
-        with pytest.raises(ValueError, match="fused kernel expects"):
-            fused_euler_rollout(
-                kernel,
-                np.zeros((kernel.n_params, kernel.width + 1)),
-                wavy_drivers(5),
-                (2.0,),
-                ("Vx",),
-            )
-
-    def test_rejects_wrong_fused_initial_state(self):
-        kernel = compile_cohort([logistic_model()], 2)
-        with pytest.raises(ValueError, match="states"):
-            fused_euler_rollout(
-                kernel,
-                np.zeros((kernel.n_params, kernel.width)),
-                wavy_drivers(5),
-                (2.0, 1.0),
-                ("Vx",),
-            )
+    @pytest.mark.parametrize(
+        "rollout, shape, initial, match",
+        [
+            pytest.param(batched, (3,), (2.0,), "matrix", id="non-matrix"),
+            pytest.param(batched, (2, 4), (2.0,), "parameters", id="param-rows"),
+            pytest.param(batched, (3, 4), (2.0, 1.0), "states", id="initial-state"),
+            pytest.param(fused, (3, 5), (2.0,), "fused kernel expects", id="width"),
+            pytest.param(fused, (3, 4), (2.0, 1.0), "states", id="fused-initial"),
+        ],
+    )
+    def test_rejects(self, rollout, shape, initial, match):
+        with pytest.raises(ValueError, match=match):
+            rollout(shape, initial)
 
 
 class TestRk4Parity:

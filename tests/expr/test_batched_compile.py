@@ -20,12 +20,7 @@ from repro.expr.compile import (
     compile_model_cohort,
     generate_cohort_source,
 )
-from tests.expr.strategies import (
-    PARAM_NAMES,
-    STATE_NAMES,
-    VAR_NAMES,
-    expressions,
-)
+from tests.expr.strategies import PARAM_NAMES, STATE_NAMES, VAR_NAMES, expressions
 
 
 def batched_from_expr(expr):

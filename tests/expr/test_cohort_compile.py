@@ -6,42 +6,23 @@ lane width, sharing a cohort-wide value-numbering table.  Lane
 ``m * K + k`` must equal column ``k`` of member ``m``'s own batched
 kernel bit for bit, NaN and padding lanes included; the differential
 oracle harness (``tests/test_oracle.py``) checks that on random
-cohorts.  These tests pin the generated source's sharing and the
-kernel's metadata.
+cohorts and named ones (shared tree objects, narrow members).  These
+tests pin the generated source's sharing and the kernel's metadata.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.expr import ast
-from repro.expr.ast import Const, Param, State, Var, strip_ext
+from repro.expr.ast import Param, State, Var, strip_ext
 from repro.expr.compile import (
     CompilationError,
     CompiledCohortKernel,
-    compile_model_batched,
     compile_model_cohort,
     generate_cohort_source,
 )
-from tests.expr.strategies import (
-    PARAM_NAMES,
-    STATE_NAMES,
-    VAR_NAMES,
-)
-
-
-def member_kernels(members):
-    """Per-member batched kernels matching a fused cohort's members."""
-    return [
-        compile_model_batched(
-            [strip_ext(expr) for expr in exprs],
-            param_order,
-            VAR_NAMES,
-            STATE_NAMES,
-        )
-        for exprs, param_order in members
-    ]
+from tests.expr.strategies import PARAM_NAMES, STATE_NAMES, VAR_NAMES
 
 
 def fused_kernel(members, lanes):
@@ -54,16 +35,6 @@ def fused_kernel(members, lanes):
         STATE_NAMES,
         lanes,
     )
-
-
-def assert_lanes_match(fused_out, member_outs, lanes):
-    """Fused lanes must equal the standalone columns bit for bit."""
-    for member, out in enumerate(member_outs):
-        lo = member * lanes
-        got = fused_out[:, lo : lo + lanes]
-        assert np.array_equal(got, out, equal_nan=True), (
-            f"member {member} lanes differ:\n{got}\nvs\n{out}"
-        )
 
 
 class TestCrossMemberPooling:
@@ -111,30 +82,6 @@ class TestCrossMemberPooling:
             if " = " in line and not line.strip().startswith("_out")
         ]
         assert len(rhs) == len(set(rhs)), source
-
-    def test_narrow_temp_slice_writes_broadcast(self):
-        """Constant- and driver-only equations stay narrow; their slice
-        writes broadcast instead of slicing a width-1 temporary."""
-        e0 = Const(3.0)
-        e1 = ast.mul(Const(2.0), Var("v0"))
-        e2 = ast.mul(Param("p0"), State("s0"))
-        members = [([e0], ()), ([e1], ()), ([e2], PARAM_NAMES)]
-        lanes = 2
-        kernel = fused_kernel(members, lanes)
-        params = np.arange(float(len(PARAM_NAMES) * kernel.width)).reshape(
-            len(PARAM_NAMES), kernel.width
-        )
-        states = np.full((1, kernel.width), 2.0)
-        row = np.array([0.5, 0.0])
-        out = kernel(params, row, states)
-        outs = []
-        for member, standalone in enumerate(member_kernels(members)):
-            lo = member * lanes
-            member_params = params[: len(members[member][1]), lo : lo + lanes]
-            outs.append(
-                standalone(member_params, row, states[:, lo : lo + lanes])
-            )
-        assert_lanes_match(out, outs, lanes)
 
 
 class TestCohortKernelShape:

@@ -79,15 +79,6 @@ class TestNaNSemantics:
         nan = ast.sub(blown, blown)
         # Python's min/max keep the first argument when a comparison with
         # NaN is False: min(nan, 5) is nan, min(5, nan) is 5.
-        assert math.isnan(
-            compile_expr(ast.minimum(nan, Const(5.0)), [], [])((), ())
-        )
-        assert compile_expr(
-            ast.minimum(Const(5.0), nan), [], []
-        )((), ()) == 5.0
-        assert math.isnan(
-            compile_expr(ast.maximum(nan, Const(5.0)), [], [])((), ())
-        )
-        assert compile_expr(
-            ast.maximum(Const(5.0), nan), [], []
-        )((), ()) == 5.0
+        for op in (ast.minimum, ast.maximum):
+            assert math.isnan(compile_expr(op(nan, Const(5.0)), [], [])((), ()))
+            assert compile_expr(op(Const(5.0), nan), [], [])((), ()) == 5.0

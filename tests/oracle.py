@@ -24,9 +24,10 @@ evaluator: sequential ``evaluate`` vs ``evaluate_batch`` under fusion,
   finite marker (lane retirement), three extrapolators and poisoned
   drivers -- :func:`assert_equivalent` (fitness rel 1e-9,
   ``fully_evaluated``, marker, Algorithm 1 and tree-cache counters),
-  no fallback, padding lanes following their member's first lane;
-  seeded engine run with vector paths on vs off -- champion and history
-  rel 1e-9, counts equal.
+  no fallback, vector evaluations taken (fused cohorts exactly when
+  fusion is on) and their live columns accounted, padding lanes
+  following their member's first lane; seeded engine run with vector
+  paths on vs off -- champion and history rel 1e-9, counts equal.
 network: ``RiverTask.error_stream`` vs ``stepped_errors`` compiled
   (full horizon) and interpreted (40 days) -- per-day bits, raise type
   and message.
@@ -145,9 +146,8 @@ def agree(got: float, want: float, rel: float, abs_tol: float = 0.0) -> bool:
     return abs(got - want) <= max(rel * abs(want), abs_tol)
 
 
-def same_value(a: float, b: float) -> bool:
-    """Equal, or both NaN."""
-    return agree(a, b, 0.0)
+#: Equal, or both NaN.
+same_value = functools.partial(agree, rel=0.0)
 
 
 def uses_exp_log(exprs: Iterable[Expr]) -> bool:
@@ -281,9 +281,7 @@ DOMAINS = tuple(sorted(available_domains()))
 
 OPERATORS = ("gaussian", "subtree", "crossover", "insertion", "deletion")
 
-CHAIN_CONFIG = GMRConfig(
-    population_size=4, max_generations=1, min_size=1, max_size=14
-)
+CHAIN_CONFIG = GMRConfig(population_size=4, max_generations=1, min_size=1, max_size=14)
 
 #: Parameter scales: the prior itself and far outside it (the +-1e150
 #: scales overflow some candidates into NaN).
@@ -435,7 +433,7 @@ def _check_member(case, exprs, order, P, S, table, member) -> list[np.ndarray]:
     (and across ``simplify`` for member 0); returns its batched steps."""
     orders = (order, case.var_order, case.state_order)
     scalar = compile_model(exprs, *orders)
-    batched = _check_batched(exprs, orders, P, S, table, case.exact)
+    batched = _check_batched(exprs, orders, scalar, P, S, table, case.exact)
     for __, __, Pk, row, Sk in _lanes_rows(P, S, table[:INTERP_ROWS]):
         got, want = scalar(Pk, row, Sk), _interpret(exprs, orders, Pk, row, Sk)
         for g, w in zip(got, want):
@@ -456,13 +454,13 @@ def _check_member(case, exprs, order, P, S, table, member) -> list[np.ndarray]:
     return batched
 
 
-def _check_batched(exprs, orders, P, S, table, exact) -> list[np.ndarray]:
+def _check_batched(exprs, orders, scalar, P, S, table, exact) -> list[np.ndarray]:
     """The batched kernel, bitwise against the scalar step spelled with
-    NumPy's exp/log (libm's, where they cannot differ, or if ``exact``)."""
+    NumPy's exp/log (``scalar``, libm's, where they cannot differ, or if
+    ``exact``)."""
     kernel = compile_model_batched([strip_ext(e) for e in exprs], *orders)
-    if exact or not uses_exp_log(exprs):
-        reference = compile_model(exprs, *orders)
-    else:
+    reference = scalar
+    if not exact and uses_exp_log(exprs):
         reference = numpy_spelled(exprs, *orders)
     with np.errstate(all="ignore"):
         hoisted = kernel.precompute(P, table)
@@ -488,7 +486,7 @@ def _check_simplify(exprs, orders, scalar, P, S, table) -> None:
     )
     if compiled:
         simple_scalar = compile_model(simple, *orders)
-        _check_batched(simple, orders, P, S, table, False)
+        _check_batched(simple, orders, simple_scalar, P, S, table, False)
     for __, t, Pk, row, Sk in _lanes_rows(P, S, table):
         if not all(map(math.isfinite, (*Pk, *row, *Sk))):
             continue
@@ -842,15 +840,16 @@ def marker_for(task, config, cohort) -> float:
 
 
 class RolloutLog:
-    """Records every vector rollout the evaluator runs, the rows it
-    integrated times its live columns (``lane_rows``; a fused cohort's
-    padding lanes excluded), and each fused cohort's rollout and layout
-    for :meth:`check_padding`."""
+    """Records every vector rollout the evaluator runs, its live columns
+    (``columns``, of which ``batched_columns`` in loose groups' rollouts;
+    a fused cohort's padding lanes excluded), the rows it integrated
+    times those (``lane_rows``), and each fused cohort's rollout and
+    layout for :meth:`check_padding`."""
 
     def __init__(self, monkeypatch) -> None:
         self.rollouts: list = []
         self.cohorts: list = []
-        self.lane_rows = 0
+        self.columns = self.batched_columns = self.lane_rows = 0
         layouts: list = []
         for name in ("batched_euler_rollout", "fused_euler_rollout"):
             original = getattr(fitness_module, name)
@@ -863,6 +862,9 @@ class RolloutLog:
                     lanes, counts = layouts.pop()
                     self.cohorts.append((rollout, lanes, counts))
                     live = sum(counts)
+                else:
+                    self.batched_columns += live
+                self.columns += live
                 self.lane_rows += rollout.rows_run * live
                 self.rollouts.append(rollout)
                 return rollout
@@ -935,10 +937,16 @@ def evaluator_cases(domain: str) -> st.SearchStrategy[EvaluatorCase]:
     )
 
 
-def check_evaluator(case: EvaluatorCase, monkeypatch):
-    """Sequential ``evaluate`` vs one ``evaluate_batch`` from the same
-    starting marker; returns the marker, the batched evaluator and its
-    :class:`RolloutLog`."""
+def config_for(case: EvaluatorCase) -> GMRConfig:
+    fields = "fuse_cohort_size kernel_min_batch kernel_batch_size use_tree_cache"
+    overrides = {f: getattr(case, f) for f in (*fields.split(), "es_threshold")}
+    return dataclasses.replace(SMALL_CONFIG, **overrides)
+
+
+@functools.lru_cache(maxsize=64)
+def _problem(case: EvaluatorCase):
+    """The task, unscored cohort and starting marker of ``case``; only
+    its domain, cohort, ``nan_row`` and ``marker`` fields reach them."""
     if case.domain == "toy":
         task, knowledge = toy_task(), toy_knowledge()
         grammar = build_grammar(knowledge)
@@ -950,34 +958,67 @@ def check_evaluator(case: EvaluatorCase, monkeypatch):
         values[case.nan_row, 0] = math.nan
         drivers = DriverTable(task.drivers.names, values)
         task = dataclasses.replace(task, drivers=drivers)
-    config = dataclasses.replace(
-        SMALL_CONFIG,
-        fuse_cohort_size=case.fuse_cohort_size,
-        kernel_min_batch=case.kernel_min_batch,
-        kernel_batch_size=case.kernel_batch_size,
-        use_tree_cache=case.use_tree_cache,
-        es_threshold=case.es_threshold,
-    )
+    config = config_for(case)
     cohort = make_cohort(
         grammar, knowledge, config, case.seed, case.size, case.duplicates, case.variants
     )
-    extrapolate = EXTRAPOLATORS[case.extrapolator]
     marker = marker_for(task, config, cohort) if case.marker else math.inf
-    pop_scalar, pop_batched = copy.deepcopy(cohort), copy.deepcopy(cohort)
-    ev_scalar = GMRFitnessEvaluator(task, config, extrapolate)
-    ev_batched = GMRFitnessEvaluator(task, config, extrapolate)
-    ev_scalar.best_prev_full = ev_batched.best_prev_full = marker
-    for member in pop_scalar:
-        ev_scalar.evaluate(member)
+    return task, cohort, marker
+
+
+@functools.lru_cache(maxsize=64)
+def _sequential(case: EvaluatorCase):
+    """The oracle side of ``case``: its problem and a sequential
+    ``evaluate`` of a copy of the cohort, which the vector settings
+    never reach."""
+    scoring = dict(es_threshold=None, use_tree_cache=True, extrapolator="linear")
+    task, cohort, marker = _problem(dataclasses.replace(case, **scoring))
+    evaluator = GMRFitnessEvaluator(
+        task, config_for(case), EXTRAPOLATORS[case.extrapolator]
+    )
+    evaluator.best_prev_full = marker
+    population = copy.deepcopy(cohort)
+    for member in population:
+        evaluator.evaluate(member)
+    return task, cohort, marker, evaluator, population
+
+
+#: Settings only ``evaluate_batch`` reads.  The sequential side is
+#: memoised on the case with them reset, so a grid over them scores each
+#: cohort once (and each starting marker once per cohort).
+VECTOR_DEFAULTS = dict(fuse_cohort_size=8, kernel_min_batch=1, kernel_batch_size=64)
+
+
+def check_evaluator(case: EvaluatorCase, monkeypatch):
+    """Sequential ``evaluate`` vs one ``evaluate_batch`` from the same
+    starting marker; returns the marker, the batched evaluator and its
+    :class:`RolloutLog`."""
+    oracle = _sequential(dataclasses.replace(case, strict=False, **VECTOR_DEFAULTS))
+    task, cohort, marker, ev_scalar, pop_scalar = oracle
+    pop_batched = copy.deepcopy(cohort)
+    ev_batched = GMRFitnessEvaluator(
+        task, config_for(case), EXTRAPOLATORS[case.extrapolator]
+    )
+    ev_batched.best_prev_full = marker
     log = RolloutLog(monkeypatch)
     ev_batched.evaluate_batch(pop_batched)
-    assert ev_batched.stats.kernel_fallbacks == ev_batched.stats.fusion_fallbacks == 0
+    stats = ev_batched.stats
+    assert stats.kernel_fallbacks == stats.fusion_fallbacks == 0
     log.check_padding()
+    # Vector paths ran, fused exactly when fusion is on, and the fused
+    # columns are the live lanes the fused rollouts carried.
+    assert stats.fused_cohorts == len(log.cohorts)
+    assert log.columns == stats.fused_columns + log.batched_columns
+    if case.fuse_cohort_size == 1:
+        assert stats.fused_cohorts == 0
+    if case.strict or case.kernel_min_batch == 1:
+        assert stats.batched_evaluations > 0
+        assert stats.fused_cohorts > 0 or case.fuse_cohort_size == 1
     # The scalar loop integrates exactly the cases it counts; with
     # kernel_min_batch=1 every simulated member takes a vector rollout.
     assert ev_scalar.stats.steps_integrated == ev_scalar.stats.steps_evaluated
     if case.kernel_min_batch == 1:
-        assert ev_batched.stats.steps_integrated == log.lane_rows
+        assert stats.steps_integrated == log.lane_rows
 
     def exact(member) -> bool:
         model, __ = member.phenotype(task.state_names, task.var_order)

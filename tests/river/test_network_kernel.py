@@ -48,13 +48,7 @@ from repro.river.simulator import (
     build_mixing_schedules,
     collapse_upstream,
 )
-from tests.oracle import (
-    CHAIN_CONFIG,
-    assert_same_stream,
-    bits,
-    outcome,
-    river_setup,
-)
+from tests.oracle import CHAIN_CONFIG, assert_same_stream, bits, outcome, river_setup
 
 
 def stacked_drivers(task) -> np.ndarray:

@@ -59,9 +59,9 @@ from tests.oracle import (
 from tests.expr.strategies import PARAM_NAMES, STATE_NAMES, VAR_NAMES
 
 
-def named(*pairs):
-    """``pytest.param(case, id=name)`` for each ``(name, case)`` pair."""
-    return [pytest.param(case, id=name) for name, case in pairs]
+def cases(table: dict):
+    """Parametrize ``case`` over a ``{name: case}`` table."""
+    return pytest.mark.parametrize("case", list(table.values()), ids=list(table))
 
 
 ONE, TWO, FIVE, ZERO = Const(1.0), Const(2.0), Const(5.0), Const(0.0)
@@ -87,178 +87,147 @@ def shared_tree_case(pad: str) -> KernelCase:
         members, VAR_NAMES, STATE_NAMES, tuple(params * 3), tuple(states * 3), rows, 3
     )
 
-NAMED_KERNEL_CASES = named(
+
+def narrow_case() -> KernelCase:
+    """Constant- and driver-only members stay narrow beside a full-width
+    one, so their slice writes into the fused output must broadcast."""
+    members = (
+        ((Const(3.0),), ()),
+        ((ast.mul(TWO, Var("v0")),), ()),
+        ((ast.mul(Param("p0"), State("s0")),), PARAM_NAMES),
+    )
+    params = tuple(tuple(6.0 * j + lane for j in range(3)) for lane in range(6))
+    return KernelCase(
+        members, VAR_NAMES, STATE_NAMES, params, ((2.0,),) * 6, ((0.5, 0.0),), 2
+    )
+
+
+NAMED_KERNEL_CASES = {
     # NaN operands reach every operator: the scalar codegen once put the
     # protected branch on the ``else`` side, so NaN compared False and
     # log(NaN) compiled to 0.0.
-    ("log-nan", named_case(ast.log(NAN_EXPR))),
-    ("exp-nan", named_case(ast.exp(NAN_EXPR))),
-    ("div-nan-denominator", named_case(ast.div(ONE, NAN_EXPR))),
-    ("div-nan-numerator", named_case(ast.div(NAN_EXPR, TWO))),
-    *(
-        (f"{name}-nan-{side}", named_case(op(a, b)))
+    "log-nan": named_case(ast.log(NAN_EXPR)),
+    "exp-nan": named_case(ast.exp(NAN_EXPR)),
+    "div-nan-denominator": named_case(ast.div(ONE, NAN_EXPR)),
+    "div-nan-numerator": named_case(ast.div(NAN_EXPR, TWO)),
+    **{
+        f"{name}-nan-{side}": named_case(op(*args))
         for name, op in (("min", ast.minimum), ("max", ast.maximum))
-        for side, (a, b) in (("lhs", (NAN_EXPR, FIVE)), ("rhs", (FIVE, NAN_EXPR)))
-    ),
-    ("add-nan", named_case(ast.add(NAN_EXPR, ONE))),
+        for side, args in (("lhs", (NAN_EXPR, FIVE)), ("rhs", (FIVE, NAN_EXPR)))
+    },
+    "add-nan": named_case(ast.add(NAN_EXPR, ONE)),
     # NaN traps simplify must keep: inf - inf, nan * 0, 0 * nan, 0 / nan,
     # also built from finite leaves that overflow.
-    ("inf-minus-inf", named_case(ast.sub(BLOWN, BLOWN))),
-    ("nan-times-zero", named_case(ast.mul(NAN_EXPR, ZERO))),
-    ("zero-times-nan", named_case(ast.mul(ZERO, NAN_EXPR))),
-    ("zero-over-nan", named_case(ast.div(ZERO, NAN_EXPR))),
-    (
-        "overflow-minus-overflow",
-        named_case(ast.sub(OVERFLOW, OVERFLOW), params=HUGE_PARAMS),
+    "inf-minus-inf": named_case(ast.sub(BLOWN, BLOWN)),
+    "nan-times-zero": named_case(ast.mul(NAN_EXPR, ZERO)),
+    "zero-times-nan": named_case(ast.mul(ZERO, NAN_EXPR)),
+    "zero-over-nan": named_case(ast.div(ZERO, NAN_EXPR)),
+    "overflow-minus-overflow": named_case(
+        ast.sub(OVERFLOW, OVERFLOW), params=HUGE_PARAMS
     ),
-    ("overflow-times-zero", named_case(ast.mul(OVERFLOW, ZERO), params=HUGE_PARAMS)),
+    "overflow-times-zero": named_case(ast.mul(OVERFLOW, ZERO), params=HUGE_PARAMS),
     # Protected division at, inside and outside the epsilon.
-    (
-        "protected-div-epsilon",
-        named_case(
-            ast.div(Param("p0"), State("s0")),
-            states=(0.0, DIV_EPS / 2, -DIV_EPS / 2, DIV_EPS / 3, 2.0),
-            params=[(x, 0.0, 0.0) for x in (1.0, 2.0, 3.0, 1.0, 4.0)],
-        ),
+    "protected-div-epsilon": named_case(
+        ast.div(Param("p0"), State("s0")),
+        states=(0.0, DIV_EPS / 2, -DIV_EPS / 2, DIV_EPS / 3, 2.0),
+        params=[(x, 0.0, 0.0) for x in (1.0, 2.0, 3.0, 1.0, 4.0)],
     ),
-    (
-        "protected-div-const-numerator",
-        named_case(
-            ast.div(ONE, State("s0")), states=(DIV_EPS / 3, -DIV_EPS / 3, 0.0, 2.0)
-        ),
+    "protected-div-const-numerator": named_case(
+        ast.div(ONE, State("s0")), states=(DIV_EPS / 3, -DIV_EPS / 3, 0.0, 2.0)
     ),
     # Protected log of negative, zero and tiny arguments.
-    (
-        "protected-log-edges",
-        named_case(ast.log(State("s0")), states=(-math.e, 0.0, 1e-300, math.e, -5.0)),
+    "protected-log-edges": named_case(
+        ast.log(State("s0")), states=(-math.e, 0.0, 1e-300, math.e, -5.0)
     ),
     # The exp clamp, which must keep NaN (NaN > EXP_MAX is False).
-    (
-        "exp-clamp-keeps-nan",
-        named_case(
-            ast.exp(State("s0")),
-            states=(EXP_MAX + 5, 1e9, 0.0, math.nan, EXP_MAX * 2),
-        ),
+    "exp-clamp-keeps-nan": named_case(
+        ast.exp(State("s0")), states=(EXP_MAX + 5, 1e9, 0.0, math.nan, EXP_MAX * 2)
     ),
     # min/max keep the first argument on ties, observable on signed zeros.
-    (
-        "min-signed-zero-tie",
-        named_case(ast.minimum(Param("p0"), Param("p1")), params=SIGNED_ZEROS),
+    "min-signed-zero-tie": named_case(
+        ast.minimum(Param("p0"), Param("p1")), params=SIGNED_ZEROS
     ),
-    (
-        "max-signed-zero-tie",
-        named_case(ast.maximum(Param("p0"), Param("p1")), params=SIGNED_ZEROS),
+    "max-signed-zero-tie": named_case(
+        ast.maximum(Param("p0"), Param("p1")), params=SIGNED_ZEROS
     ),
-    # A tree object shared across members, beside cloned or NaN padding.
-    ("shared-tree-clone-pad", shared_tree_case("clone")),
-    ("shared-tree-nan-pad", shared_tree_case("nan")),
+    # A tree object shared across members, beside cloned or NaN padding,
+    # and narrow members in a fused output.
+    "shared-tree-clone-pad": shared_tree_case("clone"),
+    "shared-tree-nan-pad": shared_tree_case("nan"),
+    "narrow-members": narrow_case(),
     # exp/log of drivers where NumPy and libm differ: the station hoist
     # must go through libm.
-    (
-        "libm-trap-drivers",
-        named_case(
-            ast.add(ast.exp(Var("v0")), ast.log(Var("v1"))),
-            rows=LIBM_TRAP_ROWS,
-            exact=False,
-        ),
+    "libm-trap-drivers": named_case(
+        ast.add(ast.exp(Var("v0")), ast.log(Var("v1"))),
+        rows=LIBM_TRAP_ROWS, exact=False,
     ),
-)
+}
 
 LOGISTIC, DECAY, POISON = logistic_model(), decay_model(), poison_model()
 
-NAMED_ROLLOUT_CASES = named(
+NAMED_ROLLOUT_CASES = {
     # Columns of one structure, bitwise against the scalar stream.
-    (
-        "one-structure-columns",
-        RolloutCase(
-            (LOGISTIC,), (uniform_columns(LOGISTIC, 9, 7, 0.5),), wavy_drivers(60)
-        ),
+    "one-structure-columns": RolloutCase(
+        (LOGISTIC,), (uniform_columns(LOGISTIC, 9, 7, 0.5),), wavy_drivers(60)
     ),
-    (
-        "single-column",
-        RolloutCase((LOGISTIC,), ([(0.1, 0.01, 0.2)],), wavy_drivers(10)),
-    ),
+    "single-column": RolloutCase((LOGISTIC,), ([(0.1, 0.01, 0.2)],), wavy_drivers(10)),
     # A custom clamp band and a half step.
-    (
-        "custom-clamp-half-step",
-        RolloutCase(
-            (LOGISTIC, DECAY),
-            ([(2.0, 0.0, 0.0), (0.3, 0.01, 0.1)], [(0.2,), (0.1,)]),
-            wavy_drivers(20),
-            dt=0.5,
-            clamp=ClampSpec(minimum=0.5, maximum=3.0),
-        ),
+    "custom-clamp-half-step": RolloutCase(
+        (LOGISTIC, DECAY),
+        ([(2.0, 0.0, 0.0), (0.3, 0.01, 0.1)], [(0.2,), (0.1,)]),
+        wavy_drivers(20), dt=0.5, clamp=ClampSpec(minimum=0.5, maximum=3.0),
     ),
     # A poisoned column goes NaN at row 3 and freezes while its
     # batchmate and the other member run on; a cohort whose lanes all
     # die at row 0 short-circuits.
-    (
-        "poisoned-column",
-        RolloutCase(
-            (POISON, LOGISTIC),
-            ([(1e-3, 1e-3), (HUGE, HUGE)], uniform_columns(LOGISTIC, 2, 17, 0.4)),
-            spike_drivers(10, 3),
-            stop_after=1,
-        ),
+    "poisoned-column": RolloutCase(
+        (POISON, LOGISTIC),
+        ([(1e-3, 1e-3), (HUGE, HUGE)], uniform_columns(LOGISTIC, 2, 17, 0.4)),
+        spike_drivers(10, 3), stop_after=1,
     ),
-    (
-        "all-lanes-dead",
-        RolloutCase(
-            (POISON, POISON), ([(HUGE, HUGE)] * 2,) * 2, spike_drivers(12, None)
-        ),
+    "all-lanes-dead": RolloutCase(
+        (POISON, POISON), ([(HUGE, HUGE)] * 2,) * 2, spike_drivers(12, None)
     ),
     # NaN padding lanes beside live ones.
-    (
-        "nan-padding-lanes",
-        RolloutCase(
-            (LOGISTIC, DECAY),
-            (
-                uniform_columns(LOGISTIC, 3, 11, 0.4),
-                uniform_columns(DECAY, 2, 13, 0.4),
-            ),
-            wavy_drivers(25),
-            lanes=4,
-            pad="nan",
-        ),
+    "nan-padding-lanes": RolloutCase(
+        (LOGISTIC, DECAY),
+        (uniform_columns(LOGISTIC, 3, 11, 0.4), uniform_columns(DECAY, 2, 13, 0.4)),
+        wavy_drivers(25), lanes=4, pad="nan",
     ),
     # Infinite clamp bounds: states reach inf, then inf - inf.
-    (
-        "infinite-clamp",
-        RolloutCase(
-            (LOGISTIC,),
-            ([(3.0, -1e300, 1e300), (0.1, 0.01, 0.2)],),
-            wavy_drivers(40),
-            clamp=INFINITE,
-            stop_after=1,
-        ),
+    "infinite-clamp": RolloutCase(
+        (LOGISTIC,),
+        ([(3.0, -1e300, 1e300), (0.1, 0.01, 0.2)],),
+        wavy_drivers(40), clamp=INFINITE, stop_after=1,
     ),
-)
+}
 
-NAMED_EVALUATOR_CASES = named(
+NAMED_EVALUATOR_CASES = {
     # The seeded cohort of the original equivalence suites: the default
     # settings (ES on, no marker yet), without ES, without the tree cache,
     # bare, and with tiny cohorts and chunks.
-    *(
-        (name, EvaluatorCase(marker=False, kernel_min_batch=2, strict=True, **rest))
+    **{
+        name: EvaluatorCase(marker=False, kernel_min_batch=2, strict=True, **rest)
         for name, rest in (
             ("default", {}),
             ("no-es", {"es_threshold": None}),
             ("no-cache", {"use_tree_cache": False}),
             ("bare", {"es_threshold": None, "use_tree_cache": False}),
         )
-    ),
-    (
-        "tiny-cohorts",
-        EvaluatorCase(fuse_cohort_size=2, kernel_batch_size=3, strict=True),
+    },
+    "tiny-cohorts": EvaluatorCase(
+        fuse_cohort_size=2, kernel_batch_size=3, strict=True
     ),
     # The measured caveat: non-monotone extrapolation on exp/log models.
-    (
-        "exp-log-non-monotone",
-        EvaluatorCase(
-            "river", 3, 24, 2, 4, es_threshold=1.0, extrapolator="non-monotone"
-        ),
+    "exp-log-non-monotone": EvaluatorCase(
+        "river", 3, 24, 2, 4, es_threshold=1.0, extrapolator="non-monotone"
     ),
-)
+}
+
+SEEDED_RUNS = {  # vector paths on, off
+    "batched": (dict(use_batched_kernel=True), dict(use_batched_kernel=False)),
+    "fused": (dict(kernel_min_batch=1), dict(kernel_min_batch=1, fuse_cohort_size=1)),
+}
 
 
 class TestKernel:
@@ -267,7 +236,7 @@ class TestKernel:
     def test_raw_trees(self, case):
         check_kernel(case)
 
-    @pytest.mark.parametrize("case", NAMED_KERNEL_CASES)
+    @cases(NAMED_KERNEL_CASES)
     def test_named(self, case):
         check_kernel(case)
 
@@ -285,7 +254,7 @@ class TestRollout:
     def test_derivations(self, domain, data):
         check_rollout(data.draw(derivation_rollout_cases(domain)))
 
-    @pytest.mark.parametrize("case", NAMED_ROLLOUT_CASES)
+    @cases(NAMED_ROLLOUT_CASES)
     def test_named(self, case):
         check_rollout(case)
 
@@ -299,7 +268,7 @@ class TestEvaluator:
         with pytest.MonkeyPatch.context() as monkeypatch:
             check_evaluator(case, monkeypatch)
 
-    @pytest.mark.parametrize("case", NAMED_EVALUATOR_CASES)
+    @cases(NAMED_EVALUATOR_CASES)
     def test_named(self, case, monkeypatch):
         check_evaluator(case, monkeypatch)
 
@@ -323,24 +292,19 @@ class TestEvaluator:
             strict=True,
         )
         marker, evaluator, log = check_evaluator(case, monkeypatch)
-        assert log.retired(toy_task().n_cases)
-        assert bool(log.cohorts) == fuse
+        n_cases = toy_task().n_cases
+        assert log.retired(n_cases)
+        assert evaluator.stats.steps_integrated < log.columns * n_cases
         assert all(rollout.rows_run == rollout.n_steps for rollout in log.rollouts)
         if nan_row is None:
             # Members beat the starting marker mid-cohort.
             assert evaluator.best_prev_full < marker
 
-    @pytest.mark.parametrize(
-        "on, off",
-        [
-            ({"use_batched_kernel": True}, {"use_batched_kernel": False}),
-            ({"kernel_min_batch": 1}, {"kernel_min_batch": 1, "fuse_cohort_size": 1}),
-        ],
-        ids=["batched", "fused"],
-    )
-    def test_seeded_run(self, on, off):
+    @cases(SEEDED_RUNS)
+    def test_seeded_run(self, case):
         """A seeded engine run with the vector paths on and off: same
         champion and history within 1e-9, same Algorithm 1 counts."""
+        on, off = case
         run_on, run_off = (
             GMREngine(
                 toy_knowledge(), toy_task(), dataclasses.replace(SMALL_CONFIG, **o)
