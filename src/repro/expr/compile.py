@@ -402,7 +402,10 @@ class _Lowering:
                 memo[key] = name
                 return name
         if isinstance(expr, Const):
-            name = stream.assign(repr(expr.value))
+            value = expr.value
+            # A non-finite float's repr (``nan``, ``inf``) is no literal.
+            spelling = repr(value) if math.isfinite(value) else f"float('{value}')"
+            name = stream.assign(spelling)
         elif isinstance(expr, (Param, Var, State)):
             name = stream.leaf(self._lookup(expr))
         elif isinstance(expr, Ext):

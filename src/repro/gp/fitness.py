@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
@@ -32,11 +32,7 @@ from repro.dynamics.integrate import (
 )
 from repro.dynamics.system import ProcessModel, compile_cohort
 from repro.dynamics.task import BAD_FITNESS, ModelingTask
-from repro.expr.compile import (
-    CompiledCohortKernel,
-    KernelCache,
-    KernelCacheStats,
-)
+from repro.expr.compile import KernelCache, KernelCacheStats
 from repro.gp.cache import CacheStats, TreeCache
 from repro.gp.config import GMRConfig
 from repro.gp.individual import Individual
@@ -133,7 +129,7 @@ class EvaluationStats:
     #: Broken evaluation pools rebuilt by ``ProcessPoolBackend``.
     pool_rebuilds: int = 0
     #: Fused multi-structure cohort kernels run to completion
-    #: (``GMRFitnessEvaluator._simulate_cohort``).
+    #: (``GMRFitnessEvaluator._simulate``).
     fused_cohorts: int = 0
     #: Live parameter columns integrated through fused cohort kernels
     #: (padding lanes excluded).
@@ -182,16 +178,25 @@ class EvaluationStats:
     @property
     def phase_total(self) -> float:
         """Sum of the disjoint phase timers (``<= wall_time``)."""
-        return (
-            self.compile_time
-            + self.step_time
-            + self.batch_fill
-            + self.triage_time
-        )
+        return sum(getattr(self, timer) for timer in _PHASE_TIMERS.values())
 
     def publish(self, registry: MetricsRegistry, prefix: str = "eval") -> None:
         """Publish the counters into a :class:`~repro.obs.MetricsRegistry`."""
         publish_fields(self, registry, prefix)
+
+
+#: The :class:`~repro.obs.profile.PhaseProfile` phases the evaluator
+#: opens, each with the :class:`EvaluationStats` timer it drains into.
+_PHASE_TIMERS = {
+    "compile": "compile_time",
+    "step": "step_time",
+    "fill": "batch_fill",
+    "triage": "triage_time",
+}
+
+#: The :class:`EvaluationStats` fields an ``evaluation_batch`` trace
+#: point reports as deltas over its ``evaluate_batch`` call.
+_BATCH_TRACE_DELTAS = ("cache_hits", "compile_time", "step_time", "batch_fill")
 
 
 @dataclass
@@ -369,20 +374,26 @@ def _pow2ceil(value: int) -> int:
 
 
 @dataclass
-class _FusedCohort:
-    """Several structure groups planned into one fused kernel run.
+class _KernelRun:
+    """Structure groups simulated by one vector kernel: a fused cohort
+    of several groups, or one lone group.
 
-    ``lanes`` is the padded per-member lane count: the largest member's
-    column count rounded up to a power of two, so a recurring member
-    set keeps hitting one compiled cohort kernel while its group sizes
-    fluctuate.  Members with fewer columns pad the remaining lanes with
-    clones of their first column -- inert work whose results are never
-    read (the member's ``curves``/``diverged_at`` views cover only its
-    live columns).
+    Member ``m`` owns lanes ``[m * lanes, (m + 1) * lanes)``.  A lone
+    group's ``lanes`` is its column count.  A fused cohort's is the
+    largest member's column count rounded up to a power of two, so a
+    recurring member set keeps hitting one compiled cohort kernel while
+    its group sizes fluctuate; members with fewer columns pad the
+    remaining lanes with clones of their first column -- inert work
+    whose results are never read (the member's ``curves``/
+    ``diverged_at`` views cover only its live columns).
     """
 
     groups: list[_BatchGroup]
     lanes: int
+
+    @property
+    def fused(self) -> bool:
+        return len(self.groups) > 1
 
 
 @dataclass
@@ -475,12 +486,9 @@ class GMRFitnessEvaluator:
         phase, so after draining ``compile_time + step_time + batch_fill
         <= wall_time`` holds by construction on both paths.
         """
-        totals = self._profile.drain()
-        if totals:
-            self.stats.compile_time += totals.get("compile", 0.0)
-            self.stats.step_time += totals.get("step", 0.0)
-            self.stats.batch_fill += totals.get("fill", 0.0)
-            self.stats.triage_time += totals.get("triage", 0.0)
+        for phase, seconds in self._profile.drain().items():
+            timer = _PHASE_TIMERS[phase]
+            setattr(self.stats, timer, getattr(self.stats, timer) + seconds)
 
     def _active_tracer(self) -> Tracer | None:
         """The assigned tracer, or None when tracing is off."""
@@ -518,28 +526,79 @@ class GMRFitnessEvaluator:
         config = self.config
         model, params = self._phenotype(individual)
         structure_key = model.structure_key()
-        total_cases = self.task.n_cases
-
         cache_key = None
         if config.use_tree_cache:
             cache_key = TreeCache.make_key(structure_key, params)
-            cached = self._cache.get(cache_key)
-            if cached is not None:
-                # A hit still counts its would-be fitness cases as possible
-                # (with zero evaluated), so ``step_fraction`` credits tree
-                # caching with the steps it saved and the invariant
-                # ``steps_evaluated <= steps_possible`` holds on every path.
-                self.stats.cache_hits += 1
-                self.stats.steps_possible += total_cases
-                return cached, True
-
+        cached = self._cached(cache_key)
+        if cached is not None:
+            return cached, True
         if config.static_triage and self._batchable:
             with self._profile.phase("triage"):
                 fatal = self._triage_fatal(model, params)
             if fatal:
-                return self._record_triage_skip(cache_key, total_cases)
+                return self._triage_skip(cache_key)
 
         return self._evaluate_scalar(model, params, structure_key, cache_key)
+
+    # -- Algorithm 1's outcomes, shared by the scalar loop and the replay --
+
+    def _cached(self, cache_key: Hashable | None) -> float | None:
+        """The counted tree-cache lookup of ``cache_key``.
+
+        A hit still counts its would-be fitness cases as possible (with
+        zero evaluated), so ``step_fraction`` credits tree caching with
+        the steps it saved and ``steps_evaluated <= steps_possible``
+        holds on every path.
+        """
+        if cache_key is None:
+            return None
+        cached = self._cache.get(cache_key)
+        if cached is not None:
+            self.stats.cache_hits += 1
+            self.stats.steps_possible += self.task.n_cases
+        return cached
+
+    def _short_circuit(self, estimate: float, cases_done: int) -> tuple[float, bool]:
+        """Stop after ``cases_done`` cases with the extrapolated fitness."""
+        self.stats.short_circuits += 1
+        self.stats.steps_evaluated += cases_done
+        return estimate, False
+
+    def _diverged(
+        self, cases_done: int, cache_key: Hashable | None
+    ) -> tuple[float, bool]:
+        """Score a simulation that broke after ``cases_done`` cases:
+        BAD_FITNESS, fully evaluated, cached."""
+        self.stats.divergences += 1
+        self.stats.steps_evaluated += cases_done
+        if cache_key is not None:
+            self._cache.put(cache_key, BAD_FITNESS)
+        return BAD_FITNESS, True
+
+    def _completed(
+        self, sse: float, cases_done: int, cache_key: Hashable | None
+    ) -> tuple[float, bool]:
+        """Score a run over all ``cases_done`` cases by its RMSE, lower
+        ``best_prev_full`` and cache it; an empty or non-finite sum
+        scores BAD_FITNESS, uncached."""
+        self.stats.steps_evaluated += cases_done
+        if cases_done == 0 or not math.isfinite(sse):
+            self.stats.divergences += 1
+            return BAD_FITNESS, True
+        fitness = math.sqrt(sse / cases_done)
+        self.stats.full_evaluations += 1
+        if fitness < self.best_prev_full:
+            self.best_prev_full = fitness
+        if cache_key is not None:
+            self._cache.put(cache_key, fitness)
+        return fitness, True
+
+    def _triage_skip(self, cache_key: Hashable | None) -> tuple[float, bool]:
+        """Score a triaged-out candidate exactly like a first-step
+        divergence: BAD_FITNESS, fully evaluated, zero cases run."""
+        self.stats.triage_skips += 1
+        self.stats.steps_possible += self.task.n_cases
+        return self._diverged(0, cache_key)
 
     def _triage_context_for_task(self):
         """The lazily built per-task triage context.
@@ -577,18 +636,6 @@ class GMRFitnessEvaluator:
 
         report = triage_model(model, params, self._triage_context_for_task())
         return bool(fatal_findings(report))
-
-    def _record_triage_skip(
-        self, cache_key: Hashable | None, total_cases: int
-    ) -> tuple[float, bool]:
-        """Score a triaged-out candidate exactly like a first-step
-        divergence: BAD_FITNESS, fully evaluated, zero cases run."""
-        self.stats.triage_skips += 1
-        self.stats.divergences += 1
-        self.stats.steps_possible += total_cases
-        if cache_key is not None:
-            self._cache.put(cache_key, BAD_FITNESS)
-        return BAD_FITNESS, True
 
     def _evaluate_scalar(
         self,
@@ -638,29 +685,12 @@ class GMRFitnessEvaluator:
                                 fitness, cases_done, total_cases
                             )
                             if estimate > self.best_prev_full:
-                                self.stats.short_circuits += 1
-                                self.stats.steps_evaluated += cases_done
-                                return estimate, False
+                                return self._short_circuit(estimate, cases_done)
             except (SimulationDiverged, OverflowError):
-                self.stats.divergences += 1
-                self.stats.steps_evaluated += cases_done
-                if cache_key is not None:
-                    self._cache.put(cache_key, BAD_FITNESS)
-                return BAD_FITNESS, True
+                return self._diverged(cases_done, cache_key)
             finally:
                 self.stats.steps_integrated += cases_done
-
-        self.stats.steps_evaluated += cases_done
-        if cases_done == 0 or not math.isfinite(sse):
-            self.stats.divergences += 1
-            return BAD_FITNESS, True
-        fitness = math.sqrt(sse / cases_done)
-        self.stats.full_evaluations += 1
-        if fitness < self.best_prev_full:
-            self.best_prev_full = fitness
-        if cache_key is not None:
-            self._cache.put(cache_key, fitness)
-        return fitness, True
+        return self._completed(sse, cases_done, cache_key)
 
     def _task_kernel(self, model: ProcessModel):
         """Compile the kernel the task's compiled error stream runs.
@@ -679,7 +709,7 @@ class GMRFitnessEvaluator:
         distinct parameter vectors in one vectorised rollout per
         :attr:`GMRConfig.kernel_batch_size` chunk -- and fuses up to
         :attr:`GMRConfig.fuse_cohort_size` structure groups into one
-        padded multi-structure kernel run (:meth:`_simulate_cohort`),
+        padded multi-structure kernel run (:meth:`_simulate`),
         which pools shared subexpressions across structures and removes
         the per-structure Python dispatch.  A vector kernel that raises
         demotes its structures to the scalar path (:meth:`_run_kernel`).
@@ -712,39 +742,25 @@ class GMRFitnessEvaluator:
             return []
         config = self.config
         trace = self._active_tracer()
+        before = replace(self.stats) if trace is not None else None
+        started = time.perf_counter()
         if (
             not config.use_batched_kernel
             or not config.use_compilation
             or not self._batchable
         ):
-            if trace is None:
-                return [self.evaluate(individual) for individual in cohort]
-            before_hits = self.stats.cache_hits
-            scalar_started = time.perf_counter()
             results = [self.evaluate(individual) for individual in cohort]
-            trace.point(
-                "evaluation_batch",
-                size=len(cohort),
-                batched=False,
-                cache_hits=self.stats.cache_hits - before_hits,
-                wall_time=time.perf_counter() - scalar_started,
-                source="scalar",
-            )
+            if trace is not None:
+                wall = time.perf_counter() - started
+                fields = dict(size=len(cohort), batched=False, source="scalar")
+                self._trace_batch(trace, before, wall, **fields)
             return results
 
-        if trace is not None:
-            before = (
-                self.stats.cache_hits,
-                self.stats.compile_time,
-                self.stats.step_time,
-                self.stats.batch_fill,
-            )
-        batch_started = time.perf_counter()
         with self._profile.phase("fill"):
             entries, groups = self._plan_batch(cohort)
-            fused, loose = self._plan_cohorts(groups)
-        for unit in [*fused, *loose]:
-            self._run_kernel(unit)
+            runs = self._plan_runs(groups)
+        for run in runs:
+            self._run_kernel(run)
         results = []
         for entry in entries:
             fitness, fully = self._finalize_entry(entry, groups)
@@ -753,24 +769,30 @@ class GMRFitnessEvaluator:
             self.stats.evaluations += 1
             results.append(fitness)
         self._drain_phases()
-        wall = time.perf_counter() - batch_started
+        wall = time.perf_counter() - started
         self.stats.wall_time += wall
         if trace is not None:
-            trace.point(
-                "evaluation_batch",
+            self._trace_batch(
+                trace,
+                before,
+                wall,
                 size=len(cohort),
                 batched=True,
                 groups=len(groups),
                 columns=sum(len(g.params) for g in groups.values()),
-                cohorts=len(fused),
-                cache_hits=self.stats.cache_hits - before[0],
-                wall_time=wall,
-                compile_time=self.stats.compile_time - before[1],
-                step_time=self.stats.step_time - before[2],
-                batch_fill=self.stats.batch_fill - before[3],
+                cohorts=sum(run.fused for run in runs),
                 source="batched",
             )
         return results
+
+    def _trace_batch(
+        self, trace: Tracer, before: EvaluationStats, wall: float, **fields
+    ) -> None:
+        """Emit one ``evaluate_batch`` call's ``evaluation_batch`` point:
+        ``fields``, its wall time, and the stats deltas since ``before``."""
+        for name in _BATCH_TRACE_DELTAS:
+            fields[name] = getattr(self.stats, name) - getattr(before, name)
+        trace.point("evaluation_batch", wall_time=wall, **fields)
 
     def _plan_batch(
         self, cohort: list[Individual]
@@ -852,26 +874,25 @@ class GMRFitnessEvaluator:
             del groups[group_key]
         return entries, groups
 
-    def _plan_cohorts(
-        self, groups: dict[Hashable, _BatchGroup]
-    ) -> tuple[list[_FusedCohort], list[_BatchGroup]]:
-        """Pack structure groups into fused cohorts; the rest stay loose.
+    def _plan_runs(self, groups: dict[Hashable, _BatchGroup]) -> list[_KernelRun]:
+        """Pack structure groups into kernel runs: fused cohorts first,
+        then one run per group left alone.
 
-        Groups are eligible when their column count fits one rollout
-        chunk (fused kernels never chunk: ``K <= kernel_batch_size``).
-        Eligible groups are partitioned by the orders the kernel bakes
-        in (``var_order``/``state_names``), sorted by their group key,
-        and packed ``fuse_cohort_size`` at a time -- deterministic given
-        the group *set*, independent of cohort arrival order, so a
-        recurring set of structures re-produces the same cohort
-        signatures and keeps hitting compiled kernels across shuffled
-        generations.  A chunk of one fuses with nobody and stays loose,
-        so ``fuse_cohort_size=1`` turns fusion off.
-        Blocklisted structures never reach this point: planning leaves
-        them out of every group.
+        Groups are eligible for fusion when their column count fits one
+        rollout chunk (fused kernels never chunk: ``K <=
+        kernel_batch_size``).  Eligible groups are partitioned by the
+        orders the kernel bakes in (``var_order``/``state_names``),
+        sorted by their group key, and packed ``fuse_cohort_size`` at a
+        time -- deterministic given the group *set*, independent of
+        cohort arrival order, so a recurring set of structures
+        re-produces the same cohort signatures and keeps hitting
+        compiled kernels across shuffled generations.  A chunk of one
+        fuses with nobody and runs alone, so ``fuse_cohort_size=1``
+        turns fusion off.  Blocklisted structures never reach this
+        point: planning leaves them out of every group.
         """
         config = self.config
-        fused: list[_FusedCohort] = []
+        fused: list[_KernelRun] = []
         loose: list[_BatchGroup] = []
         partitions: dict[tuple, list[tuple[Hashable, _BatchGroup]]] = {}
         for group_key, group in groups.items():
@@ -885,23 +906,21 @@ class GMRFitnessEvaluator:
         for members in partitions.values():
             members.sort(key=lambda item: item[0])
             for start in range(0, len(members), config.fuse_cohort_size):
-                chunk = members[start : start + config.fuse_cohort_size]
+                chunk = [
+                    group
+                    for __, group in members[start : start + config.fuse_cohort_size]
+                ]
                 if len(chunk) < 2:
-                    loose.extend(group for __, group in chunk)
+                    loose.extend(chunk)
                     continue
-                lanes = _pow2ceil(
-                    max(len(group.params) for __, group in chunk)
-                )
-                fused.append(
-                    _FusedCohort(
-                        groups=[group for __, group in chunk], lanes=lanes
-                    )
-                )
-        return fused, loose
+                lanes = _pow2ceil(max(len(group.params) for group in chunk))
+                fused.append(_KernelRun(groups=chunk, lanes=lanes))
+        return fused + [
+            _KernelRun(groups=[group], lanes=len(group.params)) for group in loose
+        ]
 
-    def _run_kernel(self, unit: _FusedCohort | _BatchGroup) -> None:
-        """Simulate ``unit`` through one vector kernel: a fused cohort's
-        kernel, or a lone structure group's batched rollouts.
+    def _run_kernel(self, run: _KernelRun) -> None:
+        """Simulate ``run`` through its vector kernel.
 
         The degradation ladder has one rung.  If the kernel raises
         (compile or rollout), every member structure goes on the kernel
@@ -916,17 +935,13 @@ class GMRFitnessEvaluator:
         kernel's counter (``fusion_fallbacks`` or ``kernel_fallbacks``)
         and a ``degradation`` trace event.
         """
-        fused = isinstance(unit, _FusedCohort)
         try:
-            if fused:
-                self._simulate_cohort(unit)
-            else:
-                self._simulate_group(unit)
+            self._simulate(run)
         except Exception as error:
-            for group in unit.groups if fused else [unit]:
+            for group in run.groups:
                 group.curves = None
                 self._kernel_blocklist.add(group.structure_key)
-            if fused:
+            if run.fused:
                 self.stats.fusion_fallbacks += 1
                 what = "cohort_scalar_fallback"
             else:
@@ -940,120 +955,99 @@ class GMRFitnessEvaluator:
                     error_type=type(error).__name__,
                     detail=str(error)[:200],
                 )
+            return
+        if run.fused:
+            self.stats.fused_cohorts += 1
+            self.stats.fused_columns += sum(len(group.params) for group in run.groups)
 
-    def _simulate_cohort(self, cohort: _FusedCohort) -> None:
-        """Run one fused cohort's rollout and error curves."""
-        with self._profile.phase("compile"):
-            kernel = compile_cohort(
-                [group.model for group in cohort.groups], cohort.lanes
-            )
-        with self._profile.phase("step"):
-            self._simulate_cohort_inner(cohort, kernel)
-        self.stats.fused_cohorts += 1
-        self.stats.fused_columns += sum(
-            len(group.params) for group in cohort.groups
-        )
+    def _simulate(self, run: _KernelRun) -> None:
+        """Integrate ``run``'s lanes and hand each group its error curves.
 
-    def _simulate_cohort_inner(
-        self, cohort: _FusedCohort, kernel: CompiledCohortKernel
-    ) -> None:
-        """Integrate all member structures in one fused padded pass.
-
-        Member ``m`` owns lanes ``[m * K, m * K + len(params))`` of the
-        fused parameter matrix; its padding lanes clone its first
+        Member ``m``'s columns fill lanes ``[m * lanes, m * lanes + K)``
+        of the parameter matrix; its padding lanes clone its first
         column (inert, and they diverge exactly when that column does,
         so padding never trips the rollout's NaN fast path on its own).
         Parameter rows beyond a member's own count are zero-filled --
-        the member's kernel never reads them.  Error curves are
-        computed over the full width with the same operations as the
-        per-structure path and handed to each group as lane-slice
-        views, so finalisation is oblivious to where the curves came
-        from.
+        the member's kernel never reads them.  A fused cohort rolls out
+        over its whole width at once, a lone group in
+        ``kernel_batch_size``-column chunks.  Each group gets lane-slice
+        views of the curves, so finalisation is oblivious to where they
+        came from.
         """
         task = self.task
-        lanes = cohort.lanes
-        params_matrix = np.zeros((kernel.n_params, kernel.width))
-        for member, group in enumerate(cohort.groups):
-            columns = np.array(group.params, dtype=float).T
-            lo = member * lanes
-            live = columns.shape[1]
-            params_matrix[: columns.shape[0], lo : lo + live] = columns
-            if live < lanes:
-                params_matrix[: columns.shape[0], lo + live : lo + lanes] = (
-                    columns[:, :1]
-                )
-        first_model = cohort.groups[0].model
-        target_index = first_model.state_names.index(task.target_state)
-        curves = _LaneCurves(
-            self, target_index, np.empty((task.n_cases, kernel.width))
-        )
-        rollout = fused_euler_rollout(
-            kernel,
-            params_matrix,
-            task.drivers,
-            task.initial_state,
-            first_model.var_order,
-            dt=task.dt,
-            clamp=task.clamp,
-            stop=curves if curves.retiring else None,
-        )
-        first_bad = curves.finish(rollout)
-        rows = rollout.rows_run
-        self.stats.steps_integrated += rows * sum(
-            len(group.params) for group in cohort.groups
-        )
-        for member, group in enumerate(cohort.groups):
-            lo = member * lanes
-            live = len(group.params)
-            group.curves = curves.curves[:, lo : lo + live]
-            group.diverged_at = first_bad[lo : lo + live]
-            group.rows_run = np.full(live, rows)
-
-    def _simulate_group(self, group: _BatchGroup) -> None:
-        """Run one structure group's batched rollouts and error curves."""
+        first = run.groups[0].model
         with self._profile.phase("compile"):
-            group.model.compiled_batched()
-        with self._profile.phase("step"):
-            task = self.task
-            target_index = group.model.state_names.index(task.target_state)
-            n_columns = len(group.params)
-            params_matrix = np.array(group.params, dtype=float).T
-            curves = np.empty((task.n_cases, n_columns))
-            diverged_at = np.empty(n_columns, dtype=np.int64)
-            rows_run = np.empty(n_columns, dtype=np.int64)
-            width = self.config.kernel_batch_size
-            for start in range(0, n_columns, width):
-                stop = min(start + width, n_columns)
-                chunk = _LaneCurves(self, target_index, curves[:, start:stop])
-                rollout = batched_euler_rollout(
-                    group.model,
-                    params_matrix[:, start:stop],
-                    task.drivers,
-                    task.initial_state,
-                    dt=task.dt,
-                    clamp=task.clamp,
-                    stop=chunk if chunk.retiring else None,
+            # Lone and fused runs compile and roll out through different
+            # names while the benchmark's probes wrap both (ROADMAP item
+            # 1); after that a lone group is a one-member cohort.
+            if run.fused:
+                kernel = compile_cohort(
+                    [group.model for group in run.groups], run.lanes
                 )
-                diverged_at[start:stop] = chunk.finish(rollout)
+            else:
+                first.compiled_batched()
+        with self._profile.phase("step"):
+            columns = [np.array(group.params, dtype=float).T for group in run.groups]
+            width = run.lanes * len(run.groups)
+            params_matrix = np.zeros((max(c.shape[0] for c in columns), width))
+            live = np.zeros(width, dtype=bool)
+            for member, block in enumerate(columns):
+                lo = member * run.lanes
+                rows, count = block.shape
+                params_matrix[:rows, lo : lo + count] = block
+                params_matrix[:rows, lo + count : lo + run.lanes] = block[:, :1]
+                live[lo : lo + count] = True
+            target_index = first.state_names.index(task.target_state)
+            curves = np.empty((task.n_cases, width))
+            diverged_at = np.empty(width, dtype=np.int64)
+            rows_run = np.empty(width, dtype=np.int64)
+            chunk = width if run.fused else self.config.kernel_batch_size
+            for start in range(0, width, chunk):
+                stop = min(start + chunk, width)
+                lane_curves = _LaneCurves(self, target_index, curves[:, start:stop])
+                check = lane_curves if lane_curves.retiring else None
+                if run.fused:
+                    rollout = fused_euler_rollout(
+                        kernel,
+                        params_matrix,
+                        task.drivers,
+                        task.initial_state,
+                        first.var_order,
+                        dt=task.dt,
+                        clamp=task.clamp,
+                        stop=check,
+                    )
+                else:
+                    rollout = batched_euler_rollout(
+                        first,
+                        params_matrix[:, start:stop],
+                        task.drivers,
+                        task.initial_state,
+                        dt=task.dt,
+                        clamp=task.clamp,
+                        stop=check,
+                    )
+                diverged_at[start:stop] = lane_curves.finish(rollout)
                 rows_run[start:stop] = rollout.rows_run
-                self.stats.steps_integrated += rollout.rows_run * (stop - start)
-            group.curves = curves
-            group.diverged_at = diverged_at
-            group.rows_run = rows_run
+                self.stats.steps_integrated += rollout.rows_run * int(
+                    live[start:stop].sum()
+                )
+            for member, group in enumerate(run.groups):
+                lo = member * run.lanes
+                hi = lo + len(group.params)
+                group.curves = curves[:, lo:hi]
+                group.diverged_at = diverged_at[lo:hi]
+                group.rows_run = rows_run[lo:hi]
 
     def _finalize_entry(
         self, entry: _BatchEntry, groups: dict[Hashable, _BatchGroup]
     ) -> tuple[float, bool]:
         """Score one cohort member exactly as the scalar path would."""
-        total_cases = self.task.n_cases
-        if entry.cache_key is not None:
-            cached = self._cache.get(entry.cache_key)
-            if cached is not None:
-                self.stats.cache_hits += 1
-                self.stats.steps_possible += total_cases
-                return cached, True
+        cached = self._cached(entry.cache_key)
+        if cached is not None:
+            return cached, True
         if entry.triaged:
-            return self._record_triage_skip(entry.cache_key, total_cases)
+            return self._triage_skip(entry.cache_key)
         group = (
             groups.get(entry.group_key)
             if entry.group_key is not None
@@ -1067,7 +1061,7 @@ class GMRFitnessEvaluator:
                 entry.model, entry.params, entry.structure_key, entry.cache_key
             )
         self.stats.batched_evaluations += 1
-        self.stats.steps_possible += total_cases
+        self.stats.steps_possible += self.task.n_cases
         assert group.diverged_at is not None and group.rows_run is not None
         return self._score_curve(
             group.curves[:, entry.column],
@@ -1113,32 +1107,13 @@ class GMRFitnessEvaluator:
                         float(partial[index]), cases_done, total_cases
                     )
                     if estimate > best:
-                        self.stats.short_circuits += 1
-                        self.stats.steps_evaluated += cases_done
-                        return estimate, False
+                        return self._short_circuit(estimate, cases_done)
         if usable_cases == rows_run < total_cases:
             raise AssertionError(
                 f"a retired column's replay reached row {rows_run} of "
                 f"{total_cases} without a cut"
             )
         if usable_cases < total_cases:
-            self.stats.divergences += 1
-            self.stats.steps_evaluated += usable_cases
-            if cache_key is not None:
-                self._cache.put(cache_key, BAD_FITNESS)
-            return BAD_FITNESS, True
-        self.stats.steps_evaluated += total_cases
-        if total_cases == 0:
-            self.stats.divergences += 1
-            return BAD_FITNESS, True
-        sse = float(cumulative_sse[total_cases - 1])
-        if not math.isfinite(sse):
-            self.stats.divergences += 1
-            return BAD_FITNESS, True
-        fitness = math.sqrt(sse / total_cases)
-        self.stats.full_evaluations += 1
-        if fitness < self.best_prev_full:
-            self.best_prev_full = fitness
-        if cache_key is not None:
-            self._cache.put(cache_key, fitness)
-        return fitness, True
+            return self._diverged(usable_cases, cache_key)
+        sse = float(cumulative_sse[-1]) if total_cases else 0.0
+        return self._completed(sse, total_cases, cache_key)

@@ -1,7 +1,7 @@
 """Cohort fusion in the evaluator: kernel reuse and degradation.
 
 Fusing several structure groups into one padded cohort kernel
-(``GMRFitnessEvaluator._plan_cohorts`` / ``_simulate_cohort``) must be
+(``GMRFitnessEvaluator._plan_runs`` / ``_simulate``) must be
 observationally invisible; the differential oracle harness
 (``tests/test_oracle.py``) checks that against sequential scalar
 evaluation.  These tests pin cohort-kernel cache reuse across

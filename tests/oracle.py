@@ -475,24 +475,13 @@ def _check_simplify(exprs, orders, scalar, P, S, table) -> None:
     """``simplify`` keeps every value on finite inputs (it assumes
     finite leaves: ``x - x -> 0`` on a leaf)."""
     simple = [simplify(e) for e in exprs]
-    # The compilers spell constants by ``repr``, so a non-finite one
-    # (simplify folds ``1e300 * 1e300``) has no compiled form; such a
-    # tree is held to the interpreter only.
-    compiled = all(
-        math.isfinite(node.value)
-        for e in simple
-        for node in e.walk()
-        if isinstance(node, Const)
-    )
-    if compiled:
-        simple_scalar = compile_model(simple, *orders)
-        _check_batched(simple, orders, simple_scalar, P, S, table, False)
+    simple_scalar = compile_model(simple, *orders)
+    _check_batched(simple, orders, simple_scalar, P, S, table, False)
     for __, t, Pk, row, Sk in _lanes_rows(P, S, table):
         if not all(map(math.isfinite, (*Pk, *row, *Sk))):
             continue
-        if compiled:
-            want = scalar(Pk, row, Sk)
-            assert all(map(same_value, simple_scalar(Pk, row, Sk), want))
+        want = scalar(Pk, row, Sk)
+        assert all(map(same_value, simple_scalar(Pk, row, Sk), want))
         if t < INTERP_ROWS:
             want = _interpret(exprs, orders, Pk, row, Sk)
             got = _interpret(simple, orders, Pk, row, Sk)
@@ -870,13 +859,13 @@ class RolloutLog:
                 return rollout
 
             monkeypatch.setattr(fitness_module, name, wrapper)
-        inner = GMRFitnessEvaluator._simulate_cohort_inner
+        inner = GMRFitnessEvaluator._simulate
 
-        def cohort(evaluator, fused, kernel):
-            layouts.append((fused.lanes, [len(group.params) for group in fused.groups]))
-            inner(evaluator, fused, kernel)
+        def simulate(evaluator, run):
+            layouts.append((run.lanes, [len(group.params) for group in run.groups]))
+            inner(evaluator, run)
 
-        monkeypatch.setattr(GMRFitnessEvaluator, "_simulate_cohort_inner", cohort)
+        monkeypatch.setattr(GMRFitnessEvaluator, "_simulate", simulate)
 
     def check_padding(self) -> None:
         """:func:`check_padding` on every fused rollout -- after the batch,
