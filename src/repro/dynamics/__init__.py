@@ -14,12 +14,7 @@ from repro.dynamics.integrate import (
     safe_simulate,
     simulate,
 )
-from repro.dynamics.system import (
-    ModelError,
-    ProcessModel,
-    cohort_signature,
-    compile_cohort,
-)
+from repro.dynamics.system import ModelError, ProcessModel
 from repro.dynamics.task import BAD_FITNESS, ModelingTask
 
 __all__ = [
@@ -33,8 +28,6 @@ __all__ = [
     "ProcessModel",
     "SimulationDiverged",
     "batched_euler_rollout",
-    "cohort_signature",
-    "compile_cohort",
     "euler_steps",
     "fused_euler_rollout",
     "is_finite_trajectory",

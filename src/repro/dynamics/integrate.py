@@ -283,7 +283,8 @@ def fused_euler_rollout(
     happens explicitly per step.  With a ``stop`` callback the loop ends
     as soon as it returns True, or as soon as every lane has diverged,
     and the result is cut to the rows integrated (see
-    :class:`BatchedRollout`).
+    :class:`BatchedRollout`).  The fitness evaluator reaches it only
+    through :func:`batched_euler_rollout`, with a one-member kernel.
 
     Args:
         kernel: A cohort kernel from

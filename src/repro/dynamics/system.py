@@ -20,9 +20,11 @@ from repro.expr.compile import (
     CompiledStationKernel,
     compile_model,
     compile_model_batched,
-    compile_model_cohort,
     compile_station_kernel,
 )
+
+# The e2e benchmark's probes wrap this name here (ROADMAP item 1).
+from repro.expr.compile import compile_model_cohort  # noqa: F401
 from repro.expr.evaluate import evaluate
 from repro.expr.simplify import canonical_key
 
@@ -247,65 +249,3 @@ class ProcessModel:
             for name, expr in self.equations.items()
         ]
         return "\n".join(lines)
-
-
-def cohort_signature(
-    models: Sequence[ProcessModel], lanes_per_member: int
-) -> tuple:
-    """The :data:`KERNEL_CACHE` key of a fused cohort kernel.
-
-    Keyed on every member's ``(structure_key, param_order)`` in packing
-    order plus the lane count and the shared variable/state orders --
-    everything the generated source bakes in (lane-slice bounds depend
-    on ``lanes_per_member``).  Deterministic packing upstream makes the
-    signature stable across generations, so a recurring set of
-    structures keeps hitting one compiled kernel even when the cohort
-    is re-planned from a shuffled population.
-    """
-    first = models[0]
-    return (
-        "cohort",
-        tuple(
-            (model.structure_key(), model.param_order) for model in models
-        ),
-        lanes_per_member,
-        first.var_order,
-        first.state_names,
-    )
-
-
-def compile_cohort(
-    models: Sequence[ProcessModel], lanes_per_member: int
-) -> CompiledCohortKernel:
-    """Fused cohort kernel for ``models``, via :data:`KERNEL_CACHE`.
-
-    Every member must share ``var_order`` and ``state_names`` (the
-    fitness planner partitions on both before packing cohorts).
-    """
-    if not models:
-        raise ModelError("a cohort needs at least one model")
-    first = models[0]
-    for model in models:
-        if (
-            model.var_order != first.var_order
-            or model.state_names != first.state_names
-        ):
-            raise ModelError(
-                "cohort members must share var_order and state_names"
-            )
-
-    def build() -> CompiledCohortKernel:
-        members = [
-            (
-                [strip_ext(model.equations[name]) for name in model.state_names],
-                model.param_order,
-            )
-            for model in models
-        ]
-        return compile_model_cohort(
-            members, first.var_order, first.state_names, lanes_per_member
-        )
-
-    return KERNEL_CACHE.get_or_build(
-        cohort_signature(models, lanes_per_member), build
-    )

@@ -15,10 +15,6 @@ from repro.experiments.kernel_batching import (
     KernelBatchingResult,
     run_kernel_batching,
 )
-from repro.experiments.kernel_fusion import (
-    KernelFusionResult,
-    run_kernel_fusion,
-)
 from repro.experiments.parallel_scaling import (
     ParallelScalingResult,
     run_parallel_scaling,
@@ -41,7 +37,6 @@ REGISTRY = {
     "fig11": ("Evaluation short-circuiting threshold sweep", run_fig11),
     "scaling": ("Parallel run scaling (speedup vs. workers)", run_parallel_scaling),
     "kernel": ("Batched-kernel throughput vs. scalar integration", run_kernel_batching),
-    "fusion": ("Fused cohort kernels vs. per-structure batched path", run_kernel_fusion),
     "case-study": ("Discovered revisions (Section IV-E)", run_case_study),
 }
 
@@ -53,7 +48,6 @@ __all__ = [
     "Fig10Result",
     "Fig11Result",
     "KernelBatchingResult",
-    "KernelFusionResult",
     "ParallelScalingResult",
     "REGISTRY",
     "SCALES",
@@ -70,7 +64,6 @@ __all__ = [
     "run_fig10",
     "run_fig11",
     "run_kernel_batching",
-    "run_kernel_fusion",
     "run_parallel_scaling",
     "run_table1",
     "run_table2",

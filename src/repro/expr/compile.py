@@ -32,7 +32,9 @@ operator spelling (scalar inline guards, or the NumPy helpers of
   every other subtree stays in the step.  Value numbering is
   cohort-wide, so positionally identical subexpressions of *different*
   structures are computed once, and each member's results are written
-  only to its own lane slice;
+  only to its own lane slice.  The fitness evaluator runs only its
+  one-member form below; several members in one kernel are exercised by
+  the kernel tests and the oracle harness;
 * the **batched** form (:func:`compile_model_batched`) is the
   one-member cohort: K parameter columns of one structure, whole output
   rows; and

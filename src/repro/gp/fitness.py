@@ -28,9 +28,11 @@ from repro.dynamics.integrate import (
     BatchedRollout,
     SimulationDiverged,
     batched_euler_rollout,
-    fused_euler_rollout,
 )
-from repro.dynamics.system import ProcessModel, compile_cohort
+
+# The e2e benchmark's probes wrap this name here (ROADMAP item 1).
+from repro.dynamics.integrate import fused_euler_rollout  # noqa: F401
+from repro.dynamics.system import ProcessModel
 from repro.dynamics.task import BAD_FITNESS, ModelingTask
 from repro.expr.compile import KernelCache, KernelCacheStats
 from repro.gp.cache import CacheStats, TreeCache
@@ -79,12 +81,11 @@ class EvaluationStats:
     under Algorithm 1 -- on both the scalar and the batched path, so ES
     selectivity numbers stay comparable across kernels.
     ``steps_integrated`` counts what was actually simulated: the rows the
-    scalar error stream produced, plus rows run times live columns for
-    every batched or fused rollout (padding lanes excluded, deduplicated
-    columns once).  A vector rollout integrates past a lane's cut until
-    its next stop check (or to the end with ES off), so
-    ``steps_integrated - steps_evaluated`` is the simulation Algorithm 1
-    did not need.  The timing
+    scalar error stream produced, plus rows run times columns for every
+    batched rollout (deduplicated columns once).  A vector rollout
+    integrates past a lane's cut until its next stop check (or to the
+    end with ES off), so ``steps_integrated - steps_evaluated`` is the
+    simulation Algorithm 1 did not need.  The timing
     fields break the actual compute down by phase: ``compile_time``
     (acquiring compiled kernels, cached or not), ``step_time``
     (integration and error-curve computation, scalar or batched), and
@@ -128,15 +129,8 @@ class EvaluationStats:
     pool_fallbacks: int = 0
     #: Broken evaluation pools rebuilt by ``ProcessPoolBackend``.
     pool_rebuilds: int = 0
-    #: Fused multi-structure cohort kernels run to completion
-    #: (``GMRFitnessEvaluator._simulate``).
-    fused_cohorts: int = 0
-    #: Live parameter columns integrated through fused cohort kernels
-    #: (padding lanes excluded).
-    fused_columns: int = 0
-    #: Cohorts demoted from the fused kernel to scalar after the fused
-    #: kernel raised (the same rung as ``kernel_fallbacks``, counted
-    #: for the fused kernel).
+    #: Always 0: kept because the e2e benchmark's probe sums it into
+    #: ``fitness.degradations`` (ROADMAP item 1).
     fusion_fallbacks: int = 0
     #: Phenotypes served from the per-shape derivation memo
     #: (:mod:`repro.gp.phenotype`) and phenotypes derived in full.  A
@@ -368,34 +362,6 @@ class _LaneCurves:
         return np.minimum(self.first_bad, rollout.diverged_at)
 
 
-def _pow2ceil(value: int) -> int:
-    """The smallest power of two >= ``value`` (``value`` >= 1)."""
-    return 1 << (value - 1).bit_length() if value > 1 else 1
-
-
-@dataclass
-class _KernelRun:
-    """Structure groups simulated by one vector kernel: a fused cohort
-    of several groups, or one lone group.
-
-    Member ``m`` owns lanes ``[m * lanes, (m + 1) * lanes)``.  A lone
-    group's ``lanes`` is its column count.  A fused cohort's is the
-    largest member's column count rounded up to a power of two, so a
-    recurring member set keeps hitting one compiled cohort kernel while
-    its group sizes fluctuate; members with fewer columns pad the
-    remaining lanes with clones of their first column -- inert work
-    whose results are never read (the member's ``curves``/
-    ``diverged_at`` views cover only its live columns).
-    """
-
-    groups: list[_BatchGroup]
-    lanes: int
-
-    @property
-    def fused(self) -> bool:
-        return len(self.groups) > 1
-
-
 @dataclass
 class GMRFitnessEvaluator:
     """Evaluates individuals on a modeling task with TC/ES/RC switches.
@@ -432,12 +398,12 @@ class GMRFitnessEvaluator:
         #: Lazily built static-triage context (repro.lint.triage); not
         #: pickled -- rebuilt from task/config after resume.
         self._triage_context = None
-        #: Structure keys demoted to the scalar path after a vector
-        #: kernel containing them raised (degradation ladder, see
-        #: :meth:`_run_kernel`).  The vector paths are bit-identical
-        #: with the scalar one except NumPy ``exp``/``log``, which match
-        #: libm only to float tolerance, so demotion moves the work and
-        #: can move a fitness only by those float-tolerance differences.
+        #: Structure keys demoted to the scalar path after their vector
+        #: kernel raised (degradation ladder, see :meth:`_run_kernel`).
+        #: The vector path is bit-identical with the scalar one except
+        #: NumPy ``exp``/``log``, which match libm only to float
+        #: tolerance, so demotion moves the work and can move a fitness
+        #: only by those float-tolerance differences.
         self._kernel_blocklist: set[str] = set()
         #: Derived models per derivation shape (repro.gp.phenotype);
         #: pickled empty, so an unpickled evaluator starts empty.
@@ -705,20 +671,16 @@ class GMRFitnessEvaluator:
     def evaluate_batch(self, individuals: Sequence[Individual]) -> list[float]:
         """Evaluate a cohort through the batched NumPy kernels.
 
-        Groups the cohort by model structure, integrates each group's K
-        distinct parameter vectors in one vectorised rollout per
-        :attr:`GMRConfig.kernel_batch_size` chunk -- and fuses up to
-        :attr:`GMRConfig.fuse_cohort_size` structure groups into one
-        padded multi-structure kernel run (:meth:`_simulate`),
-        which pools shared subexpressions across structures and removes
-        the per-structure Python dispatch.  A vector kernel that raises
-        demotes its structures to the scalar path (:meth:`_run_kernel`).
-        It then finalises every member *in cohort order*, replaying
-        exactly the decisions the scalar path would have made:
-        tree-cache lookups (hits produced by earlier members of this
-        very cohort included), Algorithm 1 short-circuits against the
-        live ``best_prev_full`` marker, divergence scoring, and cache
-        write-back.  Fitness values, the
+        Groups the cohort by model structure and integrates each group's
+        K distinct parameter vectors in one vectorised rollout per
+        :attr:`GMRConfig.kernel_batch_size` chunk (:meth:`_simulate`).
+        A vector kernel that raises demotes its structure to the scalar
+        path (:meth:`_run_kernel`).  It then finalises every member *in
+        cohort order*, replaying exactly the decisions the scalar path
+        would have made: tree-cache lookups (hits produced by earlier
+        members of this very cohort included), Algorithm 1
+        short-circuits against the live ``best_prev_full`` marker,
+        divergence scoring, and cache write-back.  Fitness values, the
         marker, and all statistics therefore match a sequence of
         :meth:`evaluate` calls to float tolerance.  The vector kernels
         integrate ahead of the replay, and with ES on they stop
@@ -758,9 +720,8 @@ class GMRFitnessEvaluator:
 
         with self._profile.phase("fill"):
             entries, groups = self._plan_batch(cohort)
-            runs = self._plan_runs(groups)
-        for run in runs:
-            self._run_kernel(run)
+        for group in groups.values():
+            self._run_kernel(group)
         results = []
         for entry in entries:
             fitness, fully = self._finalize_entry(entry, groups)
@@ -780,7 +741,6 @@ class GMRFitnessEvaluator:
                 batched=True,
                 groups=len(groups),
                 columns=sum(len(g.params) for g in groups.values()),
-                cohorts=sum(run.fused for run in runs),
                 source="batched",
             )
         return results
@@ -874,170 +834,70 @@ class GMRFitnessEvaluator:
             del groups[group_key]
         return entries, groups
 
-    def _plan_runs(self, groups: dict[Hashable, _BatchGroup]) -> list[_KernelRun]:
-        """Pack structure groups into kernel runs: fused cohorts first,
-        then one run per group left alone.
-
-        Groups are eligible for fusion when their column count fits one
-        rollout chunk (fused kernels never chunk: ``K <=
-        kernel_batch_size``).  Eligible groups are partitioned by the
-        orders the kernel bakes in (``var_order``/``state_names``),
-        sorted by their group key, and packed ``fuse_cohort_size`` at a
-        time -- deterministic given the group *set*, independent of
-        cohort arrival order, so a recurring set of structures
-        re-produces the same cohort signatures and keeps hitting
-        compiled kernels across shuffled generations.  A chunk of one
-        fuses with nobody and runs alone, so ``fuse_cohort_size=1``
-        turns fusion off.  Blocklisted structures never reach this
-        point: planning leaves them out of every group.
-        """
-        config = self.config
-        fused: list[_KernelRun] = []
-        loose: list[_BatchGroup] = []
-        partitions: dict[tuple, list[tuple[Hashable, _BatchGroup]]] = {}
-        for group_key, group in groups.items():
-            if len(group.params) > config.kernel_batch_size:
-                loose.append(group)
-                continue
-            partition_key = (group.model.var_order, group.model.state_names)
-            partitions.setdefault(partition_key, []).append(
-                (group_key, group)
-            )
-        for members in partitions.values():
-            members.sort(key=lambda item: item[0])
-            for start in range(0, len(members), config.fuse_cohort_size):
-                chunk = [
-                    group
-                    for __, group in members[start : start + config.fuse_cohort_size]
-                ]
-                if len(chunk) < 2:
-                    loose.extend(chunk)
-                    continue
-                lanes = _pow2ceil(max(len(group.params) for group in chunk))
-                fused.append(_KernelRun(groups=chunk, lanes=lanes))
-        return fused + [
-            _KernelRun(groups=[group], lanes=len(group.params)) for group in loose
-        ]
-
-    def _run_kernel(self, run: _KernelRun) -> None:
-        """Simulate ``run`` through its vector kernel.
+    def _run_kernel(self, group: _BatchGroup) -> None:
+        """Simulate ``group`` through its vector kernel.
 
         The degradation ladder has one rung.  If the kernel raises
-        (compile or rollout), every member structure goes on the kernel
-        blocklist and its curves stay unset, so finalisation scores its
-        members through the scalar path and later batches plan it
-        straight to scalar.  A fused failure cannot be attributed to one
-        member, so the whole cohort is demoted together.  The vector
-        paths are bit-identical with the scalar one except that NumPy
-        evaluates ``exp``/``log``, which match libm only to float
-        tolerance, so a demoted structure's fitness can move in its
-        last bits.  Otherwise the only observable effects are the failed
-        kernel's counter (``fusion_fallbacks`` or ``kernel_fallbacks``)
-        and a ``degradation`` trace event.
+        (compile or rollout), the structure goes on the kernel blocklist
+        and its curves stay unset, so finalisation scores its members
+        through the scalar path and later batches plan it straight to
+        scalar.  The vector path is bit-identical with the scalar one
+        except that NumPy evaluates ``exp``/``log``, which match libm
+        only to float tolerance, so a demoted structure's fitness can
+        move in its last bits.  Otherwise the only observable effects
+        are ``kernel_fallbacks`` and a ``degradation`` trace event.
         """
         try:
-            self._simulate(run)
+            self._simulate(group)
         except Exception as error:
-            for group in run.groups:
-                group.curves = None
-                self._kernel_blocklist.add(group.structure_key)
-            if run.fused:
-                self.stats.fusion_fallbacks += 1
-                what = "cohort_scalar_fallback"
-            else:
-                self.stats.kernel_fallbacks += 1
-                what = "kernel_scalar_fallback"
+            group.curves = None
+            self._kernel_blocklist.add(group.structure_key)
+            self.stats.kernel_fallbacks += 1
             tracer = self._active_tracer()
             if tracer is not None:
                 tracer.point(
                     "degradation",
-                    what=what,
+                    what="kernel_scalar_fallback",
                     error_type=type(error).__name__,
                     detail=str(error)[:200],
                 )
-            return
-        if run.fused:
-            self.stats.fused_cohorts += 1
-            self.stats.fused_columns += sum(len(group.params) for group in run.groups)
 
-    def _simulate(self, run: _KernelRun) -> None:
-        """Integrate ``run``'s lanes and hand each group its error curves.
+    def _simulate(self, group: _BatchGroup) -> None:
+        """Integrate ``group``'s columns and hand it its error curves.
 
-        Member ``m``'s columns fill lanes ``[m * lanes, m * lanes + K)``
-        of the parameter matrix; its padding lanes clone its first
-        column (inert, and they diverge exactly when that column does,
-        so padding never trips the rollout's NaN fast path on its own).
-        Parameter rows beyond a member's own count are zero-filled --
-        the member's kernel never reads them.  A fused cohort rolls out
-        over its whole width at once, a lone group in
-        ``kernel_batch_size``-column chunks.  Each group gets lane-slice
-        views of the curves, so finalisation is oblivious to where they
-        came from.
+        The columns roll out in ``kernel_batch_size``-column chunks of
+        one ``(n_params, K)`` parameter matrix.
         """
         task = self.task
-        first = run.groups[0].model
+        model = group.model
         with self._profile.phase("compile"):
-            # Lone and fused runs compile and roll out through different
-            # names while the benchmark's probes wrap both (ROADMAP item
-            # 1); after that a lone group is a one-member cohort.
-            if run.fused:
-                kernel = compile_cohort(
-                    [group.model for group in run.groups], run.lanes
-                )
-            else:
-                first.compiled_batched()
+            model.compiled_batched()
         with self._profile.phase("step"):
-            columns = [np.array(group.params, dtype=float).T for group in run.groups]
-            width = run.lanes * len(run.groups)
-            params_matrix = np.zeros((max(c.shape[0] for c in columns), width))
-            live = np.zeros(width, dtype=bool)
-            for member, block in enumerate(columns):
-                lo = member * run.lanes
-                rows, count = block.shape
-                params_matrix[:rows, lo : lo + count] = block
-                params_matrix[:rows, lo + count : lo + run.lanes] = block[:, :1]
-                live[lo : lo + count] = True
-            target_index = first.state_names.index(task.target_state)
+            params = np.array(group.params, dtype=float).T.copy()
+            width = params.shape[1]
+            target_index = model.state_names.index(task.target_state)
             curves = np.empty((task.n_cases, width))
             diverged_at = np.empty(width, dtype=np.int64)
             rows_run = np.empty(width, dtype=np.int64)
-            chunk = width if run.fused else self.config.kernel_batch_size
+            chunk = self.config.kernel_batch_size
             for start in range(0, width, chunk):
                 stop = min(start + chunk, width)
                 lane_curves = _LaneCurves(self, target_index, curves[:, start:stop])
-                check = lane_curves if lane_curves.retiring else None
-                if run.fused:
-                    rollout = fused_euler_rollout(
-                        kernel,
-                        params_matrix,
-                        task.drivers,
-                        task.initial_state,
-                        first.var_order,
-                        dt=task.dt,
-                        clamp=task.clamp,
-                        stop=check,
-                    )
-                else:
-                    rollout = batched_euler_rollout(
-                        first,
-                        params_matrix[:, start:stop],
-                        task.drivers,
-                        task.initial_state,
-                        dt=task.dt,
-                        clamp=task.clamp,
-                        stop=check,
-                    )
+                rollout = batched_euler_rollout(
+                    model,
+                    params[:, start:stop],
+                    task.drivers,
+                    task.initial_state,
+                    dt=task.dt,
+                    clamp=task.clamp,
+                    stop=lane_curves if lane_curves.retiring else None,
+                )
                 diverged_at[start:stop] = lane_curves.finish(rollout)
                 rows_run[start:stop] = rollout.rows_run
-                self.stats.steps_integrated += rollout.rows_run * int(
-                    live[start:stop].sum()
-                )
-            for member, group in enumerate(run.groups):
-                lo = member * run.lanes
-                hi = lo + len(group.params)
-                group.curves = curves[:, lo:hi]
-                group.diverged_at = diverged_at[lo:hi]
-                group.rows_run = rows_run[lo:hi]
+                self.stats.steps_integrated += rollout.rows_run * (stop - start)
+            group.curves = curves
+            group.diverged_at = diverged_at
+            group.rows_run = rows_run
 
     def _finalize_entry(
         self, entry: _BatchEntry, groups: dict[Hashable, _BatchGroup]

@@ -161,6 +161,8 @@ EVENT_SCHEMAS: dict[str, EventSchema] = {
             "cache_hits": int,
             "groups": int,
             "columns": int,
+            # Fused cohorts per batch: no longer emitted, still accepted
+            # so traces written before structure fusion was deleted read.
             "cohorts": int,
             "wall_time": float,
             "compile_time": float,
@@ -196,8 +198,8 @@ EVENT_SCHEMAS: dict[str, EventSchema] = {
         required={"reason": str, "generation": int},
         optional={"evaluations": int, "elapsed": float},
     ),
-    # The degradation ladder engaged (point): a batched or fused kernel
-    # fell back to the scalar path for its structures, or a broken
+    # The degradation ladder engaged (point): a batched kernel fell
+    # back to the scalar path for its structure, or a broken
     # process pool fell back to serial evaluation.  Results are
     # unchanged; only the execution strategy degraded.
     "degradation": EventSchema(

@@ -80,7 +80,6 @@ class TestRegistry:
             "fig11",
             "scaling",
             "kernel",
-            "fusion",
             "case-study",
         }
 

@@ -109,11 +109,10 @@ class TestKernelEquivalence:
         )
 
     def test_fused_run_matches_unfused_run(self, spec, knowledge, mini_task):
-        """Cohort fusion (several structures in one padded kernel) must
-        be invisible next to the per-structure batched path, in every
-        registered domain.  ``kernel_min_batch=1`` admits the initial
-        population's singleton structure groups so the planner actually
-        packs multi-structure cohorts inside the mini run."""
+        """Every structure group through the vector kernel, singletons
+        included (``kernel_min_batch=1``: the groups structure fusion
+        once packed), must be invisible next to the scalar path, in
+        every registered domain."""
         seed = spec.conformance.mini_seed
         on = GMREngine(
             knowledge,
@@ -123,9 +122,7 @@ class TestKernelEquivalence:
         off = GMREngine(
             knowledge,
             mini_task,
-            conformance_config(
-                spec, fuse_cohort_size=1, kernel_min_batch=1
-            ),
+            conformance_config(spec, use_batched_kernel=False),
         ).run(seed=seed)
         assert on.best_fitness == pytest.approx(
             off.best_fitness, rel=1e-9, abs=0.0
@@ -133,8 +130,8 @@ class TestKernelEquivalence:
         assert histories(on) == pytest.approx(
             histories(off), rel=1e-9, abs=0.0
         )
-        assert on.stats.fused_cohorts > 0
-        assert off.stats.fused_cohorts == 0
+        assert on.stats.batched_evaluations > 0
+        assert off.stats.batched_evaluations == 0
 
 
 class TestDeterminism:

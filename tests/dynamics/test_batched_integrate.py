@@ -18,10 +18,17 @@ from repro.dynamics.integrate import (
     fused_euler_rollout,
     rk4_steps,
 )
-from repro.dynamics.system import ProcessModel, compile_cohort
+from repro.dynamics.system import ProcessModel
 from repro.expr import ast
 from repro.expr.ast import Const, Param, State, Var
-from tests.oracle import HUGE, decay_model, logistic_model, poison_model, wavy_drivers
+from tests.oracle import (
+    HUGE,
+    cohort_kernel,
+    decay_model,
+    logistic_model,
+    poison_model,
+    wavy_drivers,
+)
 
 
 def batched(shape, initial):
@@ -31,7 +38,7 @@ def batched(shape, initial):
 
 def fused(shape, initial):
     """A two-member cohort of width 4 (three parameter rows)."""
-    kernel = compile_cohort([logistic_model(), decay_model()], 2)
+    kernel = cohort_kernel([logistic_model(), decay_model()], 2)
     return fused_euler_rollout(
         kernel, np.zeros(shape), wavy_drivers(5), initial, ("Vx",)
     )

@@ -1,8 +1,8 @@
 """ES lane retirement: vector rollouts stop once Algorithm 1 is done.
 
 With evaluation short-circuiting on and a finite ``best_prev_full``, the
-batched and fused rollouts of ``GMRFitnessEvaluator.evaluate_batch``
-stop integrating a column once Algorithm 1 would cut it against the
+batched rollouts of ``GMRFitnessEvaluator.evaluate_batch`` stop
+integrating a column once Algorithm 1 would cut it against the
 marker the batch started with, and stop altogether once every column
 has retired or diverged.  The marker only falls while the batch is
 replayed, so none of this may change what the evaluator says; the
@@ -10,7 +10,9 @@ differential oracle harness (``tests/test_oracle.py``) checks fitness,
 ``fully_evaluated``, the marker and every Algorithm 1 counter against
 sequential ``evaluate`` calls for every threshold and extrapolator.
 These tests pin the work retirement saves, the error seam of the
-extrapolator and the rollouts' stop callback.
+extrapolator and the rollouts' stop callback.  The ``batched``/``fused``
+ids name the tree cache on/off: they toggled structure fusion until it
+was deleted, and are kept so the test ids stay stable.
 """
 
 from __future__ import annotations
@@ -29,11 +31,11 @@ from repro.dynamics.integrate import (
     batched_euler_rollout,
     fused_euler_rollout,
 )
-from repro.dynamics.system import compile_cohort
 from repro.gp.fitness import GMRFitnessEvaluator
 from tests.oracle import (
     HUGE,
     RolloutLog,
+    cohort_kernel,
     logistic_model,
     make_cohort,
     marker_for,
@@ -43,7 +45,7 @@ from tests.oracle import (
 
 
 class TestRetirementWork:
-    @pytest.mark.parametrize("fuse", [False, True], ids=["batched", "fused"])
+    @pytest.mark.parametrize("use_tree_cache", [True, False], ids=["batched", "fused"])
     def test_retirement_saves_work_and_changes_nothing_else(
         self,
         toy_grammar,
@@ -51,11 +53,11 @@ class TestRetirementWork:
         toy_task,
         small_config,
         monkeypatch,
-        fuse,
+        use_tree_cache,
     ):
         config = dataclasses.replace(
             small_config,
-            fuse_cohort_size=8 if fuse else 1,
+            use_tree_cache=use_tree_cache,
             kernel_min_batch=1,
         )
         cohort = make_cohort(toy_grammar, toy_knowledge, config, seed=5)
@@ -119,7 +121,7 @@ class ExtrapolatorFault(RuntimeError):
 
 
 class TestFaultSeam:
-    @pytest.mark.parametrize("fuse", [False, True], ids=["batched", "fused"])
+    @pytest.mark.parametrize("use_tree_cache", [True, False], ids=["batched", "fused"])
     @pytest.mark.parametrize("after", [0, 40], ids=["always", "late"])
     def test_extrapolator_error_propagates_like_scalar(
         self,
@@ -128,7 +130,7 @@ class TestFaultSeam:
         toy_task,
         small_config,
         monkeypatch,
-        fuse,
+        use_tree_cache,
         after,
     ):
         """The error leaves evaluate_batch at the member where evaluate
@@ -141,7 +143,7 @@ class TestFaultSeam:
 
         config = dataclasses.replace(
             small_config,
-            fuse_cohort_size=8 if fuse else 1,
+            use_tree_cache=use_tree_cache,
             kernel_min_batch=1,
         )
         cohort = make_cohort(toy_grammar, toy_knowledge, config, seed=5)
@@ -157,7 +159,6 @@ class TestFaultSeam:
             ev_batched.evaluate_batch(copy.deepcopy(cohort))
         assert ev_batched.stats.evaluations == ev_scalar.stats.evaluations
         assert ev_batched.stats.kernel_fallbacks == 0
-        assert ev_batched.stats.fusion_fallbacks == 0
         assert not ev_batched._kernel_blocklist
 
     def test_replay_past_a_retired_column_raises(
@@ -262,7 +263,7 @@ class TestRolloutStop:
     def test_fused_rollout_stops_the_same_way(self):
         models = [logistic_model(), logistic_model()]
         drivers = wavy_drivers(100)
-        kernel = compile_cohort(models, 4)
+        kernel = cohort_kernel(models, 4)
         params = np.hstack([np.repeat(self.columns()[:, :1], 4, axis=1)] * 2)
         full = fused_euler_rollout(
             kernel, params, drivers, (2.0,), models[0].var_order

@@ -3,18 +3,21 @@
 Each :meth:`GMRFitnessEvaluator.evaluate_batch` call emits one point
 whose ``cache_hits``, ``compile_time``, ``step_time`` and ``batch_fill``
 are the :class:`EvaluationStats` deltas over that call, on the vector
-branch and on the scalar one (``use_batched_kernel=False``).
+branch and on the scalar one (``use_batched_kernel=False``).  Points no
+longer carry the ``cohorts`` count of structure fusion, which was
+deleted, but traces that do still read.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 
 from repro.gp.fitness import GMRFitnessEvaluator
 from repro.gp.knowledge import build_grammar
-from repro.obs import MemorySink, Tracer, validate_event
+from repro.obs import MemorySink, Tracer, iter_trace, validate_event
 from tests.oracle import SMALL_CONFIG, make_cohort, toy_knowledge, toy_task
 
 DELTAS = ("cache_hits", "compile_time", "step_time", "batch_fill")
@@ -42,8 +45,27 @@ def test_batch_point_fields_are_stats_deltas(batched):
         assert event.fields["size"] == len(part)
         assert event.fields["batched"] is batched
         assert event.fields["source"] == ("batched" if batched else "scalar")
+        assert "cohorts" not in event.fields
         for name in DELTAS:
             delta = getattr(evaluator.stats, name) - getattr(before, name)
             assert event.fields[name] == delta, name
         assert event.fields["step_time"] > 0
     assert event.fields["cache_hits"] > 0
+
+
+def test_points_with_a_cohort_count_still_read(tmp_path):
+    """An ``evaluation_batch`` line as written while structure fusion
+    existed, ``cohorts`` included."""
+    fields = dict(
+        size=24, batched=True, cache_hits=0, groups=3, columns=21, cohorts=1,
+        wall_time=0.01, compile_time=0.002, step_time=0.006, batch_fill=0.001,
+        source="batched",
+    )
+    line = dict(
+        seq=0, kind="evaluation_batch", phase="point", t=1.5, span=1, parent=0,
+        fields=fields,
+    )
+    path = tmp_path / "old.jsonl"
+    path.write_text(json.dumps(line) + "\n")
+    [event] = iter_trace(path)
+    assert event.fields == fields

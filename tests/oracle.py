@@ -19,15 +19,14 @@ rollout: ``euler_steps(use_compiled=False)`` vs compiled -- rel 1e-12,
   row, then the clamped last good state; ``fused_euler_rollout`` lane
   vs batched column -- bitwise; a ``StopCallback`` rollout -- the full
   one cut to ``rows_run``.
-evaluator: sequential ``evaluate`` vs ``evaluate_batch`` under fusion,
+evaluator: sequential ``evaluate`` vs ``evaluate_batch`` under
   ``kernel_min_batch``, chunk width, tree cache, ES thresholds with a
   finite marker (lane retirement), three extrapolators and poisoned
   drivers -- :func:`assert_equivalent` (fitness rel 1e-9,
   ``fully_evaluated``, marker, Algorithm 1 and tree-cache counters),
-  no fallback, vector evaluations taken (fused cohorts exactly when
-  fusion is on) and their live columns accounted, padding lanes
-  following their member's first lane; seeded engine run with vector
-  paths on vs off -- champion and history rel 1e-9, counts equal.
+  no fallback, vector evaluations taken and their columns accounted;
+  seeded engine run with vector paths on vs off -- champion and history
+  rel 1e-9, counts equal.
 network: ``RiverTask.error_stream`` vs ``stepped_errors`` compiled
   (full horizon) and interpreted (40 days) -- per-day bits, raise type
   and message.
@@ -73,7 +72,7 @@ from repro.dynamics.integrate import (
     fused_euler_rollout,
     simulate,
 )
-from repro.dynamics.system import ProcessModel, compile_cohort
+from repro.dynamics.system import ProcessModel
 from repro.dynamics.task import ModelingTask
 from repro.expr import ast
 from repro.expr.ast import Const, Expr, Ext, Param, State, UnOp, Var, strip_ext
@@ -595,12 +594,23 @@ def derivation_rollout_cases(draw, domain: str) -> RolloutCase:
     )
 
 
+def cohort_kernel(models, lanes: int):
+    """One cohort kernel over ``models`` (sharing variable and state
+    orders), ``lanes`` lanes per member."""
+    first = models[0]
+    members = [
+        ([strip_ext(model.equations[s]) for s in model.state_names], model.param_order)
+        for model in models
+    ]
+    return compile_model_cohort(members, first.var_order, first.state_names, lanes)
+
+
 def check_rollout(case: RolloutCase) -> None:
     """Interpreter vs scalar vs batched vs fused, then the stop cut."""
     drivers, initial = case.drivers, case.initial_state
     lanes = case.lanes or max(len(columns) for columns in case.columns)
     steps = dict(dt=case.dt, clamp=case.clamp)
-    kernel = compile_cohort(list(case.models), lanes)
+    kernel = cohort_kernel(case.models, lanes)
     params = np.zeros((kernel.n_params, kernel.width))
     for m, columns in enumerate(case.columns):
         block = np.array(padded_lanes(columns, lanes, case.pad)).T
@@ -829,50 +839,24 @@ def marker_for(task, config, cohort) -> float:
 
 
 class RolloutLog:
-    """Records every vector rollout the evaluator runs, its live columns
-    (``columns``, of which ``batched_columns`` in loose groups' rollouts;
-    a fused cohort's padding lanes excluded), the rows it integrated
-    times those (``lane_rows``), and each fused cohort's rollout and
-    layout for :meth:`check_padding`."""
+    """Records every batched rollout the evaluator runs, its columns
+    (``columns``) and the rows it integrated times those
+    (``lane_rows``)."""
 
     def __init__(self, monkeypatch) -> None:
         self.rollouts: list = []
-        self.cohorts: list = []
-        self.columns = self.batched_columns = self.lane_rows = 0
-        layouts: list = []
-        for name in ("batched_euler_rollout", "fused_euler_rollout"):
-            original = getattr(fitness_module, name)
-            fused = name.startswith("fused")
+        self.columns = self.lane_rows = 0
+        original = fitness_module.batched_euler_rollout
 
-            def wrapper(*args, _original=original, _fused=fused, **kwargs):
-                rollout = _original(*args, **kwargs)
-                live = args[1].shape[1]
-                if _fused:
-                    lanes, counts = layouts.pop()
-                    self.cohorts.append((rollout, lanes, counts))
-                    live = sum(counts)
-                else:
-                    self.batched_columns += live
-                self.columns += live
-                self.lane_rows += rollout.rows_run * live
-                self.rollouts.append(rollout)
-                return rollout
+        def wrapper(*args, **kwargs):
+            rollout = original(*args, **kwargs)
+            live = args[1].shape[1]
+            self.columns += live
+            self.lane_rows += rollout.rows_run * live
+            self.rollouts.append(rollout)
+            return rollout
 
-            monkeypatch.setattr(fitness_module, name, wrapper)
-        inner = GMRFitnessEvaluator._simulate
-
-        def simulate(evaluator, run):
-            layouts.append((run.lanes, [len(group.params) for group in run.groups]))
-            inner(evaluator, run)
-
-        monkeypatch.setattr(GMRFitnessEvaluator, "_simulate", simulate)
-
-    def check_padding(self) -> None:
-        """:func:`check_padding` on every fused rollout -- after the batch,
-        since the evaluator's degradation ladder catches what a rollout
-        raises."""
-        for cohort in self.cohorts:
-            check_padding(*cohort)
+        monkeypatch.setattr(fitness_module, "batched_euler_rollout", wrapper)
 
     def retired(self, n_cases: int) -> bool:
         """Whether any column stopped before the horizon without diverging."""
@@ -895,7 +879,6 @@ class EvaluatorCase:
     size: int = 40
     duplicates: int = 8
     variants: int = 3
-    fuse_cohort_size: int = 8
     kernel_min_batch: int = 1
     kernel_batch_size: int = 64
     use_tree_cache: bool = True
@@ -915,7 +898,6 @@ def evaluator_cases(domain: str) -> st.SearchStrategy[EvaluatorCase]:
         size=st.integers(8, 24),
         duplicates=st.integers(0, 4),
         variants=st.integers(0, 4),
-        fuse_cohort_size=st.sampled_from((1, 8)),
         kernel_min_batch=st.sampled_from((1, 2)),
         kernel_batch_size=st.sampled_from((2, 3, 64)),
         use_tree_cache=st.booleans(),
@@ -927,7 +909,7 @@ def evaluator_cases(domain: str) -> st.SearchStrategy[EvaluatorCase]:
 
 
 def config_for(case: EvaluatorCase) -> GMRConfig:
-    fields = "fuse_cohort_size kernel_min_batch kernel_batch_size use_tree_cache"
+    fields = "kernel_min_batch kernel_batch_size use_tree_cache"
     overrides = {f: getattr(case, f) for f in (*fields.split(), "es_threshold")}
     return dataclasses.replace(SMALL_CONFIG, **overrides)
 
@@ -975,7 +957,7 @@ def _sequential(case: EvaluatorCase):
 #: Settings only ``evaluate_batch`` reads.  The sequential side is
 #: memoised on the case with them reset, so a grid over them scores each
 #: cohort once (and each starting marker once per cohort).
-VECTOR_DEFAULTS = dict(fuse_cohort_size=8, kernel_min_batch=1, kernel_batch_size=64)
+VECTOR_DEFAULTS = dict(kernel_min_batch=1, kernel_batch_size=64)
 
 
 def check_evaluator(case: EvaluatorCase, monkeypatch):
@@ -992,17 +974,9 @@ def check_evaluator(case: EvaluatorCase, monkeypatch):
     log = RolloutLog(monkeypatch)
     ev_batched.evaluate_batch(pop_batched)
     stats = ev_batched.stats
-    assert stats.kernel_fallbacks == stats.fusion_fallbacks == 0
-    log.check_padding()
-    # Vector paths ran, fused exactly when fusion is on, and the fused
-    # columns are the live lanes the fused rollouts carried.
-    assert stats.fused_cohorts == len(log.cohorts)
-    assert log.columns == stats.fused_columns + log.batched_columns
-    if case.fuse_cohort_size == 1:
-        assert stats.fused_cohorts == 0
+    assert stats.kernel_fallbacks == 0
     if case.strict or case.kernel_min_batch == 1:
         assert stats.batched_evaluations > 0
-        assert stats.fused_cohorts > 0 or case.fuse_cohort_size == 1
     # The scalar loop integrates exactly the cases it counts; with
     # kernel_min_batch=1 every simulated member takes a vector rollout.
     assert ev_scalar.stats.steps_integrated == ev_scalar.stats.steps_evaluated

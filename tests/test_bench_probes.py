@@ -3,10 +3,15 @@
 ``benchmarks/e2e/spans.py``'s :class:`LayerProbe` wraps functions and
 methods by name (``getattr`` on modules, ``owner.__dict__[attr]`` on
 classes), so renaming a probed name breaks only the benchmark.  These
-tests install the probes around a toy cohort's evaluation -- fused and
-unfused -- and check that every probed path is seen and every wrapped
-callable is put back.  The benchmark files are loaded by path and left
-unchanged.
+tests install the probes around a toy cohort's evaluation and check
+that every probed path is seen and every wrapped callable is put back.
+The benchmark files are loaded by path and left unchanged.
+
+Installing the probe is what keeps three names alive after structure
+fusion was deleted (ROADMAP item 1): ``repro.gp.fitness.
+fused_euler_rollout`` and ``repro.dynamics.system.compile_model_cohort``,
+which it wraps, and ``EvaluationStats.fusion_fallbacks``, which its
+``fitness.degradations`` sums.  The evaluator calls neither wrapped name.
 """
 
 from __future__ import annotations
@@ -15,8 +20,6 @@ import copy
 import dataclasses
 import importlib.util
 from pathlib import Path
-
-import pytest
 
 import repro.dynamics.system as system
 from repro.expr.compile import KernelCache
@@ -34,15 +37,10 @@ def load_spans():
     return module
 
 
-@pytest.mark.parametrize(
-    "fuse_cohort_size", [8, 1], ids=["fused", "unfused"]
-)
-def test_probes_see_every_path_and_restore(fuse_cohort_size, monkeypatch):
+def test_probes_see_every_path_and_restore(monkeypatch):
     # A fresh kernel cache, so every kernel build is a probed miss.
     monkeypatch.setattr(system, "KERNEL_CACHE", KernelCache(max_entries=512))
-    config = dataclasses.replace(
-        SMALL_CONFIG, fuse_cohort_size=fuse_cohort_size, kernel_min_batch=1
-    )
+    config = dataclasses.replace(SMALL_CONFIG, kernel_min_batch=1)
     knowledge = toy_knowledge()
     cohort = make_cohort(build_grammar(knowledge), knowledge, config, seed=11)
     evaluator = GMRFitnessEvaluator(task=toy_task(), config=config)
@@ -69,12 +67,6 @@ def test_probes_see_every_path_and_restore(fuse_cohort_size, monkeypatch):
     assert metrics["fitness.evaluate_calls"] > 0
     assert metrics["fitness.batch_calls"] == 1
     assert stats.batched_evaluations > 0
-    if fuse_cohort_size == 1:
-        assert stats.fused_cohorts == 0
-        assert metrics["integrate.fused_calls"] == 0
-        assert metrics["integrate.batched_calls"] > 0
-        assert metrics["compile.batched_calls"] > 0
-    else:
-        assert stats.fused_cohorts > 0
-        assert metrics["integrate.fused_calls"] == stats.fused_cohorts
-        assert metrics["compile.cohort_calls"] > 0
+    assert metrics["integrate.fused_calls"] == metrics["compile.cohort_calls"] == 0
+    assert metrics["integrate.batched_calls"] > 0
+    assert metrics["compile.batched_calls"] > 0

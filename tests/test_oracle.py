@@ -215,9 +215,7 @@ NAMED_EVALUATOR_CASES = {
             ("bare", {"es_threshold": None, "use_tree_cache": False}),
         )
     },
-    "tiny-cohorts": EvaluatorCase(
-        fuse_cohort_size=2, kernel_batch_size=3, strict=True
-    ),
+    "tiny-cohorts": EvaluatorCase(kernel_batch_size=3, strict=True),
     # The measured caveat: non-monotone extrapolation on exp/log models.
     "exp-log-non-monotone": EvaluatorCase(
         "river", 3, 24, 2, 4, es_threshold=1.0, extrapolator="non-monotone"
@@ -226,7 +224,9 @@ NAMED_EVALUATOR_CASES = {
 
 SEEDED_RUNS = {  # vector paths on, off
     "batched": (dict(use_batched_kernel=True), dict(use_batched_kernel=False)),
-    "fused": (dict(kernel_min_batch=1), dict(kernel_min_batch=1, fuse_cohort_size=1)),
+    # Every structure group, singletons included, through the vector
+    # kernel (the groups structure fusion once packed).
+    "fused": (dict(kernel_min_batch=1), dict(use_batched_kernel=False)),
 }
 
 
@@ -273,21 +273,26 @@ class TestEvaluator:
         check_evaluator(case, monkeypatch)
 
     @pytest.mark.parametrize("nan_row", [None, 20, 70], ids=["clean", "nan20", "nan70"])
-    @pytest.mark.parametrize("fuse", [False, True], ids=["batched", "fused"])
+    # This axis toggled structure fusion until it was deleted; its ids
+    # are kept so the grid's test ids stay stable: "batched" runs with
+    # the tree cache on, "fused" with it off.
+    @pytest.mark.parametrize("use_tree_cache", [True, False], ids=["batched", "fused"])
     @pytest.mark.parametrize("width", [3, 64], ids=["k3", "k64"])
     @pytest.mark.parametrize("extrapolator", sorted(EXTRAPOLATORS))
     @pytest.mark.parametrize("threshold", [0.5, 0.7, 1.0, 1.3])
     def test_lane_retirement(
-        self, monkeypatch, threshold, extrapolator, width, fuse, nan_row
+        self, monkeypatch, threshold, extrapolator, width, use_tree_cache, nan_row
     ):
         """The seeded toy cohort against a finite marker, over the grid of
-        thresholds, extrapolators, chunk widths, fusion and poisoned
-        rows: equivalent, and columns retire before the horizon."""
+        thresholds, extrapolators, chunk widths, the tree cache (off,
+        duplicates share a column by exact parameters and replay without
+        cache hits) and poisoned rows: equivalent, and columns retire
+        before the horizon."""
         case = EvaluatorCase(
             es_threshold=threshold,
             extrapolator=extrapolator,
             kernel_batch_size=width,
-            fuse_cohort_size=8 if fuse else 1,
+            use_tree_cache=use_tree_cache,
             nan_row=nan_row,
             strict=True,
         )
@@ -319,8 +324,8 @@ class TestEvaluator:
             assert agree(a, b, 1e-9)
         assert run_on.stats.evaluations == run_off.stats.evaluations
         assert run_on.stats.short_circuits == run_off.stats.short_circuits
-        if "fuse_cohort_size" in off:
-            assert run_on.stats.fused_cohorts > 0
+        if on.get("kernel_min_batch") == 1:
+            assert run_on.stats.batched_evaluations > 0
 
 
 class TestNetwork:
