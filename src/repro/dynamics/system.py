@@ -164,7 +164,7 @@ class ProcessModel:
         with ``P`` of shape ``(n_params, K)``, ``V`` one driver row and
         ``S`` of shape ``(n_states, K)``; it advances K candidate
         parameter columns in one vectorised pass and agrees with the
-        scalar step column by column to float tolerance.
+        scalar step column by column, bit for bit.
         """
         if self._compiled_batched is None:
             self._compiled_batched = KERNEL_CACHE.get_or_build(

@@ -21,7 +21,10 @@ walks a tree once, value-numbers every assignment into a *stream*
 stream by its dependency mask -- which of parameters ``P``, drivers
 ``V`` and states ``S`` it reads.  A form supplies only its streams'
 operator spelling (scalar inline guards, or the NumPy helpers of
-:mod:`repro.expr.evaluate`), its leaf spelling and the routing tables:
+:mod:`repro.expr.evaluate`), its leaf spelling and the routing tables.
+Every spelling takes ``exp``/``log`` from libm (the NumPy helpers map
+it element by element), so every form matches the scalar step bit for
+bit:
 
 * the **scalar** form (:func:`compile_model`) is one scalar stream with
   no routing: one candidate steps through plain Python floats;
@@ -41,9 +44,9 @@ operator spelling (scalar inline guards, or the NumPy helpers of
 * the **station** form (:func:`compile_station_kernel`) splits one
   structure for the river network: state-dependent subtrees stay in a
   scalar step stream, driver-dependent, state-free ones go to a NumPy
-  *hoist* stream evaluated over blocks of days (with ``exp``/``log``
-  mapped through libm), and constant or parameter-only ones go to a
-  scalar *setup* stream run once per parameter vector.
+  *hoist* stream evaluated over blocks of days, and constant or
+  parameter-only ones go to a scalar *setup* stream run once per
+  parameter vector.
 
 Compilation cost is paid once per structure per process: kernels are
 memoised in a bounded process-global LRU (:data:`KERNEL_CACHE`), which
@@ -281,7 +284,8 @@ class _ArrayStream(_Stream):
 
     The helpers (``_pdiv`` and friends) are the vectorised twins of the
     interpreter's, so the array semantics stay defined in exactly one
-    place; the kernel's namespace binds them.
+    place; every vector kernel's namespace binds them
+    (:data:`_ARRAY_OPERATORS`).
     """
 
     def unary(self, op: str, operand: str) -> str:
@@ -303,6 +307,16 @@ class _ArrayStream(_Stream):
         if op == "max":
             return self.assign(f"_pmax({lhs}, {rhs})")
         raise CompilationError(f"unknown binary operator {op!r}")
+
+
+#: The helpers an :class:`_ArrayStream`'s operator spellings call.
+_ARRAY_OPERATORS = {
+    "_pdiv": batched_protected_div,
+    "_plog": batched_protected_log,
+    "_pexp": batched_protected_exp,
+    "_pmin": batched_min,
+    "_pmax": batched_max,
+}
 
 
 #: Dependency bits of an expression: which leaf kinds it reads.
@@ -518,11 +532,10 @@ def compile_model_batched(
     """Compile a batched step kernel over K parameter columns: the
     one-member cohort kernel (see :func:`compile_model_cohort`).
 
-    The returned kernel agrees with K applications of the scalar
-    interpreter column by column (to float tolerance -- libm and NumPy
-    may differ in the last ulp of ``exp``/``log``), including protected
-    edge cases and NaN propagation, so a diverging column behaves exactly
-    as its scalar simulation would while leaving its neighbours intact.
+    The returned kernel agrees with K applications of the scalar step
+    column by column, bit for bit, including protected edge cases and
+    NaN propagation, so a diverging column behaves exactly as its scalar
+    simulation would while leaving its neighbours intact.
     """
     return compile_model_cohort([(exprs, param_order)], var_order, state_order, 1)
 
@@ -659,14 +672,7 @@ def compile_model_cohort(
     source, n_hoisted = _generate_cohort(
         members, var_order, state_order, lanes_per_member
     )
-    namespace = {
-        "_empty": np.empty,
-        "_pdiv": batched_protected_div,
-        "_plog": batched_protected_log,
-        "_pexp": batched_protected_exp,
-        "_pmin": batched_min,
-        "_pmax": batched_max,
-    }
+    namespace = {"_empty": np.empty, **_ARRAY_OPERATORS}
     step_fn = _compile_source(source, "_compiled_cohort", namespace)
     return CompiledCohortKernel(
         precompute_fn=namespace["_precompute_batched"],
@@ -696,10 +702,7 @@ class CompiledStationKernel:
     Parameter-only subtrees are computed once inside ``make``.  Every
     phase reproduces the scalar step function's values bit for bit:
     the scalar phases share its lowering, and the hoist phase uses the
-    batched protected operators, which are exact for ``+ - * /`` and
-    ``min``/``max``, with ``exp``/``log`` evaluated element-wise through
-    libm (NumPy's vectorised ``exp``/``log`` can differ from
-    :mod:`math` in the last ulp).  The hoist runs under
+    batched protected operators.  The hoist runs under
     ``np.errstate(all="ignore")``: overflow and ``inf - inf`` give the
     scalar step's inf/NaN values without a ``RuntimeWarning``.
     The kernel does not depend on the network, so one kernel serves
@@ -766,23 +769,6 @@ def _generate_station(
     return "\n".join(lines), len(frontier)
 
 
-def _libm_map(function: Callable[[float], float], values: np.ndarray) -> np.ndarray:
-    return np.fromiter(
-        map(function, values.ravel().tolist()), float, values.size
-    ).reshape(values.shape)
-
-
-def _libm_protected_exp(value: np.ndarray) -> np.ndarray:
-    """:func:`batched_protected_exp` through libm's ``exp``."""
-    return _libm_map(math.exp, np.minimum(value, EXP_MAX))
-
-
-def _libm_protected_log(value: np.ndarray) -> np.ndarray:
-    """:func:`batched_protected_log` through libm's ``log``."""
-    magnitude = np.abs(value)
-    return _libm_map(math.log, np.where(magnitude < LOG_EPS, 1.0, magnitude))
-
-
 def _frontier_rows(temps: tuple[np.ndarray, ...], VB: np.ndarray) -> list:
     """Per-station lists of per-row frontier values.
 
@@ -807,11 +793,7 @@ def compile_station_kernel(
     namespace = {
         "_exp": math.exp,
         "_log": math.log,
-        "_pdiv": batched_protected_div,
-        "_pmin": batched_min,
-        "_pmax": batched_max,
-        "_pexp": _libm_protected_exp,
-        "_plog": _libm_protected_log,
+        **_ARRAY_OPERATORS,
         "_frontier": _frontier_rows,
         "_errstate": np.errstate,
     }

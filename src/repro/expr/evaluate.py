@@ -71,14 +71,24 @@ def batched_protected_div(numerator, denominator):
     return np.where(near_zero, 0.0, np.asarray(numerator) / safe)
 
 
+def _libm_map(function, values: np.ndarray) -> np.ndarray:
+    """``function`` applied element by element: libm's result, bit for
+    bit (NumPy's vectorised ``exp``/``log`` differ from :mod:`math` in
+    the last ulp on a few percent of arguments)."""
+    return np.fromiter(
+        map(function, values.ravel().tolist()), float, values.size
+    ).reshape(values.shape)
+
+
 def batched_protected_log(value):
     """Vectorised :func:`protected_log`: ``log(|x|)``, zero near zero.
 
     Near-zero magnitudes are replaced by 1.0 before the log, whose exact
     result is 0.0 -- one ``where`` instead of masking the output too.
+    The log itself is libm's, element by element.
     """
-    magnitude = np.abs(np.asarray(value))
-    return np.log(np.where(magnitude < LOG_EPS, 1.0, magnitude))
+    magnitude = np.abs(value)
+    return _libm_map(math.log, np.where(magnitude < LOG_EPS, 1.0, magnitude))
 
 
 def batched_protected_exp(value):
@@ -87,9 +97,10 @@ def batched_protected_exp(value):
     ``np.minimum`` replicates the interpreter's ``if value > EXP_MAX``
     test, including NaN: a NaN argument propagates (``NaN > EXP_MAX`` is
     false in the interpreter, and ``np.minimum`` propagates NaN) instead
-    of being clamped.
+    of being clamped.  The exponential itself is libm's, element by
+    element.
     """
-    return np.exp(np.minimum(value, EXP_MAX))
+    return _libm_map(math.exp, np.minimum(value, EXP_MAX))
 
 
 def batched_min(lhs, rhs):

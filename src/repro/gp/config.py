@@ -107,7 +107,7 @@ class GMRConfig:
             ``GMRFitnessEvaluator.evaluate_batch`` groups a cohort by
             model structure and integrates each group's K parameter
             vectors in one vectorised pass.  Results match the scalar
-            path to float tolerance (ES short-circuiting and divergence
+            path bit for bit (ES short-circuiting and divergence
             handling are replayed per column in cohort order); set False
             to force every evaluation through the scalar kernels.
         kernel_batch_size: Maximum parameter columns per batched rollout;
@@ -121,10 +121,8 @@ class GMRConfig:
             historical module constant (:data:`MIN_BATCH_COLUMNS`).  Excluded from
             ``repr`` (like ``domain``): the threshold only moves work
             between the scalar and vector kernels, which are
-            bit-identical except that the vector kernels evaluate
-            ``exp``/``log`` through NumPy, matching libm to float
-            tolerance; checkpoints written under a different setting
-            stay resumable.
+            bit-identical, so checkpoints written under a different
+            setting stay resumable.
         gaussian_proposals: Candidates proposed per Gaussian-mutation
             move (engine operator and hill-climb move alike).  With K > 1
             each move proposes K parameter vectors of the *same*

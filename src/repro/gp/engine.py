@@ -295,6 +295,10 @@ class GMREngine:
             rng = random.Random()
             rng.setstate(checkpoint.rng_state)
             evaluator = checkpoint.evaluator
+            # The checks above pin every repr'd setting; the evaluator
+            # follows this engine's repr=False ones (kernel_min_batch)
+            # and drops whatever the writer's pickled config carried.
+            evaluator.config = config
             population: list[Individual] | None = checkpoint.population
             best: Individual | None = checkpoint.best
             history = list(checkpoint.history)

@@ -400,10 +400,8 @@ class GMRFitnessEvaluator:
         self._triage_context = None
         #: Structure keys demoted to the scalar path after their vector
         #: kernel raised (degradation ladder, see :meth:`_run_kernel`).
-        #: The vector path is bit-identical with the scalar one except
-        #: NumPy ``exp``/``log``, which match libm only to float
-        #: tolerance, so demotion moves the work and can move a fitness
-        #: only by those float-tolerance differences.
+        #: The vector path is bit-identical with the scalar one, so
+        #: demotion moves the work and never a fitness.
         self._kernel_blocklist: set[str] = set()
         #: Derived models per derivation shape (repro.gp.phenotype);
         #: pickled empty, so an unpickled evaluator starts empty.
@@ -682,7 +680,7 @@ class GMRFitnessEvaluator:
         short-circuits against the live ``best_prev_full`` marker,
         divergence scoring, and cache write-back.  Fitness values, the
         marker, and all statistics therefore match a sequence of
-        :meth:`evaluate` calls to float tolerance.  The vector kernels
+        :meth:`evaluate` calls bit for bit.  The vector kernels
         integrate ahead of the replay, and with ES on they stop
         integrating a column once Algorithm 1 would cut it against the
         marker the batch started with (lane retirement, see
@@ -841,11 +839,9 @@ class GMRFitnessEvaluator:
         (compile or rollout), the structure goes on the kernel blocklist
         and its curves stay unset, so finalisation scores its members
         through the scalar path and later batches plan it straight to
-        scalar.  The vector path is bit-identical with the scalar one
-        except that NumPy evaluates ``exp``/``log``, which match libm
-        only to float tolerance, so a demoted structure's fitness can
-        move in its last bits.  Otherwise the only observable effects
-        are ``kernel_fallbacks`` and a ``degradation`` trace event.
+        scalar.  The vector path is bit-identical with the scalar one,
+        so the only observable effects are ``kernel_fallbacks`` and a
+        ``degradation`` trace event.
         """
         try:
             self._simulate(group)

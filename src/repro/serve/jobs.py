@@ -41,6 +41,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
+from repro.gp.checkpoint import _atomic_write
+
 # -- Job states ---------------------------------------------------------
 
 QUEUED = "queued"
@@ -306,16 +308,6 @@ def check_transition(current: str, new: str) -> None:
 # -- Store --------------------------------------------------------------
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    """Durable small-file write: temp sibling, fsync, rename."""
-    temp = f"{path}.tmp.{os.getpid()}"
-    with open(temp, "w", encoding="utf-8") as handle:
-        handle.write(text)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temp, path)
-
-
 def _append_jsonl(path: str, payload: dict[str, Any]) -> None:
     """Append one fsynced JSON line (complete-line-or-nothing on crash
     is not guaranteed by POSIX, which is why every reader tolerates a
@@ -510,10 +502,8 @@ class JobStore:
 
     def write_result(self, job_id: str, payload: dict[str, Any]) -> None:
         """Atomically persist a job's result summary JSON."""
-        _atomic_write_text(
-            self.result_path(job_id),
-            json.dumps(payload, sort_keys=True, indent=2) + "\n",
-        )
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        _atomic_write(self.result_path(job_id), text.encode("utf-8"))
 
     def read_result(self, job_id: str) -> dict[str, Any] | None:
         try:

@@ -142,3 +142,33 @@ class TestCrashResumeEquivalence:
         assert resumed.best_fitness == full.best_fitness
         assert resumed.stats.evaluations == full.stats.evaluations
         assert resumed.stats.cache_hits == full.stats.cache_hits
+
+    def test_resume_follows_the_engine_kernel_min_batch(
+        self, make_engine, tmp_path
+    ):
+        """``kernel_min_batch`` is outside the config check, and the
+        resumed run uses the resuming engine's value, not the one
+        pickled with the checkpoint's evaluator.  The vector and scalar
+        paths are bit-identical, so the history does not move."""
+
+        def batching(**overrides):
+            return make_engine(
+                checkpoint_every=1,
+                max_generations=4,
+                eval_batch_size=6,
+                gaussian_proposals=4,
+                **overrides,
+            )
+
+        full = batching().run(seed=9)
+        path = tmp_path / "run.ckpt"
+        with pytest.raises(SimulatedCrash):
+            batching().run(seed=9, checkpoint_path=path, progress=crash_at(1))
+        resumed = batching(kernel_min_batch=10_000).run(resume_from=path)
+        written = load_checkpoint(path).evaluator.stats.batched_evaluations
+        # The uninterrupted run keeps batching after the crash point.
+        assert 0 < written < full.stats.batched_evaluations
+        assert resumed.stats.batched_evaluations == written
+        assert histories(resumed) == histories(full)
+        assert resumed.best_fitness == full.best_fitness
+        assert resumed.stats.evaluations == full.stats.evaluations

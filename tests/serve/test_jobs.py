@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 
+from repro.gp.checkpoint import CheckpointError
 from repro.serve.jobs import (
     CHECKPOINTED,
     DONE,
@@ -187,6 +190,24 @@ class TestJobStore:
         assert store.read_result(record.job_id) is None
         store.write_result(record.job_id, {"completed": [1, 2]})
         assert store.read_result(record.job_id) == {"completed": [1, 2]}
+
+    def test_failed_result_rename_leaves_no_temp(self, tmp_path, monkeypatch):
+        """A result write whose rename fails raises, keeps the previous
+        result and leaves no ``*.tmp.*`` sibling behind."""
+        store = JobStore(tmp_path)
+        record, _ = store.submit(JobSpec(domain="river"))
+        store.write_result(record.job_id, {"completed": [1]})
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(CheckpointError, match="disk full"):
+            store.write_result(record.job_id, {"completed": [1, 2]})
+        monkeypatch.undo()
+        result = store.result_path(record.job_id)
+        assert store.read_result(record.job_id) == {"completed": [1]}
+        assert not list(Path(result).parent.glob("*.tmp.*"))
 
     def test_record_to_json_is_serialisable(self, tmp_path):
         store = JobStore(tmp_path)
