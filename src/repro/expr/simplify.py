@@ -161,9 +161,13 @@ def canonical_key(expr: Expr) -> str:
     The key is invariant under operand order of commutative operators and
     under ``Ext`` markers, and is computed on the simplified tree, so that
     algebraically equal-by-rewrite expressions map to the same key.  It is
-    *not* a full decision procedure for algebraic equality -- it only needs
-    to be sound (equal keys imply equal semantics), which it is because each
-    step preserves semantics.
+    *not* a full decision procedure for algebraic equality.  Constants print
+    with ``repr``, which round-trips, so trees that differ in a constant's
+    last digit keep distinct keys.  Equal keys do *not* imply bit-equal
+    values: chains of one commutative operator are flattened, so
+    ``(p + q) + B`` and ``p + (q + B)`` share a key although float
+    addition is not associative (at ``p = 1e16``, ``q = B = 1`` they give
+    ``1e16`` and ``1.0000000000000002e16``).
     """
     return _key(simplify(expr))
 
@@ -179,7 +183,7 @@ def _key(expr: Expr) -> str:
     if isinstance(expr, UnOp):
         return f"({expr.op} {_key(expr.operand)})"
     if isinstance(expr, Const):
-        return format(expr.value, ".12g")
+        return repr(expr.value)
     return f"{type(expr).__name__}:{expr}"
 
 

@@ -567,9 +567,11 @@ class GMRFitnessEvaluator:
     def _triage_context_for_task(self):
         """The lazily built per-task triage context.
 
-        Unit annotations resolve through the configured domain only when
-        its declared states/drivers match the task (the config's domain
-        name is advisory; custom tasks run interval-only triage).
+        Unit annotations and the parameters' prior hull resolve through
+        the configured domain only when its declared states/drivers match
+        the task (the config's domain name is advisory; custom tasks run
+        interval-only triage and bind every candidate's parameters as
+        points).
         """
         if self._triage_context is None:
             from repro.lint.triage import context_for_task
@@ -589,17 +591,20 @@ class GMRFitnessEvaluator:
     ) -> bool:
         """Whether static triage proves this candidate divergent.
 
-        Only *fatal* rules count (A001: every reachable input yields a
-        NaN right-hand side).  Such a candidate raises
-        ``SimulationDiverged`` on its first step and scores BAD_FITNESS
-        either way, so skipping the simulation cannot change fitness
-        values, selection, or the RNG stream -- runs with triage on and
-        off stay bit-identical on everything the search observes.
+        Only the fatal rule counts (A001: every reachable input yields a
+        NaN right-hand side), so this runs
+        :func:`repro.lint.triage.triage_fatal` -- one point-bound
+        interval walk per equation, skipped when the structure is
+        NaN-free on its prior hull -- and never the full lint report.
+        Such a candidate raises ``SimulationDiverged`` on its first step
+        and scores BAD_FITNESS either way, so skipping the simulation
+        cannot change fitness values, selection, or the RNG stream --
+        runs with triage on and off stay bit-identical on everything the
+        search observes.
         """
-        from repro.lint.triage import fatal_findings, triage_model
+        from repro.lint.triage import triage_fatal
 
-        report = triage_model(model, params, self._triage_context_for_task())
-        return bool(fatal_findings(report))
+        return triage_fatal(model, params, self._triage_context_for_task())
 
     def _evaluate_scalar(
         self,
@@ -764,11 +769,6 @@ class GMRFitnessEvaluator:
         groups: dict[Hashable, _BatchGroup] = {}
         use_cache = self.config.use_tree_cache
         triage = self.config.static_triage and self._batchable
-        # Per-batch memo of triage verdicts so one candidate appearing
-        # many times is analysed once; with caching on the first
-        # occurrence writes BAD_FITNESS back during finalisation and the
-        # duplicates resolve as cache hits, matching the scalar path.
-        verdicts: dict[Hashable, bool] = {}
         for individual in cohort:
             model, params = self._phenotype(individual)
             entry = _BatchEntry(
@@ -787,19 +787,14 @@ class GMRFitnessEvaluator:
                 if self._cache.peek(entry.cache_key) is not None:
                     continue
             if triage:
-                verdict_key = (
-                    entry.cache_key
-                    if entry.cache_key is not None
-                    else (entry.structure_key, params)
-                )
-                fatal = verdicts.get(verdict_key)
-                if fatal is None:
-                    with self._profile.phase("triage"):
-                        fatal = self._triage_fatal(model, params)
-                    verdicts[verdict_key] = fatal
+                with self._profile.phase("triage"):
+                    fatal = self._triage_fatal(model, params)
                 if fatal:
                     # Doomed candidates never join a simulation group
                     # (that's the saving: no compile, no rollout column).
+                    # With caching on, the first occurrence writes
+                    # BAD_FITNESS back during finalisation and duplicates
+                    # resolve as cache hits, matching the scalar path.
                     entry.triaged = True
                     continue
             if entry.structure_key in self._kernel_blocklist:

@@ -1,20 +1,29 @@
-"""Static triage: the semantic lint pass the engine runs per candidate.
+"""Static triage: the semantic lint pass over models and seeds.
 
 Glues the interval pass (:mod:`repro.lint.absint`) and the unit pass
 (:mod:`repro.lint.units`) to the concrete artifacts the engine handles:
 a :class:`TriageContext` captures everything the analyses need about one
 problem -- state/driver value intervals, the clamp band, the step size,
-and (when the domain is annotated) per-name units -- and the
-``triage_*`` entry points run both passes over seed equations or a
-candidate :class:`~repro.dynamics.system.ProcessModel`.
+the prior hull of the parameters, and (when the domain is annotated)
+per-name units.  Two entry points read it:
 
-Only *fatal* findings (rules registered with ``fatal=True``, i.e. A001:
-the RHS is provably NaN for every reachable input) may cause the engine
-to skip a simulation: such a candidate diverges at the first step and
-receives the worst-fitness sentinel either way, so skipping is
-invisible to the search.  Everything else -- saturating updates,
-dead operands, unit clashes -- is diagnostic only: those candidates
-have real (if degenerate) fitness values that selection must see.
+* :func:`triage_equations` runs both passes over a system of equations
+  and returns the full report: every A rule's diagnostics and the unit
+  findings.  ``python -m repro.lint``, :func:`triage_domain`, the
+  conformance battery and the engine's check of the expert seed use it.
+* :func:`triage_fatal` is the engine's per-candidate check.  Only
+  *fatal* findings (rules registered with ``fatal=True``, i.e. A001:
+  the RHS is provably NaN for every reachable input) may cause the
+  engine to skip a simulation: such a candidate diverges at the first
+  step and receives the worst-fitness sentinel either way, so skipping
+  is invisible to the search.  Everything else -- saturating updates,
+  dead operands, unit clashes -- is diagnostic only, so the engine
+  computes A001's condition alone: one ``interval_of`` walk per
+  equation with the parameters bound as points, and no walk at all when
+  the structure is proven NaN-free on the whole prior hull (the
+  transfer functions are inclusion-monotone, so every binding inside
+  the hull inherits that proof).  The hull verdict is memoised per
+  structure on the context.
 """
 
 from __future__ import annotations
@@ -27,11 +36,13 @@ import numpy as np
 
 from repro.expr.ast import Expr
 from repro.lint.absint import (
+    NAN_ALWAYS,
     NAN_MAYBE,
     NAN_NO,
     AbstractEnv,
     Interval,
     check_rhs,
+    interval_of,
     point,
 )
 from repro.lint.diagnostics import LintReport, Location
@@ -49,6 +60,11 @@ _INF = math.inf
 #: value, but never NaN (states are clamped, drivers are data).
 _ANY_VALUE = Interval(-_INF, _INF, NAN_NO)
 
+#: Hull verdicts a context keeps (first in, first out).  Far above the
+#: structures one run meets (a few hundred on the SIR workload), so the
+#: memo only bounds the memory of very long campaigns.
+HULL_MEMO_SIZE = 4096
+
 
 @dataclass(frozen=True)
 class TriageContext:
@@ -57,6 +73,14 @@ class TriageContext:
     ``state_intervals``/``driver_intervals`` feed the interval pass;
     ``param_intervals`` holds prior ranges (domain-level triage) or is
     empty (per-candidate triage binds exact values instead).
+    ``param_hull`` holds the prior range of every parameter name a
+    candidate can bind (the priors and the ``_R<k>`` revision
+    constants) when a domain matches the task, else it is empty; only
+    :func:`triage_fatal` reads it, so the reports of
+    :func:`triage_equations` do not depend on it.  ``hull_memo`` caches
+    :func:`triage_fatal`'s hull verdict per ``(structure_key,
+    param_order)``; it is not compared, and ``dataclasses.replace``
+    starts a new one.
     ``unit_env``/``expected_units`` are ``None``/empty when the domain
     carries no unit annotations, which disables the unit pass.
     """
@@ -69,6 +93,10 @@ class TriageContext:
     unit_env: UnitEnv | None = None
     expected_units: Mapping[str, "Unit | None"] = field(default_factory=dict)
     annotation_report: LintReport = field(default_factory=LintReport)
+    param_hull: Mapping[str, Interval] = field(default_factory=dict)
+    hull_memo: dict = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def env(
         self, params: Mapping[str, Interval] | None = None
@@ -149,16 +177,23 @@ def _unit_context(
     return env, expected, report
 
 
-def context_for_domain(spec: "DomainSpec") -> TriageContext:
-    """Domain-level context: prior parameter ranges, declared driver
-    bounds, and the clamp band (used to prove the *seed* clean)."""
-    knowledge = spec.make_knowledge()
+def _prior_intervals(knowledge) -> dict[str, Interval]:
+    """Each prior's ``[minimum, maximum]``, and ``rconst_bounds`` for
+    the ``_R<k>`` revision-constant slots."""
     params: dict[str, Interval] = {}
     for pname, prior in knowledge.priors.items():
         params[pname] = Interval(prior.minimum, prior.maximum, NAN_NO)
     r_lo, r_hi = knowledge.rconst_bounds
     for k in range(32):  # more slots than any candidate ever uses
         params[f"_R{k}"] = Interval(r_lo, r_hi, NAN_NO)
+    return params
+
+
+def context_for_domain(spec: "DomainSpec") -> TriageContext:
+    """Domain-level context: prior parameter ranges, declared driver
+    bounds, and the clamp band (used to prove the *seed* clean)."""
+    knowledge = spec.make_knowledge()
+    params = _prior_intervals(knowledge)
     drivers: dict[str, Interval] = {}
     for vname in spec.var_order:
         bound = (spec.var_bounds or {}).get(vname)
@@ -187,21 +222,23 @@ def context_for_task(
 
     Driver intervals come from the actual driver table, state intervals
     from the clamp band hulled with the initial state, ``dt``/clamp from
-    the task.  Units resolve through ``spec`` only when its declared
-    states and drivers match the task (a registered domain name on the
-    config is not proof the engine runs that domain).
+    the task.  Units and the parameters' prior hull resolve through
+    ``spec`` only when its declared states and drivers match the task (a
+    registered domain name on the config is not proof the engine runs
+    that domain).
     """
     unit_env: UnitEnv | None = None
     expected: dict[str, Unit | None] = {}
     annotation_report = LintReport()
+    param_hull: dict[str, Interval] = {}
     if (
         spec is not None
         and tuple(spec.state_names) == tuple(task.state_names)
         and tuple(spec.var_order) == tuple(task.var_order)
     ):
-        unit_env, expected, annotation_report = _unit_context(
-            spec, spec.make_knowledge()
-        )
+        knowledge = spec.make_knowledge()
+        unit_env, expected, annotation_report = _unit_context(spec, knowledge)
+        param_hull = _prior_intervals(knowledge)
     return TriageContext(
         state_intervals=_state_hull(
             task.clamp, task.state_names, task.initial_state
@@ -213,6 +250,7 @@ def context_for_task(
         unit_env=unit_env,
         expected_units=expected,
         annotation_report=annotation_report,
+        param_hull=param_hull,
     )
 
 
@@ -267,16 +305,71 @@ def _check_equation_units(
     )
 
 
-def triage_model(
+def triage_fatal(
     model: "ProcessModel",
     params: Sequence[float],
     context: TriageContext,
-) -> LintReport:
-    """Triage one candidate model bound to exact parameter values."""
-    bound = dict(zip(model.param_order, params))
-    return triage_equations(
-        model.equations, context, params=bound, obj="candidate equation"
+) -> bool:
+    """Whether A001 fires for ``model`` bound to ``params``: some
+    right-hand side is provably NaN for every reachable input.
+
+    Equals ``bool(fatal_findings(triage_equations(model.equations,
+    context, params=dict(zip(model.param_order, params)))))`` without
+    building the report: A001 is the only fatal rule, and its condition
+    is one ``interval_of`` walk per equation with the parameters bound
+    as points.  A binding inside a structure's prior hull skips even
+    that walk when the hull verdict is NaN-free (see
+    :func:`_hull_bounds`).
+    """
+    bounds = _hull_bounds(model, context)
+    if bounds is not None and all(
+        lo <= value <= hi for value, (lo, hi) in zip(params, bounds)
+    ):
+        return False
+    env = context.env(
+        {
+            name: point(float(value))
+            for name, value in zip(model.param_order, params)
+        }
     )
+    return any(
+        interval_of(expr, env).nan == NAN_ALWAYS
+        for expr in model.equations.values()
+    )
+
+
+def _hull_bounds(
+    model: "ProcessModel", context: TriageContext
+) -> tuple[tuple[float, float], ...] | None:
+    """``model``'s parameter hull in ``param_order`` if every right-hand
+    side is NaN-free with the parameters bound to it, else ``None``.
+
+    The interval transfer functions are inclusion-monotone, so a point
+    binding inside the hull can only narrow a NaN-free verdict: no such
+    binding is fatal.  ``None`` (a parameter without a prior, or a hull
+    verdict of maybe or always NaN) leaves the decision to the point
+    walk.  Memoised per ``(structure_key, param_order)`` in
+    ``context.hull_memo``.
+    """
+    key = (model.structure_key(), model.param_order)
+    memo = context.hull_memo
+    if key in memo:
+        return memo[key]
+    hull = context.param_hull
+    bounds = None
+    if all(name in hull for name in model.param_order):
+        env = context.env(hull)
+        if all(
+            interval_of(expr, env).nan == NAN_NO
+            for expr in model.equations.values()
+        ):
+            bounds = tuple(
+                (hull[name].lo, hull[name].hi) for name in model.param_order
+            )
+    if len(memo) >= HULL_MEMO_SIZE:
+        del memo[next(iter(memo))]
+    memo[key] = bounds
+    return bounds
 
 
 def triage_domain(spec: "DomainSpec") -> LintReport:

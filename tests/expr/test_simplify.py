@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.expr import ast
-from repro.expr.ast import BinOp, Const, Ext, Param, Var
+from repro.expr.ast import BinOp, Const, Ext, Param, State, Var
 from repro.expr.evaluate import evaluate
 from repro.expr.simplify import canonical_key, simplify
 from tests.expr.strategies import bindings, expressions
@@ -72,6 +72,23 @@ class TestCanonicalKey:
 
     def test_different_params_differ(self):
         assert canonical_key(Param("a")) != canonical_key(Param("b"))
+
+    def test_constants_differing_in_the_last_digits_keep_their_kernels(self):
+        """Kernels are shared by structure key: two models whose constants
+        agree to 12 digits, compiled in one process without clearing the
+        kernel cache, must each run their own constant."""
+        from repro.dynamics.system import ProcessModel
+
+        values = (1.0000000000001, 1.0000000000004)
+        models = [
+            ProcessModel.from_equations(
+                {"B": ast.mul(Const(value), State("B"))}, var_order=()
+            )
+            for value in values
+        ]
+        assert models[0].structure_key() != models[1].structure_key()
+        for model, value in zip(models, values):
+            assert model.compiled()((), (), (1.0,)) == (value,)
 
 
 class TestSoundness:

@@ -29,6 +29,11 @@ evaluator: sequential ``evaluate`` vs ``evaluate_batch`` under
 network: ``RiverTask.error_stream`` vs ``stepped_errors`` compiled
   (full horizon) and interpreted (40 days) -- per-day bits, raise type
   and message.
+triage: ``triage_fatal`` vs the fatal findings of the full
+  ``triage_equations`` report, on derivations of every domain and of the
+  divergence-heavy problem, at prior and far-out parameter scales, and
+  on the A001 fixture -- equal verdicts; a structure the hull memo
+  clears vs points drawn inside its hull -- never fatal.
 
 Every compiled path takes ``exp``/``log`` from libm, so compiled paths
 are compared with each other exactly; only comparisons with the
@@ -88,8 +93,15 @@ from repro.gp.knowledge import (
 )
 from repro.gp.local_search import deletion, insertion
 from repro.gp.operators import crossover, gaussian_mutation, subtree_mutation
+from repro.lint.triage import (
+    _prior_intervals,
+    context_for_task,
+    fatal_findings,
+    triage_equations,
+)
 from repro.river.dataset import load_dataset
 from repro.river.grammar_def import river_knowledge
+from benchmarks.test_triage_savings import divergence_heavy_problem
 from tests.expr.strategies import (
     PARAM_NAMES,
     STATE_NAMES,
@@ -984,3 +996,49 @@ river_candidates = st.builds(
     chain=st.lists(st.sampled_from(OPERATORS), max_size=4).map(tuple),
     scale=st.sampled_from(SCALES),
 )
+
+
+# -- triage level ------------------------------------------------------
+
+#: The divergence-heavy problem of ``benchmarks/test_triage_savings.py``,
+#: whose candidates overflow into provably NaN right-hand sides.
+DIVERGENT = "divergent"
+TRIAGE_PROBLEMS = DOMAINS + (DIVERGENT,)
+
+
+@functools.lru_cache(maxsize=None)
+def triage_setup(name: str):
+    """A problem's knowledge, grammar, task and per-candidate triage
+    context.  A domain's context carries its prior hull as the engine
+    builds it; the divergent problem matches no domain, so its hull is
+    added here to exercise the memo on candidates that can be fatal.
+    One context per problem, so its hull memo fills across draws."""
+    if name == DIVERGENT:
+        knowledge, task = divergence_heavy_problem()
+        context = dataclasses.replace(
+            context_for_task(task), param_hull=_prior_intervals(knowledge)
+        )
+    else:
+        spec, knowledge, __ = domain_setup(name)
+        task = domain_task(name)
+        context = context_for_task(task, spec)
+    return knowledge, build_grammar(knowledge), task, context
+
+
+@st.composite
+def triage_cases(draw, name: str):
+    """A derived model of problem ``name``, its prior parameter vector
+    and the problem's triage context."""
+    knowledge, grammar, task, context = triage_setup(name)
+    seed = draw(st.integers(0, 2**20))
+    chain = draw(st.lists(st.sampled_from(OPERATORS), max_size=4))
+    individual = derive(knowledge, grammar, seed, chain)
+    model, params = individual.phenotype(task.state_names, task.var_order)
+    return model, params, context
+
+
+def report_fatal(model: ProcessModel, params, context) -> bool:
+    """The reference verdict: fatal findings of the full lint report."""
+    bound = dict(zip(model.param_order, params))
+    report = triage_equations(model.equations, context, params=bound)
+    return bool(fatal_findings(report))

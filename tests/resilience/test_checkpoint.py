@@ -235,3 +235,34 @@ class TestResumeGuards:
         path = tmp_path / "run.ckpt"
         engine.run(seed=0, checkpoint_path=path)
         assert not path.exists()
+
+
+class TestTriageContextStaysOut:
+    """The per-task triage context, hull memo included, is rebuilt after
+    unpickling and never written into an envelope."""
+
+    def test_hull_memo_is_dropped_on_pickling(self, tmp_path):
+        from repro.gp.config import GMRConfig
+        from repro.gp.engine import GMREngine
+
+        config = GMRConfig(
+            population_size=8, max_generations=2, max_size=12,
+            init_max_size=8, local_search_steps=1, eval_batch_size=8,
+            static_triage=True, checkpoint_every=1, domain="sir",
+        )
+        engine = GMREngine.for_domain("sir", config)
+        evaluator = engine.make_evaluator()
+        path = tmp_path / "run.ckpt"
+        engine.run(seed=3, checkpoint_path=path, evaluator=evaluator)
+        memo = evaluator._triage_context.hull_memo
+        assert any(bounds is not None for bounds in memo.values())
+
+        clone = pickle.loads(pickle.dumps(evaluator))
+        assert clone._triage_context is None
+        assert clone._triage_context_for_task().hull_memo == {}
+        # The envelope's evaluator pickles to the same bytes with and
+        # without the filled memo, so checkpoints do not grow with it.
+        filled = pickle.dumps(evaluator)
+        evaluator._triage_context = None
+        assert pickle.dumps(evaluator) == filled
+        assert load_checkpoint(path).evaluator._triage_context is None

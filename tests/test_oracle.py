@@ -16,12 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dynamics.integrate import ClampSpec
+from repro.dynamics.system import ProcessModel
 from repro.expr import ast
 from repro.expr.ast import Const, Param, State, Var
 from repro.expr.compile import KERNEL_CACHE
 from repro.expr.evaluate import DIV_EPS, EXP_MAX
 from repro.gp.config import GMRConfig
 from repro.gp.engine import GMREngine
+from repro.lint.triage import _hull_bounds, triage_fatal
 from tests.oracle import (
     ALGORITHM_1_COUNTERS,
     BLOWN,
@@ -31,7 +33,9 @@ from tests.oracle import (
     INFINITE,
     LIBM_TRAP_ROWS,
     NAN_EXPR,
+    SCALES,
     SMALL_CONFIG,
+    TRIAGE_PROBLEMS,
     EvaluatorCase,
     KernelCase,
     RiverCandidate,
@@ -50,11 +54,15 @@ from tests.oracle import (
     outcome,
     padded_lanes,
     poison_model,
+    report_fatal,
     river_candidates,
     river_setup,
+    scaled,
     spike_drivers,
     toy_knowledge,
     toy_task,
+    triage_cases,
+    triage_setup,
     uniform_columns,
     wavy_drivers,
 )
@@ -368,3 +376,74 @@ class TestNetwork:
         values, error = outcome(task.error_stream(model, params))
         assert error is None
         assert len(values) == task.n_cases
+
+
+#: The A001 lint fixture's right-hand side: inf + (-inf) for every input.
+A001_RHS = ast.add(
+    ast.mul(Const(1e200), Const(1e200)), ast.mul(Const(-1e200), Const(1e200))
+)
+#: ``_R0 * _R0`` overflows to inf everywhere on the divergent problem's
+#: hull, so times ``mu`` it is NaN at ``mu = 0`` (the prior's lower
+#: edge) and maybe-NaN over the hull: the memo must not clear it.
+INF_TIMES_MU = ast.mul(ast.mul(Param("_R0"), Param("_R0")), Param("mu"))
+
+#: ``(problem, right-hand side of every state, parameters in sorted
+#: name order, fatal)``.
+NAMED_TRIAGE_CASES = {
+    **{
+        f"a001-fixture-{problem}": (problem, A001_RHS, (), True)
+        for problem in TRIAGE_PROBLEMS
+    },
+    "inf-times-prior-edge": ("divergent", INF_TIMES_MU, (1e160, 0.0), True),
+    "inf-times-prior-inside": ("divergent", INF_TIMES_MU, (1e160, 0.25), False),
+}
+
+
+class TestTriage:
+    @pytest.mark.parametrize("problem", TRIAGE_PROBLEMS)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_fatal_matches_report(self, problem, data):
+        """The engine's fatal-only check against the full report's fatal
+        findings, at the prior values and scaled far outside the hull."""
+        model, params, context = data.draw(triage_cases(problem))
+        vector = scaled(params, data.draw(st.sampled_from(SCALES)))
+        assert triage_fatal(model, vector, context) == report_fatal(
+            model, vector, context
+        )
+
+    @pytest.mark.parametrize("problem", TRIAGE_PROBLEMS)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_hull_verdict_clears_every_binding_inside_it(self, problem, data):
+        model, __, context = data.draw(triage_cases(problem))
+        bounds = _hull_bounds(model, context)
+        if bounds is None:
+            return
+        vector = tuple(
+            data.draw(st.one_of(st.just(lo), st.just(hi), st.floats(lo, hi)))
+            for lo, hi in bounds
+        )
+        assert not report_fatal(model, vector, context)
+        assert not triage_fatal(model, vector, context)
+
+    @pytest.mark.parametrize("problem", TRIAGE_PROBLEMS)
+    def test_seed_is_cleared_on_its_hull(self, problem):
+        """Each problem's expert seed takes the memo path, so the hull
+        property above is not vacuous."""
+        knowledge, __, task, context = triage_setup(problem)
+        model = ProcessModel.from_equations(
+            knowledge.seed_equations, task.var_order
+        )
+        assert _hull_bounds(model, context) is not None
+
+    @cases(NAMED_TRIAGE_CASES)
+    def test_named(self, case):
+        problem, rhs, params, fatal = case
+        __, __, task, context = triage_setup(problem)
+        equations = {name: rhs for name in task.state_names}
+        model = ProcessModel.from_equations(equations, task.var_order)
+        assert triage_fatal(model, params, context) == fatal
+        assert report_fatal(model, params, context) == fatal
+        if fatal:
+            assert _hull_bounds(model, context) is None
