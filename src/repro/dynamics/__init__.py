@@ -2,12 +2,9 @@
 
 from repro.dynamics.drivers import DriverError, DriverTable
 from repro.dynamics.integrate import (
-    BatchedRollout,
     ClampSpec,
     SimulationDiverged,
-    batched_euler_rollout,
     euler_steps,
-    fused_euler_rollout,
     is_finite_trajectory,
     observation_error_stream,
     rk4_steps,
@@ -19,7 +16,6 @@ from repro.dynamics.task import BAD_FITNESS, ModelingTask
 
 __all__ = [
     "BAD_FITNESS",
-    "BatchedRollout",
     "ClampSpec",
     "ModelingTask",
     "DriverError",
@@ -27,9 +23,7 @@ __all__ = [
     "ModelError",
     "ProcessModel",
     "SimulationDiverged",
-    "batched_euler_rollout",
     "euler_steps",
-    "fused_euler_rollout",
     "is_finite_trajectory",
     "observation_error_stream",
     "rk4_steps",

@@ -15,18 +15,19 @@ from typing import Mapping, Sequence
 from repro.expr.ast import Expr, free_params, free_states, free_vars, strip_ext
 from repro.expr.compile import (
     KERNEL_CACHE,
-    CompiledCohortKernel,
     CompiledModel,
     CompiledStationKernel,
     compile_model,
-    compile_model_batched,
     compile_station_kernel,
 )
-
-# The e2e benchmark's probes wrap this name here (ROADMAP item 1).
-from repro.expr.compile import compile_model_cohort  # noqa: F401
 from repro.expr.evaluate import evaluate
 from repro.expr.simplify import canonical_key
+
+# Inert: the e2e benchmark's probes wrap these names of the deleted
+# vector kernel builders (ROADMAP item 1).  Nothing in the package calls
+# them.
+compile_model_batched = None
+compile_model_cohort = None
 
 
 class ModelError(ValueError):
@@ -49,9 +50,6 @@ class ProcessModel:
     param_order: tuple[str, ...]
     var_order: tuple[str, ...]
     _compiled: CompiledModel | None = field(default=None, repr=False, compare=False)
-    _compiled_batched: CompiledCohortKernel | None = field(
-        default=None, repr=False, compare=False
-    )
     _station: CompiledStationKernel | None = field(
         default=None, repr=False, compare=False
     )
@@ -85,13 +83,12 @@ class ProcessModel:
                 )
 
     def __getstate__(self) -> dict:
-        # Compiled kernels (scalar, batched and station) are
-        # exec-generated and unpicklable; they are rebuilt lazily after
-        # transfer to a worker, where the worker's own process-global
-        # kernel cache takes over sharing.
+        # Compiled kernels (scalar and station) are exec-generated and
+        # unpicklable; they are rebuilt lazily after transfer to a
+        # worker, where the worker's own process-global kernel cache
+        # takes over sharing.
         state = dict(self.__dict__)
         state["_compiled"] = None
-        state["_compiled_batched"] = None
         state["_station"] = None
         return state
 
@@ -154,27 +151,6 @@ class ProcessModel:
     def _build_scalar_kernel(self) -> CompiledModel:
         exprs = [strip_ext(self.equations[name]) for name in self.state_names]
         return compile_model(
-            exprs, self.param_order, self.var_order, self.state_names
-        )
-
-    def compiled_batched(self) -> CompiledCohortKernel:
-        """Return (compiling on first use) the batched step function.
-
-        The batched kernel has signature ``step(P, V, S) -> ndarray``
-        with ``P`` of shape ``(n_params, K)``, ``V`` one driver row and
-        ``S`` of shape ``(n_states, K)``; it advances K candidate
-        parameter columns in one vectorised pass and agrees with the
-        scalar step column by column, bit for bit.
-        """
-        if self._compiled_batched is None:
-            self._compiled_batched = KERNEL_CACHE.get_or_build(
-                self._kernel_key("batched"), self._build_batched_kernel
-            )
-        return self._compiled_batched
-
-    def _build_batched_kernel(self) -> CompiledCohortKernel:
-        exprs = [strip_ext(self.equations[name]) for name in self.state_names]
-        return compile_model_batched(
             exprs, self.param_order, self.var_order, self.state_names
         )
 

@@ -11,10 +11,6 @@ from repro.experiments.fig8 import Fig8Result, run_fig8
 from repro.experiments.fig9 import Fig9Result, run_fig9
 from repro.experiments.fig10 import Fig10Result, run_fig10
 from repro.experiments.fig11 import Fig11Result, run_fig11
-from repro.experiments.kernel_batching import (
-    KernelBatchingResult,
-    run_kernel_batching,
-)
 from repro.experiments.parallel_scaling import (
     ParallelScalingResult,
     run_parallel_scaling,
@@ -36,7 +32,6 @@ REGISTRY = {
     "fig10": ("Speedup-technique ablation", run_fig10),
     "fig11": ("Evaluation short-circuiting threshold sweep", run_fig11),
     "scaling": ("Parallel run scaling (speedup vs. workers)", run_parallel_scaling),
-    "kernel": ("Batched-kernel throughput vs. scalar integration", run_kernel_batching),
     "case-study": ("Discovered revisions (Section IV-E)", run_case_study),
 }
 
@@ -47,7 +42,6 @@ __all__ = [
     "Fig9Result",
     "Fig10Result",
     "Fig11Result",
-    "KernelBatchingResult",
     "ParallelScalingResult",
     "REGISTRY",
     "SCALES",
@@ -63,7 +57,6 @@ __all__ = [
     "run_fig9",
     "run_fig10",
     "run_fig11",
-    "run_kernel_batching",
     "run_parallel_scaling",
     "run_table1",
     "run_table2",

@@ -53,7 +53,7 @@ from repro.experiments import REGISTRY
 
 #: Experiments whose runners accept a scale argument.
 _SCALED = {
-    "table5", "fig9", "fig10", "fig11", "scaling", "case-study", "kernel",
+    "table5", "fig9", "fig10", "fig11", "scaling", "case-study",
 }
 
 #: Experiments whose runners accept a checkpoint directory.

@@ -27,20 +27,7 @@ it element by element), so every form matches the scalar step bit for
 bit:
 
 * the **scalar** form (:func:`compile_model`) is one scalar stream with
-  no routing: one candidate steps through plain Python floats;
-* the **cohort** form (:func:`compile_model_cohort`) fuses M structures
-  into one NumPy kernel over ``M * K`` padded lanes.  Its step stream
-  sends driver-dependent, state-free subtrees to a *precompute* stream
-  that evaluates them for a whole ``(T, n_vars)`` driver table at once;
-  every other subtree stays in the step.  Value numbering is
-  cohort-wide, so positionally identical subexpressions of *different*
-  structures are computed once, and each member's results are written
-  only to its own lane slice.  The fitness evaluator runs only its
-  one-member form below; several members in one kernel are exercised by
-  the kernel tests and the oracle harness;
-* the **batched** form (:func:`compile_model_batched`) is the
-  one-member cohort: K parameter columns of one structure, whole output
-  rows; and
+  no routing: one candidate steps through plain Python floats; and
 * the **station** form (:func:`compile_station_kernel`) splits one
   structure for the river network: state-dependent subtrees stay in a
   scalar step stream, driver-dependent, state-free ones go to a NumPy
@@ -61,7 +48,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
-from typing import Any, Callable, Hashable, Iterator, Sequence
+from typing import Any, Callable, Hashable, Sequence
 
 import numpy as np
 
@@ -87,92 +74,6 @@ CompiledModel = Callable[
 ]
 
 
-class CompiledCohortKernel:
-    """A two-phase NumPy step kernel integrating structures side by side.
-
-    The kernel advances M structures × K lanes: parameter matrix ``P``
-    has shape ``(n_params, M * K)`` (rows follow each member's own
-    ``param_order`` within its lane block, unused rows are ignored) and
-    the state matrix ``S`` has shape ``(n_states, M * K)``.  Member
-    ``m`` owns lanes ``[m * K, (m + 1) * K)``; every subexpression is
-    evaluated over the *full* fused width, so positionally identical
-    subexpressions of different members collapse to one temp under value
-    numbering -- the lanes a member does not own carry other members'
-    values (or garbage) and are never written to its output slice.  A
-    one-member kernel (the batched form) writes whole output rows, so
-    it takes any number K of parameter columns.
-
-    Euler integration is sequential in the state, but every temporary
-    that depends only on parameters and drivers is constant across the
-    rollout (parameters) or known for all T rows up front (drivers).
-    :meth:`precompute` evaluates those hoisted temporaries for an entire
-    ``(T, n_vars)`` driver table in one vectorised pass; :meth:`step`
-    then computes just the state-dependent remainder for one row, which
-    cuts the per-step NumPy call count by the hoisted fraction of the
-    model.
-
-    Calling the kernel directly as ``kernel(P, V, S)`` with a single
-    driver row ``V`` of shape ``(n_vars,)`` runs both phases for that
-    row -- the convenient form for tests and one-off evaluations.
-    """
-
-    __slots__ = (
-        "_precompute_fn",
-        "_step_fn",
-        "source",
-        "n_hoisted",
-        "n_members",
-        "lanes_per_member",
-        "n_params",
-        "n_states",
-    )
-
-    def __init__(
-        self,
-        precompute_fn: Callable,
-        step_fn: Callable,
-        source: str,
-        n_hoisted: int,
-        n_members: int,
-        lanes_per_member: int,
-        n_params: int,
-        n_states: int,
-    ) -> None:
-        self._precompute_fn = precompute_fn
-        self._step_fn = step_fn
-        self.source = source
-        self.n_hoisted = n_hoisted
-        self.n_members = n_members
-        self.lanes_per_member = lanes_per_member
-        self.n_params = n_params
-        self.n_states = n_states
-
-    @property
-    def width(self) -> int:
-        """Total fused lane count ``n_members * lanes_per_member``."""
-        return self.n_members * self.lanes_per_member
-
-    def precompute(self, params: np.ndarray, driver_table: np.ndarray) -> tuple:
-        """Hoisted temporaries for all rows of ``driver_table``.
-
-        Each element is an array whose leading axis indexes the table's
-        rows; pass the tuple to :meth:`step` with the row offset.
-        """
-        return self._precompute_fn(params, driver_table)
-
-    def step(
-        self, params: np.ndarray, hoisted: tuple, row: int, states: np.ndarray
-    ) -> np.ndarray:
-        """One derivative step: ``(n_states, width)`` for driver row ``row``."""
-        return self._step_fn(params, hoisted, row, states)
-
-    def __call__(
-        self, params: np.ndarray, driver_row: np.ndarray, states: np.ndarray
-    ) -> np.ndarray:
-        table = np.asarray(driver_row, dtype=float).reshape(1, -1)
-        return self._step_fn(params, self._precompute_fn(params, table), 0, states)
-
-
 class CompilationError(ValueError):
     """Raised when an expression cannot be lowered to source."""
 
@@ -183,24 +84,18 @@ class _Stream:
     Every emitted rhs is a pure expression over earlier temps, so
     textually identical rhs compute identical values and structurally
     repeated subtrees collapse to one temp.  This base class spells the
-    protected operators as the scalar inline guards; streams sharing a
-    ``counter`` draw unique temp names from it.
+    protected operators as the scalar inline guards.
 
     :attr:`route` maps a subtree's dependency mask to the stream that
     lowers it, and :meth:`export` turns a temp of this stream into the
     leaf another stream reads it through.
     """
 
-    def __init__(
-        self,
-        prefix: str,
-        counter: Iterator[int] | None = None,
-        bind_leaves: bool = True,
-    ) -> None:
+    def __init__(self, prefix: str, bind_leaves: bool = True) -> None:
         self.lines: list[str] = []
         self._values: dict[str, str] = {}
         self._prefix = prefix
-        self._counter = count() if counter is None else counter
+        self._counter = count()
         #: Whether a leaf gets its own temp; False when the leaves are
         #: already names (the station step's state arguments).
         self.bind_leaves = bind_leaves
@@ -284,7 +179,7 @@ class _ArrayStream(_Stream):
 
     The helpers (``_pdiv`` and friends) are the vectorised twins of the
     interpreter's, so the array semantics stay defined in exactly one
-    place; every vector kernel's namespace binds them
+    place; the station kernel's namespace binds them
     (:data:`_ARRAY_OPERATORS`).
     """
 
@@ -360,43 +255,23 @@ class _Lowering:
     """Lowers expression trees into a form's streams.
 
     ``leaves`` spells parameter, driver and state reads as format
-    strings over the leaf's index ``{0}`` (and ``{1}``, the index plus
-    one, for column slices).  One lowering can emit several structures
-    (a cohort) in sequence into the same streams: :meth:`begin_member`
-    switches to the next member's parameter mapping.  Value tables,
-    exports and temp counters persist across members; only the identity
-    memos are member-local, because an expression object must never
-    inherit a temp emitted under another member's parameter mapping.
+    strings over the leaf's index ``{0}`` in ``param_order``,
+    ``var_order`` and ``state_order``.
     """
 
     def __init__(
         self,
         leaves: tuple[str, str, str],
+        param_order: Sequence[str],
         var_order: Sequence[str],
         state_order: Sequence[str],
-        streams: Sequence[_Stream],
     ) -> None:
-        self._leaves = leaves
         self._spellings: dict[type, tuple[dict[str, str], str]] = {
+            Param: (_spelled(leaves[0], tuple(param_order)), "parameter"),
             Var: (_spelled(leaves[1], tuple(var_order)), "variable"),
             State: (_spelled(leaves[2], tuple(state_order)), "state"),
         }
-        self._streams = streams
         self._masks: dict[int, int] = {}
-
-    def begin_member(self, param_order: Sequence[str]) -> None:
-        """Switch to the next member's parameter mapping."""
-        self._spellings[Param] = (
-            _spelled(self._leaves[0], tuple(param_order)),
-            "parameter",
-        )
-        for stream in self._streams:
-            stream.memo.clear()
-
-    def reads_lanes(self, expr: Expr) -> bool:
-        """Whether ``expr`` reads parameters or states, so its value
-        spans the lane axis (constants and drivers only broadcast)."""
-        return bool(_dep_mask(expr, self._masks) & (_DEP_P | _DEP_S))
 
     def lower(self, expr: Expr, stream: _Stream) -> str:
         """Emit ``expr`` for ``stream``; return the name it reads it by."""
@@ -454,7 +329,7 @@ def _spelled(spelling: str, order: tuple[str, ...]) -> dict[str, str]:
     state orders and structures of one knowledge bundle often share a
     parameter order; callers never mutate the result.
     """
-    return {name: spelling.format(i, i + 1) for i, name in enumerate(order)}
+    return {name: spelling.format(i) for i, name in enumerate(order)}
 
 
 def generate_source(
@@ -471,8 +346,9 @@ def generate_source(
     expression, see :func:`compile_expr`).
     """
     step = _Stream("t")
-    lowering = _Lowering(("P[{0}]", "V[{0}]", "S[{0}]"), var_order, state_order, [step])
-    lowering.begin_member(param_order)
+    lowering = _Lowering(
+        ("P[{0}]", "V[{0}]", "S[{0}]"), param_order, var_order, state_order
+    )
     results = [lowering.lower(expr, step) for expr in exprs]
     header = f"def {name}(P, V, S):"
     returns = "    return (" + ", ".join(results) + ("," if len(results) == 1 else "") + ")"
@@ -523,169 +399,6 @@ def compile_model(
     return func
 
 
-def compile_model_batched(
-    exprs: Sequence[Expr],
-    param_order: Sequence[str],
-    var_order: Sequence[str],
-    state_order: Sequence[str],
-) -> CompiledCohortKernel:
-    """Compile a batched step kernel over K parameter columns: the
-    one-member cohort kernel (see :func:`compile_model_cohort`).
-
-    The returned kernel agrees with K applications of the scalar step
-    column by column, bit for bit, including protected edge cases and
-    NaN propagation, so a diverging column behaves exactly as its scalar
-    simulation would while leaving its neighbours intact.
-    """
-    return compile_model_cohort([(exprs, param_order)], var_order, state_order, 1)
-
-
-def _merge_lane_runs(temps: Sequence[str]) -> list[tuple[int, int, str]]:
-    """Collapse per-member output temps into ``(start, stop, temp)`` runs.
-
-    Adjacent members whose equation for a state lowered to the *same*
-    temp (identical structure after CSE) share one slice write.
-    """
-    runs: list[tuple[int, int, str]] = []
-    for member, temp in enumerate(temps):
-        if runs and runs[-1][2] == temp and runs[-1][1] == member:
-            runs[-1] = (runs[-1][0], member + 1, temp)
-        else:
-            runs.append((member, member + 1, temp))
-    return runs
-
-
-def _generate_cohort(
-    members: Sequence[tuple[Sequence[Expr], Sequence[str]]],
-    var_order: Sequence[str],
-    state_order: Sequence[str],
-    lanes_per_member: int,
-) -> tuple[str, int]:
-    """Fused cohort source plus its hoisted-temporary count.
-
-    ``members`` holds one ``(exprs, param_order)`` pair per structure;
-    every member must supply one expression per state of
-    ``state_order``.  Two functions are emitted: ``_precompute_batched(P,
-    VT)`` evaluates every driver-dependent, state-free temporary over the
-    whole ``(T, n_vars)`` driver table (``VT[:, i:i+1]`` columns
-    broadcast against ``(K,)`` parameter rows into ``(T, K)`` arrays),
-    and ``_compiled_cohort(P, C, t, S)`` reads their row ``t`` from the
-    hoisted tuple ``C`` and computes the state-dependent remainder.  A
-    parameter-only subtree feeding a hoisted temporary is re-emitted
-    into the precompute stream.  The step function writes member ``m``'s
-    results into lanes ``[m * K, (m + 1) * K)`` of a fresh ``(n_states,
-    M * K)`` output; temps that read no parameter or state stay narrow
-    (scalars or ``(1,)``-shaped) and are assigned unsliced, broadcast
-    into the slice.  A one-member cohort writes whole output rows,
-    whatever ``K``: that is the batched kernel.
-    """
-    if not members:
-        raise CompilationError("a cohort needs at least one member")
-    if lanes_per_member < 1:
-        raise CompilationError("lanes_per_member must be >= 1")
-    n_states = len(state_order)
-    temps = count()
-    pre = _ArrayStream("t", temps)
-    step = _ArrayStream("t", temps)
-    step.route = _routes(
-        lambda mask: pre if mask & _DEP_V and not mask & _DEP_S else None
-    )
-    pre.reader = "C[{}][t]"
-    lowering = _Lowering(
-        ("P[{0}]", "VT[:, {0}:{1}]", "S[{0}]"), var_order, state_order, [pre, step]
-    )
-    results: list[list[str]] = []
-    wide: set[str] = set()
-    for exprs, param_order in members:
-        if len(exprs) != n_states:
-            raise CompilationError(
-                f"member has {len(exprs)} equations for {n_states} states"
-            )
-        lowering.begin_member(param_order)
-        results.append([lowering.lower(expr, step) for expr in exprs])
-        wide.update(
-            temp
-            for temp, expr in zip(results[-1], exprs)
-            if lowering.reads_lanes(expr)
-        )
-    returns = ", ".join(pre.exported)
-    if len(pre.exported) == 1:
-        returns += ","
-    lines = [
-        "def _precompute_batched(P, VT):",
-        *pre.lines,
-        f"    return ({returns})",
-        "",
-        "def _compiled_cohort(P, C, t, S):",
-        *step.lines,
-        f"    _out = _empty(({n_states}, S.shape[1]))",
-    ]
-    for state_index in range(n_states):
-        outputs = [member_results[state_index] for member_results in results]
-        for start, stop, temp in _merge_lane_runs(outputs):
-            if start == 0 and stop == len(members):
-                lines.append(f"    _out[{state_index}] = {temp}")
-                continue
-            lo = start * lanes_per_member
-            hi = stop * lanes_per_member
-            if temp in wide:
-                lines.append(
-                    f"    _out[{state_index}, {lo}:{hi}] = {temp}[{lo}:{hi}]"
-                )
-            else:
-                lines.append(f"    _out[{state_index}, {lo}:{hi}] = {temp}")
-    lines.append("    return _out")
-    return "\n".join(lines), len(pre.exported)
-
-
-def generate_cohort_source(
-    members: Sequence[tuple[Sequence[Expr], Sequence[str]]],
-    var_order: Sequence[str],
-    state_order: Sequence[str],
-    lanes_per_member: int,
-) -> str:
-    """Generate NumPy source for a fused multi-structure cohort kernel."""
-    source, __ = _generate_cohort(
-        members, var_order, state_order, lanes_per_member
-    )
-    return source
-
-
-def compile_model_cohort(
-    members: Sequence[tuple[Sequence[Expr], Sequence[str]]],
-    var_order: Sequence[str],
-    state_order: Sequence[str],
-    lanes_per_member: int,
-) -> CompiledCohortKernel:
-    """Compile M structures into one fused cohort step kernel.
-
-    The fused kernel agrees lane for lane with each member's own
-    batched kernel bit for bit: every emitted operation is elementwise
-    over the lane axis, so evaluating a member's subexpressions over
-    the full fused width (including lanes it does not own) changes
-    nothing about the values computed *in* its lanes, and the shared
-    temps produced by cross-member CSE hold, per lane, exactly what the
-    member's standalone emission would have computed there.  Lanes a
-    member does not own -- other members' lanes and padding -- never
-    reach its output rows.
-    """
-    source, n_hoisted = _generate_cohort(
-        members, var_order, state_order, lanes_per_member
-    )
-    namespace = {"_empty": np.empty, **_ARRAY_OPERATORS}
-    step_fn = _compile_source(source, "_compiled_cohort", namespace)
-    return CompiledCohortKernel(
-        precompute_fn=namespace["_precompute_batched"],
-        step_fn=step_fn,
-        source=source,
-        n_hoisted=n_hoisted,
-        n_members=len(members),
-        lanes_per_member=lanes_per_member,
-        n_params=max(len(param_order) for __, param_order in members),
-        n_states=len(state_order),
-    )
-
-
 class CompiledStationKernel:
     """A per-structure kernel for the stations of a river network.
 
@@ -732,8 +445,7 @@ def _generate_station(
     (``k`` temps, run once per parameter vector, read by name from the
     closures); maximal driver-dependent, state-free subtrees go to the
     hoist stream (``h`` temps over ``VB``) and reach the step function
-    as frontier arguments ``c{j}`` -- the subtrees the cohort form
-    hoists into its precompute stream.
+    as frontier arguments ``c{j}``.
     """
     setup = _Stream("k")
     hoist = _ArrayStream("h")
@@ -744,9 +456,8 @@ def _generate_station(
     hoist.route = _routes(lambda mask: None if mask & _DEP_V else setup)
     hoist.reader = "c{}"
     lowering = _Lowering(
-        ("P[{0}]", "VB[{0}]", "S{0}"), var_order, state_order, [setup, hoist, step]
+        ("P[{0}]", "VB[{0}]", "S{0}"), param_order, var_order, state_order
     )
-    lowering.begin_member(param_order)
     results = [lowering.lower(expr, step) for expr in exprs]
     frontier = hoist.exported
     hoisted = "".join(f"{name}, " for name in frontier)

@@ -98,15 +98,6 @@ class TreeCache:
         self.stats.hits += 1
         return value
 
-    def peek(self, key: Hashable) -> float | None:
-        """Look up a fitness without touching statistics or recency.
-
-        Used by batch planning to decide which cohort members need a
-        simulation column; the authoritative (stats-counting) ``get``
-        still happens later, in cohort order.
-        """
-        return self._entries.get(key)
-
     def put(self, key: Hashable, fitness: float) -> None:
         """Store a fitness, evicting the least recently used when full.
 

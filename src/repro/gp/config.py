@@ -16,13 +16,6 @@ class ConfigError(ValueError):
     """Raised for inconsistent engine configurations."""
 
 
-#: Historical default of :attr:`GMRConfig.kernel_min_batch`: structure
-#: groups smaller than this take the scalar path, because a vector
-#: rollout's per-row NumPy dispatch overhead is not amortised over a
-#: single column.
-MIN_BATCH_COLUMNS = 2
-
-
 @dataclass(frozen=True)
 class OperatorProbabilities:
     """Probabilities with which reproduction operators are chosen."""
@@ -97,39 +90,19 @@ class GMRConfig:
             deserialised artifacts at a small per-offspring cost.
         eval_batch_size: When > 0, ``GMREngine`` generates offspring in
             unevaluated batches of this size and evaluates each batch
-            through its evaluation backend before local search.  Batched
-            evaluation synchronises the ES ``best_prev_full`` marker once
-            per batch instead of once per individual, so results can
-            differ slightly from the (default) per-individual mode; 0
-            preserves the strictly serial semantics.
-        use_batched_kernel: Evaluate cohorts through the batched NumPy
-            kernels (:func:`repro.expr.compile.compile_model_batched`):
-            ``GMRFitnessEvaluator.evaluate_batch`` groups a cohort by
-            model structure and integrates each group's K parameter
-            vectors in one vectorised pass.  Results match the scalar
-            path bit for bit (ES short-circuiting and divergence
-            handling are replayed per column in cohort order); set False
-            to force every evaluation through the scalar kernels.
-        kernel_batch_size: Maximum parameter columns per batched rollout;
-            larger structure groups are chunked to this width.  Bounds
-            the ``(T, n_states, K)`` trajectory memory of one rollout.
-        kernel_min_batch: Minimum distinct parameter columns a structure
-            group needs to take the batched kernel path;
-            smaller groups evaluate through the scalar kernel, because
-            a vector rollout pays NumPy dispatch overhead on every row
-            that too few columns do not amortise.  Default is the
-            historical module constant (:data:`MIN_BATCH_COLUMNS`).  Excluded from
-            ``repr`` (like ``domain``): the threshold only moves work
-            between the scalar and vector kernels, which are
-            bit-identical, so checkpoints written under a different
-            setting stay resumable.
+            through its evaluation backend
+            (``GMRFitnessEvaluator.evaluate_batch``, or a process pool)
+            before local search.  The members of a batch are generated
+            before any of them is scored, so the RNG stream and the
+            order in which ES's ``best_prev_full`` marker moves differ
+            from the (default) per-individual mode, and results can
+            differ slightly; 0 preserves the strictly serial semantics.
         gaussian_proposals: Candidates proposed per Gaussian-mutation
             move (engine operator and hill-climb move alike).  With K > 1
             each move proposes K parameter vectors of the *same*
-            structure, scores them through one batched rollout, and keeps
-            the best -- the propose-K-then-pick-best pattern that batched
-            kernels make nearly free.  1 (default) preserves the paper's
-            single-proposal semantics.
+            structure, scores them as one cohort through
+            ``evaluate_batch``, and keeps the best.  1 (default)
+            preserves the paper's single-proposal semantics.
         tree_cache_size: LRU capacity of the fitness tree cache
             (entries).  Bounds cache memory over long campaigns; see
             :class:`repro.gp.cache.TreeCache`.
@@ -200,14 +173,11 @@ class GMRConfig:
     strict_validate: bool = False
     static_triage: bool = False
     checkpoint_every: int = 0
-    use_batched_kernel: bool = True
-    kernel_batch_size: int = 64
     gaussian_proposals: int = 1
     tree_cache_size: int = 200_000
     compiled_cache_size: int = 512
     domain: str = field(default="river", repr=False)
     checkpoint_keep: int = field(default=1, repr=False)
-    kernel_min_batch: int = field(default=MIN_BATCH_COLUMNS, repr=False)
 
     def __post_init__(self) -> None:
         if not self.domain or not isinstance(self.domain, str):
@@ -238,10 +208,6 @@ class GMRConfig:
             raise ConfigError("checkpoint_every must be >= 0")
         if self.checkpoint_keep < 1:
             raise ConfigError("checkpoint_keep must be >= 1")
-        if self.kernel_batch_size < 1:
-            raise ConfigError("kernel_batch_size must be positive")
-        if self.kernel_min_batch < 1:
-            raise ConfigError("kernel_min_batch must be positive")
         if self.gaussian_proposals < 1:
             raise ConfigError("gaussian_proposals must be positive")
         if self.tree_cache_size < 1:

@@ -296,8 +296,9 @@ class GMREngine:
             rng.setstate(checkpoint.rng_state)
             evaluator = checkpoint.evaluator
             # The checks above pin every repr'd setting; the evaluator
-            # follows this engine's repr=False ones (kernel_min_batch)
-            # and drops whatever the writer's pickled config carried.
+            # follows this engine's repr=False ones (domain,
+            # checkpoint_keep) and drops whatever the writer's pickled
+            # config carried.
             evaluator.config = config
             population: list[Individual] | None = checkpoint.population
             best: Individual | None = checkpoint.best
@@ -350,10 +351,8 @@ class GMREngine:
                     )
                     if config.strict_validate:
                         self._lint_offspring(population, "initial population")
-                    # The seed population is one big cohort with no RNG use
-                    # between evaluations, so the batched kernels can
-                    # integrate it structure-group by structure-group with
-                    # identical results.
+                    # The seed population is one cohort with no RNG use
+                    # between evaluations.
                     with self._phase(profile, "evaluate"):
                         evaluator.evaluate_batch(population)
 
@@ -634,7 +633,7 @@ class GMREngine:
         run's evaluator knows which tasks have it and owns the triage
         context its candidates are checked against.
         """
-        if not evaluator._batchable:
+        if not evaluator._triageable:
             return
         from repro.lint import LintReport
         from repro.lint.triage import fatal_findings, triage_equations
@@ -706,7 +705,7 @@ class GMREngine:
         if roll < ops.crossover + ops.subtree_mutation + ops.gaussian_mutation:
             if config.gaussian_proposals > 1:
                 # Propose-K-then-pick-best: all proposals share the
-                # parent's structure, so one batched rollout scores them.
+                # parent's structure, so one cohort scores them.
                 return [
                     gaussian_mutation_best_of(
                         select(), self.knowledge, config, rng, sigma_scale,

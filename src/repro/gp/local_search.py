@@ -19,7 +19,7 @@ from repro.tag.grammar import TagGrammar
 #: Callback evaluating an individual, returning its fitness (lower better).
 FitnessFn = Callable[[Individual], float]
 
-#: Callback evaluating a cohort at once (e.g.
+#: Callback evaluating a cohort in order, one fitness per member (e.g.
 #: :meth:`repro.gp.fitness.GMRFitnessEvaluator.evaluate_batch`).
 BatchFitnessFn = Callable[[list[Individual]], list[float]]
 
@@ -104,9 +104,9 @@ def hill_climb(
 
     With ``batch_fitness_fn`` provided and ``config.gaussian_proposals``
     above 1, the Gaussian move proposes that many parameter vectors and
-    keeps the best, scored in one batched rollout (they all share the
-    current structure); the winning candidate still only replaces
-    ``current`` if it strictly improves on it.
+    keeps the best, scored as one cohort through ``batch_fitness_fn``
+    (they all share the current structure); the winning candidate
+    still only replaces ``current`` if it strictly improves on it.
     """
     from repro.gp.operators import (  # local import: cycle
         gaussian_mutation,

@@ -155,10 +155,9 @@ def gaussian_mutation_best_of(
     """Propose ``config.gaussian_proposals`` Gaussian tweaks, keep the best.
 
     The propose-K-then-pick-best pattern: every proposal shares the
-    parent's structure, so scoring them through the evaluator's batched
-    kernel integrates all K parameter vectors in one vectorised pass.
-    Proposals are drawn (and so consume the RNG stream) in order; ties on
-    fitness keep the earliest proposal.  With ``gaussian_proposals=1``
+    parent's structure, so after the first one compiles, the others
+    reuse its kernel.  Proposals are drawn (and so consume the RNG
+    stream) in order; ties on fitness keep the earliest proposal.  With ``gaussian_proposals=1``
     this is a single :func:`gaussian_mutation` followed by one
     evaluation -- the engine's historical behaviour.
 

@@ -499,9 +499,7 @@ class SerialBackend(EvaluationBackend):
         evaluator: GMRFitnessEvaluator,
         individuals: Sequence[Individual],
     ) -> None:
-        # Delegates to the evaluator's own cohort path, which routes the
-        # batch through the batched kernels when enabled and replays the
-        # per-individual Algorithm 1 semantics either way.
+        # The evaluator's own cohort path: one evaluate call per member.
         evaluator.evaluate_batch(list(individuals))
 
 
@@ -686,7 +684,7 @@ class ProcessPoolBackend(EvaluationBackend):
                 if rebuilds >= self.max_pool_rebuilds:
                     if not self.serial_fallback:
                         raise pool_error
-                    # Second rung of the degradation ladder: evaluate
+                    # The degradation ladder's rung: evaluate
                     # the chunks the broken pool never returned in the
                     # parent process (their statistics were never
                     # folded, so nothing double-counts), and stay

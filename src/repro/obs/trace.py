@@ -153,20 +153,21 @@ EVENT_SCHEMAS: dict[str, EventSchema] = {
     ),
     # A named engine or evaluator phase (span).
     "phase": EventSchema(required={"name": str}),
-    # One evaluator cohort evaluation (point), scalar or batched.
+    # One evaluator cohort evaluation (point).
     "evaluation_batch": EventSchema(
         required={"size": int},
         optional={
-            "batched": bool,
             "cache_hits": int,
-            "groups": int,
-            "columns": int,
-            # Fused cohorts per batch: no longer emitted, still accepted
-            # so traces written before structure fusion was deleted read.
-            "cohorts": int,
             "wall_time": float,
             "compile_time": float,
             "step_time": float,
+            # No longer emitted since the vector path (and before it,
+            # structure fusion) was deleted; still accepted so older
+            # traces read.
+            "batched": bool,
+            "groups": int,
+            "columns": int,
+            "cohorts": int,
             "batch_fill": float,
             "source": str,
         },
@@ -198,10 +199,9 @@ EVENT_SCHEMAS: dict[str, EventSchema] = {
         required={"reason": str, "generation": int},
         optional={"evaluations": int, "elapsed": float},
     ),
-    # The degradation ladder engaged (point): a batched kernel fell
-    # back to the scalar path for its structure, or a broken
-    # process pool fell back to serial evaluation.  Results are
-    # unchanged; only the execution strategy degraded.
+    # The degradation ladder engaged (point): a broken process pool
+    # fell back to serial evaluation.  Results are unchanged; only the
+    # execution strategy degraded.
     "degradation": EventSchema(
         required={"what": str},
         optional={"error_type": str, "detail": str},

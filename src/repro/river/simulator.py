@@ -612,11 +612,10 @@ class RiverTask:
     (``state_names``, ``var_order``, ``n_cases``, ``error_stream``,
     ``rmse``, ``mae``, ``trajectory``), so it plugs into the GMR fitness
     evaluator and all calibration baselines unchanged.  It lacks the
-    plain-ODE surface the evaluator's batched kernels integrate, so the
-    evaluator scores it one candidate at a time; its compiled error
-    stream runs the network's generated day loop over the candidate's
-    station kernel, which the evaluator's compile phase obtains through
-    :meth:`compiled_kernel`.
+    plain-ODE surface static triage reads, so the evaluator never
+    triages it; its compiled error stream runs the network's generated
+    day loop over the candidate's station kernel, which the evaluator's
+    compile phase obtains through :meth:`compiled_kernel`.
     """
 
     simulator: RiverSystemSimulator

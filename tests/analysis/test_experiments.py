@@ -79,7 +79,6 @@ class TestRegistry:
             "fig10",
             "fig11",
             "scaling",
-            "kernel",
             "case-study",
         }
 

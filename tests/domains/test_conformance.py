@@ -1,8 +1,8 @@
 """The cross-domain conformance battery.
 
 Every registered domain must behave identically under the engine's
-moving parts: its bundle lints clean, batched kernels reproduce the
-scalar path, seeded runs are deterministic, crash/resume is
+moving parts: its bundle lints clean, a run's champion re-scores to
+its fitness through the interpreter, seeded runs are deterministic, crash/resume is
 bit-identical, and a seeded mini-run recovers the planted revision (or,
 for domains without one, beats the expert seed).  The battery is the
 contract a new domain signs by registering.
@@ -10,16 +10,19 @@ contract a new domain signs by registering.
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import pytest
 
 from repro.domains import get_domain
 from repro.expr.ast import free_vars
 from repro.gp import GMREngine
 from repro.gp.checkpoint import load_checkpoint
+from repro.gp.fitness import GMRFitnessEvaluator
 from repro.gp.knowledge import build_grammar
 
 from tests.domains.conftest import conformance_config
-from tests.oracle import ALGORITHM_1_COUNTERS
 
 
 class SimulatedCrash(RuntimeError):
@@ -86,46 +89,30 @@ class TestLintClean:
         assert main(["--domain", spec.name, "--warnings-as-errors"]) == 0
 
 
-def assert_vector_run_matches_scalar_run(spec, knowledge, mini_task, **routing):
-    """The same seeded mini run with the vector kernel off and on (under
-    ``routing``) must agree exactly: champion fitness, per-generation
-    history and Algorithm 1 counts."""
-    seed = spec.conformance.mini_seed
-    batching = dict(
-        eval_batch_size=spec.conformance.population_size, gaussian_proposals=8
-    )
-    off = GMREngine(
-        knowledge,
-        mini_task,
-        conformance_config(spec, use_batched_kernel=False, **batching),
-    ).run(seed=seed)
-    on = GMREngine(
-        knowledge,
-        mini_task,
-        conformance_config(spec, **routing, **batching),
-    ).run(seed=seed)
-    assert off.stats.batched_evaluations == 0
-    assert on.stats.batched_evaluations > 0
-    assert on.best_fitness == off.best_fitness
-    assert histories(on) == histories(off)
-    for name in ALGORITHM_1_COUNTERS:
-        assert getattr(on.stats, name) == getattr(off.stats, name), name
-
-
 class TestKernelEquivalence:
     def test_batched_run_matches_scalar_run(self, spec, knowledge, mini_task):
-        """derive -> compile -> simulate through the batched NumPy kernels
-        under the default routing must reproduce the scalar path
-        exactly."""
-        assert_vector_run_matches_scalar_run(spec, knowledge, mini_task)
-
-    def test_fused_run_matches_unfused_run(self, spec, knowledge, mini_task):
-        """Every structure group through the vector kernel, singletons
-        included (``kernel_min_batch=1``: the groups structure fusion
-        once packed), must reproduce the scalar path exactly."""
-        assert_vector_run_matches_scalar_run(
-            spec, knowledge, mini_task, kernel_min_batch=1
+        """A seeded mini run in cohort mode (batched offspring, eight
+        Gaussian proposals): its champion, re-scored by a fresh compiled
+        evaluator with ES and the tree cache off, has exactly its
+        fitness, and the interpreter agrees within rel 1e-9."""
+        config = conformance_config(
+            spec,
+            eval_batch_size=spec.conformance.population_size,
+            gaussian_proposals=8,
         )
+        result = GMREngine(knowledge, mini_task, config).run(
+            seed=spec.conformance.mini_seed
+        )
+        champion = result.best
+        assert champion.fully_evaluated
+        full = dataclasses.replace(config, es_threshold=None, use_tree_cache=False)
+        for use_compilation, rel in ((True, 0.0), (False, 1e-9)):
+            oracle = dataclasses.replace(full, use_compilation=use_compilation)
+            evaluator = GMRFitnessEvaluator(task=mini_task, config=oracle)
+            rescored = evaluator.evaluate(champion.copy())
+            assert math.isclose(rescored, result.best_fitness, rel_tol=rel), (
+                use_compilation, rescored, result.best_fitness
+            )
 
 
 class TestDeterminism:

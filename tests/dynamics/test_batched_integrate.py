@@ -1,63 +1,20 @@
-"""Vector Euler rollouts: validation, and RK4's compiled/interpreted parity.
+"""RK4's compiled/interpreted parity and its NaN handling.
 
-:func:`repro.dynamics.integrate.batched_euler_rollout` is
-:func:`fused_euler_rollout` over a model's one-member cohort kernel.
-Their column-by-column agreement with the scalar :func:`euler_steps`
-stream, divergence masking, padding-lane isolation and early stops are
-checked by the differential oracle harness (``tests/test_oracle.py``).
+This file held the vector Euler rollouts' tests until that path was
+deleted; the RK4 tests keep their ids here.  The scalar Euler stream's
+agreement with the interpreter is checked by the differential oracle
+harness (``tests/test_oracle.py``).
 """
 
 import numpy as np
 import pytest
 
 from repro.dynamics.drivers import DriverTable
-from repro.dynamics.integrate import (
-    SimulationDiverged,
-    batched_euler_rollout,
-    euler_steps,
-    fused_euler_rollout,
-    rk4_steps,
-)
+from repro.dynamics.integrate import SimulationDiverged, euler_steps, rk4_steps
 from repro.dynamics.system import ProcessModel
 from repro.expr import ast
 from repro.expr.ast import Const, Param, State, Var
-from tests.oracle import (
-    HUGE,
-    cohort_kernel,
-    decay_model,
-    logistic_model,
-    poison_model,
-    wavy_drivers,
-)
-
-
-def batched(shape, initial):
-    model = logistic_model()
-    return batched_euler_rollout(model, np.zeros(shape), wavy_drivers(5), initial)
-
-
-def fused(shape, initial):
-    """A two-member cohort of width 4 (three parameter rows)."""
-    kernel = cohort_kernel([logistic_model(), decay_model()], 2)
-    return fused_euler_rollout(
-        kernel, np.zeros(shape), wavy_drivers(5), initial, ("Vx",)
-    )
-
-
-class TestValidation:
-    @pytest.mark.parametrize(
-        "rollout, shape, initial, match",
-        [
-            pytest.param(batched, (3,), (2.0,), "matrix", id="non-matrix"),
-            pytest.param(batched, (2, 4), (2.0,), "parameters", id="param-rows"),
-            pytest.param(batched, (3, 4), (2.0, 1.0), "states", id="initial-state"),
-            pytest.param(fused, (3, 5), (2.0,), "fused kernel expects", id="width"),
-            pytest.param(fused, (3, 4), (2.0, 1.0), "states", id="fused-initial"),
-        ],
-    )
-    def test_rejects(self, rollout, shape, initial, match):
-        with pytest.raises(ValueError, match=match):
-            rollout(shape, initial)
+from tests.oracle import HUGE, logistic_model, poison_model, wavy_drivers
 
 
 class TestRk4Parity:

@@ -1,6 +1,7 @@
-"""Runtime compilation: correctness of the scalar kernel.
+"""Runtime compilation: correctness of the scalar kernel, and the kernel
+cache.
 
-Its equivalence with the interpreter and the other kernel forms is
+Its equivalence with the interpreter and the station kernel is
 checked by the differential oracle harness (``tests/test_oracle.py``).
 """
 
@@ -12,6 +13,7 @@ from repro.expr import ast
 from repro.expr.ast import Const, Param, State, Var
 from repro.expr.compile import (
     CompilationError,
+    KernelCache,
     compile_expr,
     compile_model,
     generate_source,
@@ -82,3 +84,35 @@ class TestNaNSemantics:
         for op in (ast.minimum, ast.maximum):
             assert math.isnan(compile_expr(op(nan, Const(5.0)), [], [])((), ()))
             assert compile_expr(op(Const(5.0), nan), [], [])((), ()) == 5.0
+
+
+class TestKernelCache:
+    def test_lru_eviction_and_stats(self):
+        cache = KernelCache(max_entries=2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert cache.get("a") == 1  # refresh 'a'
+        cache.put("c", 3)  # evicts 'b'
+        assert cache.get("b") is None
+        assert cache.get("a") == 1
+        assert cache.get("c") == 3
+        assert cache.stats.evictions == 1
+        assert cache.stats.hits == 3
+        assert cache.stats.misses == 1
+        assert len(cache) == 2
+
+    def test_get_or_build_builds_once(self):
+        cache = KernelCache(max_entries=4)
+        calls = []
+
+        def builder():
+            calls.append(1)
+            return "kernel"
+
+        assert cache.get_or_build("k", builder) == "kernel"
+        assert cache.get_or_build("k", builder) == "kernel"
+        assert len(calls) == 1
+
+    def test_rejects_nonpositive_capacity(self):
+        with pytest.raises(ValueError):
+            KernelCache(max_entries=0)

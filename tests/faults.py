@@ -12,9 +12,9 @@ resilience layer handles *deterministically reproducible*:
 * :class:`FaultInjectingEngine` -- a :class:`~repro.gp.engine.GMREngine`
   that applies seed/attempt-scoped faults at run start and builds
   fault-injecting evaluators.
-* :func:`fail_first_rollouts` -- makes the evaluator's batched
-  rollouts raise, through the module-level name :mod:`repro.gp.fitness`
-  calls them by, to walk the kernel degradation ladder.
+* :func:`break_evaluation_pools` -- breaks the process-pool evaluation
+  backend's pools at submission, to walk the degradation ladder without
+  starting a process.
 
 Attempt-scoped faults ("fail seed 3 on its first two attempts") need a
 memory that survives worker processes dying -- that is the point -- so
@@ -23,8 +23,8 @@ pickled engine: one append-only file per seed.  Campaign retries of a
 given seed are sequential, so the ledger needs no locking.
 
 Nothing here ships with the package; it exists so that the resilience
-and observability suites can exercise crash/resume, retry, broken-pool
-recovery and kernel degradation without flaky sleeps or real resource
+and observability suites can exercise crash/resume, retry and
+broken-pool recovery without flaky sleeps or real resource
 exhaustion.
 
 .. warning::
@@ -38,16 +38,14 @@ from __future__ import annotations
 import os
 import signal
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
-import pytest
-
-import repro.gp.fitness as fitness_module
 from repro.gp.checkpoint import RunCheckpoint
 from repro.gp.engine import GMREngine, ProgressFn, RunResult
 from repro.gp.fitness import GMRFitnessEvaluator
-from repro.gp.individual import Individual
+from repro.gp.parallel import ProcessPoolBackend
 
 
 class InjectedFault(RuntimeError):
@@ -194,33 +192,6 @@ class FaultInjectingEvaluator(GMRFitnessEvaluator):
                 )
         return super().evaluate(individual)
 
-    def evaluate_batch(self, individuals: Sequence[Individual]) -> list[float]:
-        # Per-evaluation faults must fire once per individual, so cohorts
-        # are evaluated one by one instead of through the vector kernels.
-        return [self.evaluate(individual) for individual in individuals]
-
-
-def fail_first_rollouts(monkeypatch: pytest.MonkeyPatch, count: int) -> None:
-    """Make the evaluator's first ``count`` batched rollouts raise.
-
-    Patches ``repro.gp.fitness.batched_euler_rollout``, the name the
-    evaluator calls the rollout through; later calls run the real
-    rollout.  A failing rollout exercises the degradation ladder: the
-    group's structure drops to the scalar path and is blocklisted, with
-    results identical to a healthy run.
-    """
-    original = fitness_module.batched_euler_rollout
-    calls = 0
-
-    def failing(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        if calls <= count:
-            raise InjectedFault(f"injected batched rollout failure (call {calls})")
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(fitness_module, "batched_euler_rollout", failing)
-
 
 @dataclass
 class FaultInjectingEngine(GMREngine):
@@ -274,3 +245,26 @@ class FaultInjectingEngine(GMREngine):
             resume_from=resume_from,
             checkpoint_path=checkpoint_path,
         )
+
+
+class _BrokenPool:
+    """A process pool that is broken before its first submission."""
+
+    def submit(self, *args, **kwargs):
+        raise BrokenProcessPool("injected broken evaluation pool")
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        pass
+
+
+def break_evaluation_pools(monkeypatch) -> None:
+    """Make every :class:`~repro.gp.parallel.ProcessPoolBackend` pool
+    broken at submission, without starting a process: a backend with
+    ``max_pool_rebuilds=0`` then walks the degradation ladder to serial
+    evaluation on its first batch."""
+
+    def broken(self, evaluator):
+        self._pool = _BrokenPool()
+        return self._pool
+
+    monkeypatch.setattr(ProcessPoolBackend, "_ensure_pool", broken)

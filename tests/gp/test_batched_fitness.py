@@ -1,10 +1,11 @@
-"""Batched cohort evaluation: fallbacks, caches and proposals.
+"""Cohort evaluation: edge cases, caches and proposals.
 
 ``GMRFitnessEvaluator.evaluate_batch`` must be observationally identical
 to a sequence of ``evaluate`` calls; the differential oracle harness
 (``tests/test_oracle.py``) checks that over random cohorts and
-settings.  These tests pin the batch's edge cases: in-cohort cache
-hits, the scalar fallbacks, bounded caches and best-of-K proposals.
+settings.  These tests pin the cohort's edge cases: in-cohort cache
+hits, the interpreter, duck-typed tasks, bounded caches and best-of-K
+proposals.
 """
 
 from __future__ import annotations
@@ -44,14 +45,17 @@ class TestCohortEquivalence:
     def test_disabled_kernel_falls_back_to_scalar(
         self, toy_grammar, toy_knowledge, toy_task, small_config
     ):
-        config = dataclasses.replace(small_config, use_batched_kernel=False)
+        """Without compilation the cohort steps through the interpreter
+        and compiles nothing."""
+        config = dataclasses.replace(small_config, use_compilation=False)
         cohort = make_cohort(
             toy_grammar, toy_knowledge, config, seed=2, size=10, duplicates=0
         )
         evaluator = GMRFitnessEvaluator(task=toy_task, config=config)
         evaluator.evaluate_batch(cohort)
         assert evaluator.stats.evaluations == len(cohort)
-        assert evaluator.stats.batched_evaluations == 0
+        assert evaluator.stats.compile_time == 0.0
+        assert len(evaluator.compiled_cache) == 0
 
     def test_network_style_task_falls_back_to_scalar(
         self, toy_grammar, toy_knowledge, toy_task, small_config
@@ -60,8 +64,8 @@ class TestCohortEquivalence:
 
         The network-coupled river task is duck-typed to ModelingTask: it
         offers ``error_stream`` but no ``drivers``/``initial_state``/
-        ``dt``/``clamp``.  ``evaluate_batch`` has to detect that and
-        evaluate through the scalar path with identical results.
+        ``dt``/``clamp``.  ``evaluate_batch`` scores it with the same
+        results as on the plain task.
         """
 
         class NetworkStyle:
@@ -82,7 +86,6 @@ class TestCohortEquivalence:
         wrapped = ev_wrapped.evaluate_batch(copy.deepcopy(cohort))
         plain = [ev_plain.evaluate(ind) for ind in copy.deepcopy(cohort)]
         assert wrapped == plain
-        assert ev_wrapped.stats.batched_evaluations == 0
         assert ev_wrapped.stats.evaluations == len(cohort)
 
     def test_timing_fields_populated(
@@ -92,7 +95,7 @@ class TestCohortEquivalence:
         evaluator = GMRFitnessEvaluator(task=toy_task, config=small_config)
         evaluator.evaluate_batch(cohort)
         stats = evaluator.stats
-        assert stats.batch_fill > 0.0
+        assert stats.compile_time > 0.0
         assert stats.step_time > 0.0
         assert stats.wall_time >= stats.step_time
 
@@ -123,9 +126,8 @@ class TestBoundedCaches:
     def test_batched_still_matches_with_tiny_caches(
         self, toy_grammar, toy_knowledge, toy_task, small_config
     ):
-        """Evicted-peek edge: a member planned as a cache hit can lose its
-        entry to eviction mid-batch and must fall back to a scalar
-        evaluation with identical results."""
+        """A three-entry tree cache evicts duplicates before they recur;
+        they are simulated again, with identical results."""
         config = dataclasses.replace(small_config, tree_cache_size=3)
         cohort = make_cohort(toy_grammar, toy_knowledge, config, seed=13)
         pop_scalar = copy.deepcopy(cohort)

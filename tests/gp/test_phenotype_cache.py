@@ -219,7 +219,6 @@ class TestHygiene:
         )
         assert hit
         assert model._compiled is None
-        assert model._compiled_batched is None
         assert "_structure_key" in model.__dict__
 
     def test_pickled_evaluator_carries_no_cache(
@@ -279,6 +278,5 @@ class TestHygiene:
             "short_circuits",
             "divergences",
             "steps_evaluated",
-            "batched_evaluations",
         ):
             assert getattr(cached_stats, name) == getattr(stats, name)

@@ -24,9 +24,15 @@ from repro.expr.ast import Const, Ext, Param, State
 from repro.gp import GMREngine
 from repro.gp.checkpoint import load_checkpoint
 from repro.gp.config import GMRConfig
-from repro.gp.fitness import EvaluationStats
-from repro.gp.knowledge import ExtensionSpec, ParameterPrior, PriorKnowledge
+from repro.gp.fitness import EvaluationStats, GMRFitnessEvaluator
+from repro.gp.knowledge import (
+    ExtensionSpec,
+    ParameterPrior,
+    PriorKnowledge,
+    build_grammar,
+)
 from repro.lint import LintError
+from tests.oracle import make_cohort
 
 
 def blowup_knowledge() -> PriorKnowledge:
@@ -136,45 +142,35 @@ class TestBitIdentity:
         assert on.stats.evaluations == off.stats.evaluations
 
 
+def cohort_outcomes(use_tree_cache: bool, batched: bool):
+    """A divergence-heavy cohort scored with triage on, through one
+    ``evaluate_batch`` call or one ``evaluate`` call per member: the
+    fitnesses and the evaluator's stats."""
+    knowledge = blowup_knowledge()
+    config = blowup_config(static_triage=True, use_tree_cache=use_tree_cache)
+    cohort = make_cohort(build_grammar(knowledge), knowledge, config, seed=11)
+    evaluator = GMRFitnessEvaluator(task=blowup_task(), config=config)
+    if batched:
+        fitnesses = evaluator.evaluate_batch(cohort)
+    else:
+        fitnesses = [evaluator.evaluate(member) for member in cohort]
+    return fitnesses, evaluator.stats
+
+
 class TestScalarBatchedParity:
+    """``evaluate_batch`` triages exactly like per-member ``evaluate``."""
+
     def test_batched_and_scalar_paths_skip_identically(self):
-        knowledge, task = blowup_knowledge(), blowup_task()
-        batched = GMREngine(
-            knowledge,
-            task,
-            blowup_config(static_triage=True, use_batched_kernel=True),
-        ).run(seed=11)
-        scalar = GMREngine(
-            knowledge,
-            task,
-            blowup_config(static_triage=True, use_batched_kernel=False),
-        ).run(seed=11)
-        assert histories(batched) == pytest.approx(
-            histories(scalar), rel=1e-9, abs=0.0
-        )
-        assert batched.stats.triage_skips == scalar.stats.triage_skips
-        assert batched.stats.triage_skips > 0
+        batched, stats = cohort_outcomes(use_tree_cache=True, batched=True)
+        scalar, scalar_stats = cohort_outcomes(use_tree_cache=True, batched=False)
+        assert batched == scalar
+        assert stats.triage_skips == scalar_stats.triage_skips > 0
 
     def test_parity_survives_cache_off(self):
-        knowledge, task = blowup_knowledge(), blowup_task()
-        results = [
-            GMREngine(
-                knowledge,
-                task,
-                blowup_config(
-                    static_triage=True,
-                    use_batched_kernel=batched,
-                    use_tree_cache=False,
-                ),
-            ).run(seed=11)
-            for batched in (True, False)
-        ]
-        assert histories(results[0]) == pytest.approx(
-            histories(results[1]), rel=1e-9, abs=0.0
-        )
-        assert (
-            results[0].stats.triage_skips == results[1].stats.triage_skips > 0
-        )
+        batched, stats = cohort_outcomes(use_tree_cache=False, batched=True)
+        scalar, scalar_stats = cohort_outcomes(use_tree_cache=False, batched=False)
+        assert batched == scalar
+        assert stats.triage_skips == scalar_stats.triage_skips > 0
 
 
 class SimulatedCrash(RuntimeError):

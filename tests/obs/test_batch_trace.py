@@ -1,11 +1,10 @@
 """``evaluation_batch`` trace points report the evaluator's own stats.
 
 Each :meth:`GMRFitnessEvaluator.evaluate_batch` call emits one point
-whose ``cache_hits``, ``compile_time``, ``step_time`` and ``batch_fill``
-are the :class:`EvaluationStats` deltas over that call, on the vector
-branch and on the scalar one (``use_batched_kernel=False``).  Points no
-longer carry the ``cohorts`` count of structure fusion, which was
-deleted, but traces that do still read.
+whose ``cache_hits``, ``compile_time`` and ``step_time`` are the
+:class:`EvaluationStats` deltas over that call.  Points no longer carry
+the fields of the deleted vector path and structure fusion, but traces
+that do still read.
 """
 
 from __future__ import annotations
@@ -20,14 +19,16 @@ from repro.gp.knowledge import build_grammar
 from repro.obs import MemorySink, Tracer, iter_trace, validate_event
 from tests.oracle import SMALL_CONFIG, make_cohort, toy_knowledge, toy_task
 
-DELTAS = ("cache_hits", "compile_time", "step_time", "batch_fill")
+DELTAS = ("cache_hits", "compile_time", "step_time")
+#: Fields only the deleted vector path and structure fusion wrote.
+RETIRED = ("batched", "groups", "columns", "cohorts", "batch_fill", "source")
 
 
-@pytest.mark.parametrize("batched", [True, False], ids=["vector", "scalar"])
-def test_batch_point_fields_are_stats_deltas(batched):
-    config = dataclasses.replace(
-        SMALL_CONFIG, use_batched_kernel=batched, kernel_min_batch=1
-    )
+@pytest.mark.parametrize(
+    "use_compilation", [True, False], ids=["scalar", "interpreter"]
+)
+def test_batch_point_fields_are_stats_deltas(use_compilation):
+    config = dataclasses.replace(SMALL_CONFIG, use_compilation=use_compilation)
     knowledge = toy_knowledge()
     cohort = make_cohort(build_grammar(knowledge), knowledge, config, seed=4)
     evaluator = GMRFitnessEvaluator(task=toy_task(), config=config)
@@ -43,9 +44,7 @@ def test_batch_point_fields_are_stats_deltas(batched):
         sink.clear()
         validate_event(event)
         assert event.fields["size"] == len(part)
-        assert event.fields["batched"] is batched
-        assert event.fields["source"] == ("batched" if batched else "scalar")
-        assert "cohorts" not in event.fields
+        assert not set(RETIRED) & set(event.fields)
         for name in DELTAS:
             delta = getattr(evaluator.stats, name) - getattr(before, name)
             assert event.fields[name] == delta, name
@@ -55,7 +54,7 @@ def test_batch_point_fields_are_stats_deltas(batched):
 
 def test_points_with_a_cohort_count_still_read(tmp_path):
     """An ``evaluation_batch`` line as written while structure fusion
-    existed, ``cohorts`` included."""
+    existed, ``cohorts`` and the vector path's fields included."""
     fields = dict(
         size=24, batched=True, cache_hits=0, groups=3, columns=21, cohorts=1,
         wall_time=0.01, compile_time=0.002, step_time=0.006, batch_fill=0.001,

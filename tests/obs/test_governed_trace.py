@@ -10,8 +10,9 @@ every rung the degradation ladder descended (``degradation``).
 from __future__ import annotations
 
 from repro.gp.governor import CampaignBudget, RunGovernor
+from repro.gp.parallel import ProcessPoolBackend
 from repro.obs import MemorySink, Tracer, build_report
-from tests.faults import fail_first_rollouts
+from tests.faults import break_evaluation_pools
 
 
 def histories(result):
@@ -94,18 +95,17 @@ class TestStopEvents:
 
 
 class TestDegradationEvents:
-    def test_kernel_fallback_emits_degradation_event(
-        self, make_engine, monkeypatch
-    ):
+    def test_pool_fallback_emits_degradation_event(self, make_engine, monkeypatch):
         engine = make_engine(max_generations=2, eval_batch_size=6)
-        fail_first_rollouts(monkeypatch, 1)
+        engine.eval_backend = ProcessPoolBackend(max_pool_rebuilds=0)
+        break_evaluation_pools(monkeypatch)
         sink = MemorySink()
         engine.tracer = Tracer(sink)
         engine.run(seed=4)
         events = kinds(sink, "degradation")
         assert len(events) == 1
-        assert events[0].fields["what"] == "kernel_scalar_fallback"
-        assert events[0].fields["error_type"] == "InjectedFault"
+        assert events[0].fields["what"] == "pool_serial_fallback"
+        assert events[0].fields["error_type"] == "BrokenProcessPool"
 
 
 class TestGovernedReport:
@@ -114,7 +114,8 @@ class TestGovernedReport:
             make_engine(max_generations=3, eval_batch_size=6),
             budget=CampaignBudget(max_generations=2),
         )
-        fail_first_rollouts(monkeypatch, 1)
+        engine.eval_backend = ProcessPoolBackend(max_pool_rebuilds=0)
+        break_evaluation_pools(monkeypatch)
         sink = MemorySink()
         engine.tracer = Tracer(sink)
         result = engine.run(seed=4)
@@ -125,7 +126,7 @@ class TestGovernedReport:
             result.stop_reason
         ]
         assert [d["what"] for d in report.degradations] == [
-            "kernel_scalar_fallback"
+            "pool_serial_fallback"
         ]
 
         payload = report.to_json()
@@ -136,7 +137,7 @@ class TestGovernedReport:
         text = report.render_text()
         assert "heartbeat" in text
         assert result.stop_reason in text
-        assert "kernel_scalar_fallback" in text
+        assert "pool_serial_fallback" in text
 
 
 class TestGovernedBitIdentity:

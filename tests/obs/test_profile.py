@@ -1,8 +1,9 @@
 """PhaseProfile: exclusive phase timing that partitions wall time.
 
-The satellite fix this guards: the evaluator's ``compile_time``,
-``step_time`` and ``batch_fill`` used to be measured with overlapping
-stopwatches, so their sum could exceed ``wall_time``.  Routing every
+The fix this guards: the evaluator's phase timers (then
+``compile_time``, ``step_time`` and the batch planner's ``batch_fill``)
+used to be measured with overlapping stopwatches, so their sum could
+exceed ``wall_time``.  Routing every
 timed region through one profiler whose innermost open phase owns the
 clock makes the totals disjoint *by construction*; these tests drive the
 profiler with a fake clock to pin down the arithmetic exactly.

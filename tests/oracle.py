@@ -8,24 +8,19 @@ properties in ``tests/test_oracle.py``.  The oracle table:
 kernel (one step): interpreter vs ``simplify``'d interpreter, and
   scalar kernel across ``simplify``, on finite inputs -- equal or both
   NaN; interpreter vs scalar ``compile_model`` -- rel 1e-12 (abs
-  1e-12), NaN and inf exact; station ``make``/``hoist``/``station`` and
-  batched (K in {1, 3, 8}) vs scalar -- bitwise, NaN as one marker;
-  fused cohort lane vs its member's batched column -- bitwise, padding
-  lanes cloned or NaN-poisoned.
-rollout: ``euler_steps(use_compiled=False)`` vs compiled -- rel 1e-12,
-  same raise; ``batched_euler_rollout`` column vs the scalar stream
-  under custom and infinite clamps, ``dt`` and poisoned columns --
-  bitwise, ``diverged_at[k]`` the raise row, then the clamped last good
-  state; ``fused_euler_rollout`` lane vs batched column -- bitwise; a
-  ``StopCallback`` rollout -- the full one cut to ``rows_run``.
-evaluator: sequential ``evaluate`` vs ``evaluate_batch`` under
-  ``kernel_min_batch``, chunk width, tree cache, ES thresholds with a
-  finite marker (lane retirement), three extrapolators and poisoned
-  drivers -- :func:`assert_equivalent` (fitness, ``fully_evaluated``,
-  marker, Algorithm 1 and tree-cache counters, all equal), no fallback,
-  vector evaluations taken and their columns accounted; seeded engine
-  run with the vector path on vs off -- champion, history and
-  Algorithm 1 counters equal.
+  1e-12), NaN and inf exact; station ``make``/``hoist``/``station`` vs
+  scalar -- bitwise, NaN as one marker.
+rollout: ``euler_steps(use_compiled=False)`` vs compiled, every
+  parameter column under custom and infinite clamps, ``dt`` and NaN
+  drivers -- rel 1e-12, same raise.
+evaluator: sequential ``evaluate`` vs ``evaluate_batch`` (whole cohort
+  or in chunks) vs a reference Algorithm 1 replayed over each member's
+  compiled error stream, under the tree cache, ES thresholds with a
+  finite marker, three extrapolators and poisoned drivers --
+  :func:`assert_equivalent` (fitness, ``fully_evaluated``, marker,
+  Algorithm 1 and tree-cache counters, all equal); seeded engine runs
+  under the batch knobs -- the champion re-scored with ES off equals
+  its fitness, and through the interpreter within rel 1e-9.
 network: ``RiverTask.error_stream`` vs ``stepped_errors`` compiled
   (full horizon) and interpreted (40 days) -- per-day bits, raise type
   and message.
@@ -54,30 +49,26 @@ from typing import Iterable, Iterator
 import numpy as np
 from hypothesis import strategies as st
 
-import repro.gp.fitness as fitness_module
 from repro.domains import available_domains, get_domain
 from repro.dynamics.drivers import DriverTable
 from repro.dynamics.integrate import (
-    _STOP_CHECK_ROWS,
     ClampSpec,
-    batched_euler_rollout,
+    SimulationDiverged,
     euler_steps,
-    fused_euler_rollout,
     simulate,
 )
 from repro.dynamics.system import ProcessModel
-from repro.dynamics.task import ModelingTask
+from repro.dynamics.task import BAD_FITNESS, ModelingTask
 from repro.expr import ast
-from repro.expr.ast import Const, Expr, Ext, Param, State, Var, strip_ext
+from repro.expr.ast import Const, Expr, Ext, Param, State, Var
 from repro.expr.compile import (
     KERNEL_CACHE,
     compile_model,
-    compile_model_batched,
-    compile_model_cohort,
     compile_station_kernel,
 )
 from repro.expr.evaluate import evaluate
 from repro.expr.simplify import simplify
+from repro.gp.cache import TreeCache
 from repro.gp.config import GMRConfig
 from repro.gp.fitness import (
     GMRFitnessEvaluator,
@@ -360,31 +351,14 @@ def derivation_kernel_cases(draw, domain: str) -> KernelCase:
 
 
 def check_kernel(case: KernelCase) -> None:
-    """Every kernel form of every member against the interpreter, and
-    each fused lane block against its member's batched kernel."""
+    """Every kernel form of every member against the interpreter."""
     lanes = case.lanes
     P = np.array(case.params, dtype=float).T
     S = np.array(case.states, dtype=float).T
     table = np.array(case.rows, dtype=float)
-    blocks = [slice(m * lanes, (m + 1) * lanes) for m in range(len(case.members))]
-    outs = [
+    for m, (exprs, order) in enumerate(case.members):
+        lane = slice(m * lanes, (m + 1) * lanes)
         _check_member(case, exprs, order, P[: len(order), lane], S[:, lane], table, m)
-        for m, ((exprs, order), lane) in enumerate(zip(case.members, blocks))
-    ]
-    fused = compile_model_cohort(
-        [([strip_ext(e) for e in exprs], order) for exprs, order in case.members],
-        case.var_order,
-        case.state_order,
-        lanes,
-    )
-    with np.errstate(all="ignore"):
-        hoisted = fused.precompute(P, table)
-        for t in range(len(table)):
-            got = fused.step(P, hoisted, t, S)
-            for m, (block, member) in enumerate(zip(blocks, outs)):
-                assert np.array_equal(got[:, block], member[t], equal_nan=True), (
-                    f"member {m} lanes differ at row {t}"
-                )
 
 
 def _lanes_rows(P, S, table):
@@ -399,12 +373,11 @@ def _interpret(exprs, orders, *values) -> list[float]:
     return [evaluate(e, *env) for e in exprs]
 
 
-def _check_member(case, exprs, order, P, S, table, member) -> list[np.ndarray]:
-    """One member's scalar, station and batched kernels lane by lane
-    (and across ``simplify`` for member 0); returns its batched steps."""
+def _check_member(case, exprs, order, P, S, table, member) -> None:
+    """One member's scalar and station kernels lane by lane (and across
+    ``simplify`` for member 0)."""
     orders = (order, case.var_order, case.state_order)
     scalar = compile_model(exprs, *orders)
-    batched = _check_batched(exprs, orders, scalar, P, S, table)
     for __, __, Pk, row, Sk in _lanes_rows(P, S, table[:INTERP_ROWS]):
         got, want = scalar(Pk, row, Sk), _interpret(exprs, orders, Pk, row, Sk)
         for g, w in zip(got, want):
@@ -422,19 +395,6 @@ def _check_member(case, exprs, order, P, S, table, member) -> list[np.ndarray]:
                 assert nan_bits(step(F, *Sk)) == nan_bits(scalar(Pk, row, Sk))
     if member == 0:
         _check_simplify(exprs, orders, scalar, P, S, table)
-    return batched
-
-
-def _check_batched(exprs, orders, scalar, P, S, table) -> list[np.ndarray]:
-    """The batched kernel, bitwise against the scalar step ``scalar``."""
-    kernel = compile_model_batched([strip_ext(e) for e in exprs], *orders)
-    with np.errstate(all="ignore"):
-        hoisted = kernel.precompute(P, table)
-        steps = [kernel.step(P, hoisted, t, S).copy() for t in range(len(table))]
-        for k, t, Pk, row, Sk in _lanes_rows(P, S, table):
-            got, want = steps[t][:, k].tolist(), scalar(Pk, row, Sk)
-            assert nan_bits(got) == nan_bits(want), (got, want)
-    return steps
 
 
 def _check_simplify(exprs, orders, scalar, P, S, table) -> None:
@@ -442,7 +402,6 @@ def _check_simplify(exprs, orders, scalar, P, S, table) -> None:
     finite leaves: ``x - x -> 0`` on a leaf)."""
     simple = [simplify(e) for e in exprs]
     simple_scalar = compile_model(simple, *orders)
-    _check_batched(simple, orders, simple_scalar, P, S, table)
     for __, t, Pk, row, Sk in _lanes_rows(P, S, table):
         if not all(map(math.isfinite, (*Pk, *row, *Sk))):
             continue
@@ -507,26 +466,15 @@ def uniform_columns(model: ProcessModel, count: int, seed: int, high: float):
 
 @dataclass(frozen=True)
 class RolloutCase:
-    """A fused cohort's rollout inputs.
-
-    Member ``m`` of ``models`` integrates its live parameter vectors
-    ``columns[m]`` in lanes ``[m * lanes, m * lanes + len(columns[m]))``;
-    its other lanes are padding (``pad``: clones of its first column, or
-    NaN); ``lanes=0`` means one lane per live column of the widest
-    member.  Member 0 is also checked against the interpreter, and the
-    rollouts are rerun under a stop callback that stops after
-    ``stop_after`` checks (never, if None).
-    """
+    """Rollout inputs: each model of ``models`` integrates each of its
+    parameter vectors ``columns[m]`` from ``initial_state``."""
 
     models: tuple[ProcessModel, ...]
     columns: tuple[tuple[tuple[float, ...], ...], ...]
     drivers: DriverTable
     initial_state: tuple[float, ...] = (2.0,)
-    lanes: int = 0
     dt: float = 1.0
     clamp: ClampSpec = ClampSpec()
-    pad: str = "clone"
-    stop_after: int | None = None
 
 
 @st.composite
@@ -535,13 +483,11 @@ def derivation_rollout_cases(draw, domain: str) -> RolloutCase:
     task, some columns far outside the prior, optionally a NaN driver
     value, a custom or infinite clamp and a half step."""
     task = domain_task(domain)
-    lanes = draw(st.integers(1, 4))
     models, columns = [], []
     for __ in range(draw(st.integers(1, 3))):
         model, vector = draw(derivations(domain))
-        live = draw(st.integers(1, lanes))
         models.append(model)
-        scales = draw(lists(st.sampled_from(SCALES), live))
+        scales = draw(st.lists(st.sampled_from(SCALES), min_size=1, max_size=4))
         columns.append(tuple(scaled(vector, s) for s in scales))
     start = draw(st.integers(0, task.n_cases - 96))
     values = task.drivers.values[start : start + 96].copy()
@@ -553,95 +499,19 @@ def derivation_rollout_cases(draw, domain: str) -> RolloutCase:
         tuple(columns),
         DriverTable(task.drivers.names, values),
         task.initial_state,
-        lanes,
         dt=draw(st.sampled_from((1.0, 0.5))),
         clamp=draw(st.sampled_from((task.clamp, ClampSpec(0.5, 3.0), INFINITE))),
-        pad=draw(st.sampled_from(("clone", "nan"))),
-        stop_after=draw(st.sampled_from((None, 1, 2))),
     )
-
-
-def cohort_kernel(models, lanes: int):
-    """One cohort kernel over ``models`` (sharing variable and state
-    orders), ``lanes`` lanes per member."""
-    first = models[0]
-    members = [
-        ([strip_ext(model.equations[s]) for s in model.state_names], model.param_order)
-        for model in models
-    ]
-    return compile_model_cohort(members, first.var_order, first.state_names, lanes)
 
 
 def check_rollout(case: RolloutCase) -> None:
-    """Interpreter vs scalar vs batched vs fused, then the stop cut."""
-    drivers, initial = case.drivers, case.initial_state
-    lanes = case.lanes or max(len(columns) for columns in case.columns)
+    """Every column's compiled Euler rollout against the interpreter's
+    over the first :data:`ORACLE_ROWS` rows: same states, same raise."""
+    drivers = case.drivers.slice(0, min(ORACLE_ROWS, len(case.drivers)))
     steps = dict(dt=case.dt, clamp=case.clamp)
-    kernel = cohort_kernel(case.models, lanes)
-    params = np.zeros((kernel.n_params, kernel.width))
-    for m, columns in enumerate(case.columns):
-        block = np.array(padded_lanes(columns, lanes, case.pad)).T
-        params[: block.shape[0], m * lanes : (m + 1) * lanes] = block
-    var_order = case.models[0].var_order
-
-    def fused(stop=None):
-        return fused_euler_rollout(
-            kernel, params, drivers, initial, var_order, stop=stop, **steps
-        )
-
-    full = fused()
-    check_padding(full, lanes, [len(c) for c in case.columns], case.pad)
-    _check_stop(case.stop_after, full, fused)
-    for m, (model, columns) in enumerate(zip(case.models, case.columns)):
-
-        def batched(stop=None, model=model, matrix=np.array(columns).T):
-            return batched_euler_rollout(
-                model, matrix, drivers, initial, stop=stop, **steps
-            )
-
-        alone = batched()
-        live = slice(m * lanes, m * lanes + len(columns))
-        assert np.array_equal(full.states[:, :, live], alone.states)
-        assert np.array_equal(full.diverged_at[live], alone.diverged_at)
-        for k, vector in enumerate(columns):
-            column = alone.states[:, :, k]
-            assert alone.diverged_at[k] == _check_column(case, model, vector, column)
-        if m == 0:
-            short = drivers.slice(0, min(ORACLE_ROWS, len(drivers)))
-            _check_interpreter(model, columns[0], short, initial, steps)
-            _check_stop(case.stop_after, alone, batched)
-
-
-def check_padding(rollout, lanes: int, live: list[int], pad="clone") -> None:
-    """Each member's padding lanes follow its first lane (clones), or
-    diverge at row 0 (NaN), so padding never holds a rollout open."""
-    for member, count in enumerate(live):
-        lo = member * lanes
-        for lane in range(lo + count, lo + lanes):
-            if pad == "nan":
-                assert rollout.diverged_at[lane] == 0
-            else:
-                assert rollout.diverged_at[lane] == rollout.diverged_at[lo]
-                same = rollout.states[:, :, lane] == rollout.states[:, :, lo]
-                assert same.all(), f"padding lane {lane} departs from lane {lo}"
-
-
-def _check_column(case, model, vector, column) -> int:
-    """A column follows ``model``'s scalar stream bit for bit up to the
-    stream's raise row (returned), then holds its last good state,
-    clamped."""
-    states, error = drain(
-        euler_steps(
-            model, vector, case.drivers, case.initial_state, case.dt, case.clamp
-        )
-    )
-    at = len(states) if error else len(case.drivers)
-    assert np.array_equal(column[:at], np.reshape(states, (at, column.shape[1])))
-    if at < len(column):
-        last = column[at - 1] if at else np.array(case.initial_state)
-        frozen = np.clip(last, case.clamp.minimum, case.clamp.maximum)
-        assert (column[at:] == frozen).all()
-    return at
+    for model, columns in zip(case.models, case.columns):
+        for vector in columns:
+            _check_interpreter(model, vector, drivers, case.initial_state, steps)
 
 
 def _check_interpreter(model, vector, drivers, initial, steps) -> None:
@@ -653,24 +523,6 @@ def _check_interpreter(model, vector, drivers, initial, steps) -> None:
     assert len(compiled) == len(oracle)
     for got, want in zip(compiled, oracle):
         assert all(agree(g, w, SCALAR_REL, SCALAR_REL) for g, w in zip(got, want))
-
-
-def _check_stop(stop_after, full, run) -> None:
-    """A rollout stopped after ``stop_after`` checks is the full one cut
-    to the rows it ran."""
-    calls = []
-
-    def stop(states, diverged_at, rows) -> bool:
-        calls.append(rows)
-        return len(calls) == stop_after
-
-    stopped = run(stop)
-    rows = full.rows_run
-    if stop_after is not None:
-        rows = min(rows, stop_after * _STOP_CHECK_ROWS)
-    assert stopped.n_steps == stopped.rows_run == rows
-    assert np.array_equal(stopped.states, full.states[:rows])
-    assert np.array_equal(stopped.diverged_at, np.minimum(full.diverged_at, rows))
 
 
 # -- evaluator level ---------------------------------------------------
@@ -737,8 +589,9 @@ def make_cohort(
     """A mixed cohort: random structures, Gaussian variants, duplicates.
 
     The Gaussian variants share their parent's structure with distinct
-    parameter vectors -- the shape that actually exercises multi-column
-    batched rollouts (random individuals rarely collide on structure).
+    parameter vectors, so they share compiled kernels (random
+    individuals rarely collide on structure); the duplicates hit the
+    tree cache.
     """
     rng = random.Random(seed)
     base = [random_individual(grammar, knowledge, config, rng) for _ in range(size)]
@@ -786,7 +639,7 @@ EXTRAPOLATORS = {
 
 def marker_for(task, config, cohort) -> float:
     """A finite starting ``best_prev_full`` that a quarter of the cohort
-    beats, so members lower the marker while the batch is replayed."""
+    beats, so members lower the marker while the cohort is scored."""
     full = dataclasses.replace(config, es_threshold=None)
     reference = GMRFitnessEvaluator(task=task, config=full)
     scores = map(reference.evaluate, copy.deepcopy(cohort))
@@ -794,49 +647,65 @@ def marker_for(task, config, cohort) -> float:
     return fitnesses[len(fitnesses) // 4] if fitnesses else 1.0
 
 
-class RolloutLog:
-    """Records every batched rollout the evaluator runs, its columns
-    (``columns``) and the rows it integrated times those
-    (``lane_rows``)."""
-
-    def __init__(self, monkeypatch) -> None:
-        self.rollouts: list = []
-        self.columns = self.lane_rows = 0
-        original = fitness_module.batched_euler_rollout
-
-        def wrapper(*args, **kwargs):
-            rollout = original(*args, **kwargs)
-            live = args[1].shape[1]
-            self.columns += live
-            self.lane_rows += rollout.rows_run * live
-            self.rollouts.append(rollout)
-            return rollout
-
-        monkeypatch.setattr(fitness_module, "batched_euler_rollout", wrapper)
-
-    def retired(self, n_cases: int) -> bool:
-        """Whether any column stopped before the horizon without diverging."""
-        return any(
-            rollout.n_steps < n_cases
-            and bool((rollout.diverged_at == rollout.n_steps).any())
-            for rollout in self.rollouts
-        )
+def reference_algorithm_1(task, config, extrapolate, marker, cohort):
+    """Algorithm 1 replayed in cohort order over each member's whole
+    compiled error stream, with a plain dict as the tree cache: the
+    ``(fitness, fully_evaluated)`` of every member and the final marker.
+    """
+    cache: dict = {}
+    best = marker
+    threshold = config.es_threshold
+    total = task.n_cases
+    outcomes = []
+    for individual in cohort:
+        model, params = individual.phenotype(task.state_names, task.var_order)
+        key = None
+        if config.use_tree_cache:
+            key = TreeCache.make_key(model.structure_key(), params)
+            if key in cache:
+                outcomes.append((cache[key], True))
+                continue
+        errors, raised = drain(task.error_stream(model, params))
+        if raised is not None:
+            assert issubclass(raised[0], (SimulationDiverged, OverflowError))
+        outcome, sse = None, 0.0
+        for cases, error in enumerate(errors, 1):
+            sse += error
+            partial = math.sqrt(sse / cases)
+            if threshold is not None and cases < total and partial > best * threshold:
+                estimate = extrapolate(partial, cases, total)
+                if estimate > best:
+                    outcome = (estimate, False)
+                    break
+        if outcome is None and raised is not None:
+            outcome = (BAD_FITNESS, True)
+        elif outcome is None and errors and math.isfinite(sse):
+            outcome = (math.sqrt(sse / total), True)
+            best = min(best, outcome[0])
+        elif outcome is None:
+            # An empty or non-finite sum scores BAD_FITNESS, uncached.
+            outcomes.append((BAD_FITNESS, True))
+            continue
+        if key is not None and outcome[1]:
+            cache[key] = outcome[0]
+        outcomes.append(outcome)
+    return outcomes, best
 
 
 @dataclass(frozen=True)
 class EvaluatorCase:
     """A cohort of a domain (or the toy problem) and the settings it is
-    scored under; ``marker`` starts the batch from a finite
-    ``best_prev_full`` (lane retirement when ES is on), ``nan_row``
-    poisons the first driver there."""
+    scored under; ``marker`` starts from a finite ``best_prev_full``,
+    ``nan_row`` poisons the first driver there, and ``chunk`` hands the
+    cohort to ``evaluate_batch`` that many members at a time (all at
+    once if None), as the engine does with ``eval_batch_size``."""
 
     domain: str = "toy"
     seed: int = 5
     size: int = 40
     duplicates: int = 8
     variants: int = 3
-    kernel_min_batch: int = 1
-    kernel_batch_size: int = 64
+    chunk: int | None = None
     use_tree_cache: bool = True
     es_threshold: float | None = 1.3
     marker: bool = True
@@ -853,8 +722,7 @@ def evaluator_cases(domain: str) -> st.SearchStrategy[EvaluatorCase]:
         size=st.integers(8, 24),
         duplicates=st.integers(0, 4),
         variants=st.integers(0, 4),
-        kernel_min_batch=st.sampled_from((1, 2)),
-        kernel_batch_size=st.sampled_from((2, 3, 64)),
+        chunk=st.sampled_from((None, 1, 3)),
         use_tree_cache=st.booleans(),
         es_threshold=st.sampled_from((None, 0.5, 0.7, 1.0, 1.3)),
         marker=st.booleans(),
@@ -864,9 +732,11 @@ def evaluator_cases(domain: str) -> st.SearchStrategy[EvaluatorCase]:
 
 
 def config_for(case: EvaluatorCase) -> GMRConfig:
-    fields = "kernel_min_batch kernel_batch_size use_tree_cache"
-    overrides = {f: getattr(case, f) for f in (*fields.split(), "es_threshold")}
-    return dataclasses.replace(SMALL_CONFIG, **overrides)
+    return dataclasses.replace(
+        SMALL_CONFIG,
+        use_tree_cache=case.use_tree_cache,
+        es_threshold=case.es_threshold,
+    )
 
 
 @functools.lru_cache(maxsize=64)
@@ -894,14 +764,13 @@ def _problem(case: EvaluatorCase):
 
 @functools.lru_cache(maxsize=64)
 def _sequential(case: EvaluatorCase):
-    """The oracle side of ``case``: its problem and a sequential
-    ``evaluate`` of a copy of the cohort, which the vector settings
-    never reach."""
+    """The oracle side of ``case``: its problem, a sequential ``evaluate``
+    of a copy of the cohort, and the reference Algorithm 1's outcomes,
+    which the chunk width never reaches."""
     scoring = dict(es_threshold=None, use_tree_cache=True, extrapolator="linear")
     task, cohort, marker = _problem(dataclasses.replace(case, **scoring))
-    evaluator = GMRFitnessEvaluator(
-        task, config_for(case), EXTRAPOLATORS[case.extrapolator]
-    )
+    extrapolate = EXTRAPOLATORS[case.extrapolator]
+    evaluator = GMRFitnessEvaluator(task, config_for(case), extrapolate)
     evaluator.best_prev_full = marker
     population = copy.deepcopy(cohort)
     # Each side compiles its own kernels, from the same cohort members,
@@ -909,40 +778,38 @@ def _sequential(case: EvaluatorCase):
     KERNEL_CACHE.clear()
     for member in population:
         evaluator.evaluate(member)
-    return task, cohort, marker, evaluator, population
+    KERNEL_CACHE.clear()
+    reference = reference_algorithm_1(
+        task, config_for(case), extrapolate, marker, copy.deepcopy(cohort)
+    )
+    return task, cohort, marker, evaluator, population, reference
 
 
-#: Settings only ``evaluate_batch`` reads.  The sequential side is
-#: memoised on the case with them reset, so a grid over them scores each
-#: cohort once (and each starting marker once per cohort).
-VECTOR_DEFAULTS = dict(kernel_min_batch=1, kernel_batch_size=64)
-
-
-def check_evaluator(case: EvaluatorCase, monkeypatch):
-    """Sequential ``evaluate`` vs one ``evaluate_batch`` from the same
-    starting marker; returns the marker, the batched evaluator and its
-    :class:`RolloutLog`."""
-    oracle = _sequential(dataclasses.replace(case, **VECTOR_DEFAULTS))
-    task, cohort, marker, ev_scalar, pop_scalar = oracle
+def check_evaluator(case: EvaluatorCase):
+    """Sequential ``evaluate`` vs ``evaluate_batch`` from the same
+    starting marker, and both vs the reference Algorithm 1; returns the
+    marker and the batch evaluator."""
+    oracle = _sequential(dataclasses.replace(case, chunk=None))
+    task, cohort, marker, ev_scalar, pop_scalar, reference = oracle
     pop_batched = copy.deepcopy(cohort)
     ev_batched = GMRFitnessEvaluator(
         task, config_for(case), EXTRAPOLATORS[case.extrapolator]
     )
     ev_batched.best_prev_full = marker
-    log = RolloutLog(monkeypatch)
     KERNEL_CACHE.clear()
-    ev_batched.evaluate_batch(pop_batched)
-    stats = ev_batched.stats
-    assert stats.kernel_fallbacks == 0
-    if case.kernel_min_batch == 1:
-        assert stats.batched_evaluations > 0
-    # The scalar loop integrates exactly the cases it counts; with
-    # kernel_min_batch=1 every simulated member takes a vector rollout.
-    assert ev_scalar.stats.steps_integrated == ev_scalar.stats.steps_evaluated
-    if case.kernel_min_batch == 1:
-        assert stats.steps_integrated == log.lane_rows
+    chunk = case.chunk or len(pop_batched)
+    for start in range(0, len(pop_batched), chunk):
+        ev_batched.evaluate_batch(pop_batched[start : start + chunk])
+    # The scalar loop integrates exactly the cases it counts.
+    for stats in (ev_scalar.stats, ev_batched.stats):
+        assert stats.steps_integrated == stats.steps_evaluated
     assert_equivalent(ev_scalar, ev_batched, pop_scalar, pop_batched)
-    return marker, ev_batched, log
+    outcomes, best = reference
+    assert same_value(ev_scalar.best_prev_full, best)
+    for member, (fitness, fully) in zip(pop_scalar, outcomes, strict=True):
+        assert member.fully_evaluated == fully
+        assert same_value(member.fitness, fitness), (member.fitness, fitness)
+    return marker, ev_batched
 
 
 # -- network level -----------------------------------------------------

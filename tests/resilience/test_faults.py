@@ -22,7 +22,6 @@ from concurrent.futures import BrokenExecutor
 
 from repro.gp.config import GMRConfig
 from repro.gp.engine import GMREngine, run_many
-from repro.gp.fitness import GMRFitnessEvaluator
 from repro.gp.init import random_individual
 from repro.gp.parallel import (
     ProcessPoolBackend,
@@ -36,7 +35,6 @@ from tests.faults import (
     FaultPlan,
     InjectedFault,
     current_attempt,
-    fail_first_rollouts,
     record_attempt,
 )
 
@@ -85,7 +83,8 @@ class TestEvaluatorFaults:
         self, toy_grammar, toy_knowledge, toy_task
     ):
         """Per-evaluation faults count individuals on the cohort path
-        too: the harness evaluates a cohort one individual at a time."""
+        too: ``evaluate_batch`` evaluates a cohort one individual at a
+        time."""
         config = GMRConfig(population_size=8, max_generations=1, max_size=8)
         individuals = [
             random_individual(
@@ -100,7 +99,6 @@ class TestEvaluatorFaults:
             evaluator.evaluate_batch(individuals)
         assert evaluator.evaluations_seen == 6
         assert evaluator.stats.evaluations == 5
-        assert evaluator.stats.batched_evaluations == 0
 
 
 class TestKilledWorkers:
@@ -344,34 +342,3 @@ class TestBrokenEvaluationPool:
             backend.close()
         assert not backend._degraded
         assert evaluator.stats.pool_fallbacks == 0
-
-
-class TestKernelLadder:
-    def test_kernel_failure_falls_back_to_scalar_bit_identically(
-        self, make_engine, toy_task, monkeypatch
-    ):
-        """The degradation ladder's rung: a raising batched kernel drops
-        the affected structure group onto the scalar path (and
-        blocklists it) with results identical to a healthy run."""
-        healthy = make_engine(eval_batch_size=6).run(seed=7)
-
-        engine = make_engine(eval_batch_size=6)
-        evaluator = GMRFitnessEvaluator(task=toy_task, config=engine.config)
-        fail_first_rollouts(monkeypatch, 2)
-        degraded = engine.run(seed=7, evaluator=evaluator)
-
-        assert evaluator.stats.kernel_fallbacks >= 1
-        assert evaluator._kernel_blocklist
-        assert [r.best_fitness for r in degraded.history] == [
-            r.best_fitness for r in healthy.history
-        ]
-        assert degraded.best_fitness == healthy.best_fitness
-        assert degraded.stats.evaluations == healthy.stats.evaluations
-        assert (
-            degraded.stats.full_evaluations == healthy.stats.full_evaluations
-        )
-
-    def test_healthy_run_records_no_kernel_fallbacks(self, make_engine):
-        result = make_engine(eval_batch_size=6).run(seed=7)
-        assert result.stats.kernel_fallbacks == 0
-        assert result.stats.pool_fallbacks == 0

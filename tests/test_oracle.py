@@ -23,9 +23,9 @@ from repro.expr.compile import KERNEL_CACHE
 from repro.expr.evaluate import DIV_EPS, EXP_MAX
 from repro.gp.config import GMRConfig
 from repro.gp.engine import GMREngine
+from repro.gp.fitness import GMRFitnessEvaluator
 from repro.lint.triage import _hull_bounds, triage_fatal
 from tests.oracle import (
-    ALGORITHM_1_COUNTERS,
     BLOWN,
     DOMAINS,
     EXTRAPOLATORS,
@@ -40,6 +40,7 @@ from tests.oracle import (
     KernelCase,
     RiverCandidate,
     RolloutCase,
+    agree,
     assert_same_stream,
     ast_kernel_cases,
     check_evaluator,
@@ -85,8 +86,8 @@ SHARED = ast.add(ast.mul(Param("p0"), State("s0")), ast.div(Var("v0"), Param("p2
 
 def shared_tree_case(pad: str) -> KernelCase:
     """``SHARED``, another tree under the reversed order, then ``SHARED``
-    again under it: the third member must not inherit the first's
-    temporaries.  Two live lanes of three, the last padded by ``pad``."""
+    again under it: one tree object compiled under two parameter orders.
+    Two live lanes of three, the last padded by ``pad``."""
     back = PARAM_NAMES[::-1]
     other = ast.log(ast.sub(Param("p1"), ast.mul(Var("v1"), State("s0"))))
     members = (((SHARED,), PARAM_NAMES), ((other,), back), ((SHARED,), back))
@@ -99,8 +100,8 @@ def shared_tree_case(pad: str) -> KernelCase:
 
 
 def narrow_case() -> KernelCase:
-    """Constant- and driver-only members stay narrow beside a full-width
-    one, so their slice writes into the fused output must broadcast."""
+    """Constant- and driver-only members beside one that reads a
+    parameter and a state: kernels with no parameter or no state."""
     members = (
         ((Const(3.0),), ()),
         ((ast.mul(TWO, Var("v0")),), ()),
@@ -160,13 +161,13 @@ NAMED_KERNEL_CASES = {
     "max-signed-zero-tie": named_case(
         ast.maximum(Param("p0"), Param("p1")), params=SIGNED_ZEROS
     ),
-    # A tree object shared across members, beside cloned or NaN padding,
-    # and narrow members in a fused output.
+    # A tree object shared across members, beside cloned or NaN padding
+    # lanes, and members that read no parameter or no state.
     "shared-tree-clone-pad": shared_tree_case("clone"),
     "shared-tree-nan-pad": shared_tree_case("nan"),
     "narrow-members": narrow_case(),
     # exp/log of drivers where NumPy and libm differ: the station hoist
-    # and the batched precompute must go through libm.
+    # must go through libm.
     "libm-trap-drivers": named_case(
         ast.add(ast.exp(Var("v0")), ast.log(Var("v1"))), rows=LIBM_TRAP_ROWS
     ),
@@ -175,7 +176,7 @@ NAMED_KERNEL_CASES = {
 LOGISTIC, DECAY, POISON = logistic_model(), decay_model(), poison_model()
 
 NAMED_ROLLOUT_CASES = {
-    # Columns of one structure, bitwise against the scalar stream.
+    # Columns of one structure.
     "one-structure-columns": RolloutCase(
         (LOGISTIC,), (uniform_columns(LOGISTIC, 9, 7, 0.5),), wavy_drivers(60)
     ),
@@ -186,37 +187,39 @@ NAMED_ROLLOUT_CASES = {
         ([(2.0, 0.0, 0.0), (0.3, 0.01, 0.1)], [(0.2,), (0.1,)]),
         wavy_drivers(20), dt=0.5, clamp=ClampSpec(minimum=0.5, maximum=3.0),
     ),
-    # A poisoned column goes NaN at row 3 and freezes while its
-    # batchmate and the other member run on; a cohort whose lanes all
-    # die at row 0 short-circuits.
+    # A poisoned column raises at row 3 beside healthy ones; every
+    # column of a poisoned model raises at row 0.
     "poisoned-column": RolloutCase(
         (POISON, LOGISTIC),
         ([(1e-3, 1e-3), (HUGE, HUGE)], uniform_columns(LOGISTIC, 2, 17, 0.4)),
-        spike_drivers(10, 3), stop_after=1,
+        spike_drivers(10, 3),
     ),
     "all-lanes-dead": RolloutCase(
         (POISON, POISON), ([(HUGE, HUGE)] * 2,) * 2, spike_drivers(12, None)
     ),
-    # NaN padding lanes beside live ones.
+    # NaN parameter columns beside live ones.
     "nan-padding-lanes": RolloutCase(
         (LOGISTIC, DECAY),
-        (uniform_columns(LOGISTIC, 3, 11, 0.4), uniform_columns(DECAY, 2, 13, 0.4)),
-        wavy_drivers(25), lanes=4, pad="nan",
+        (
+            uniform_columns(LOGISTIC, 3, 11, 0.4) + [(math.nan,) * 3],
+            uniform_columns(DECAY, 2, 13, 0.4) + [(math.nan,)],
+        ),
+        wavy_drivers(25),
     ),
     # Infinite clamp bounds: states reach inf, then inf - inf.
     "infinite-clamp": RolloutCase(
         (LOGISTIC,),
         ([(3.0, -1e300, 1e300), (0.1, 0.01, 0.2)],),
-        wavy_drivers(40), clamp=INFINITE, stop_after=1,
+        wavy_drivers(40), clamp=INFINITE,
     ),
 }
 
 NAMED_EVALUATOR_CASES = {
     # The seeded cohort of the original equivalence suites: the default
     # settings (ES on, no marker yet), without ES, without the tree cache,
-    # bare, and with tiny cohorts and chunks.
+    # bare, and handed over three members at a time.
     **{
-        name: EvaluatorCase(marker=False, kernel_min_batch=2, **rest)
+        name: EvaluatorCase(marker=False, **rest)
         for name, rest in (
             ("default", {}),
             ("no-es", {"es_threshold": None}),
@@ -224,7 +227,7 @@ NAMED_EVALUATOR_CASES = {
             ("bare", {"es_threshold": None, "use_tree_cache": False}),
         )
     },
-    "tiny-cohorts": EvaluatorCase(kernel_batch_size=3),
+    "tiny-cohorts": EvaluatorCase(chunk=3),
     # Non-monotone extrapolation on exp/log models, which amplified
     # NumPy's last-ulp exp/log differences in member 25 to 1e-9.
     "exp-log-non-monotone": EvaluatorCase(
@@ -232,16 +235,18 @@ NAMED_EVALUATOR_CASES = {
     ),
 }
 
-#: The vector path on with ``batched``'s knobs (batched offspring and
-#: Gaussian proposals); ``fused`` adds every structure group, singletons
-#: included (the groups structure fusion once packed); ``river-vector``
-#: is the full river task under the benchmark workload's knobs, a seed
-#: whose champion moved while the vector kernels called NumPy's exp/log.
+#: Seeded engine runs under the batch knobs (batched offspring and
+#: Gaussian proposals): on the toy problem with the tree cache on
+#: (``batched``) and off (``fused``; the ids are the vector paths these
+#: runs compared until those were deleted), and on the full river task
+#: under the river-vector benchmark workload's knobs.
 BATCHING = dict(eval_batch_size=10, gaussian_proposals=4)
 SEEDED_RUNS = {
     "batched": ("toy", dataclasses.replace(SMALL_CONFIG, **BATCHING), 12),
     "fused": (
-        "toy", dataclasses.replace(SMALL_CONFIG, kernel_min_batch=1, **BATCHING), 12
+        "toy",
+        dataclasses.replace(SMALL_CONFIG, use_tree_cache=False, **BATCHING),
+        12,
     ),
     "river-vector": (
         "river",
@@ -262,7 +267,7 @@ def seeded_run(domain: str, config: GMRConfig, seed: int):
     else:
         engine = GMREngine.for_domain(domain, config)
     KERNEL_CACHE.clear()
-    return engine.run(seed=seed)
+    return engine, engine.run(seed=seed)
 
 
 class TestKernel:
@@ -299,62 +304,57 @@ class TestEvaluator:
     @settings(max_examples=10, deadline=None)
     @given(data=st.data())
     def test_batch_matches_sequential(self, domain, data):
-        case = data.draw(evaluator_cases(domain))
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            check_evaluator(case, monkeypatch)
+        check_evaluator(data.draw(evaluator_cases(domain)))
 
     @cases(NAMED_EVALUATOR_CASES)
-    def test_named(self, case, monkeypatch):
-        __, evaluator, __ = check_evaluator(case, monkeypatch)
-        assert evaluator.stats.batched_evaluations > 0
+    def test_named(self, case):
+        check_evaluator(case)
 
     @pytest.mark.parametrize("nan_row", [None, 20, 70], ids=["clean", "nan20", "nan70"])
-    # This axis toggled structure fusion until it was deleted; its ids
-    # are kept so the grid's test ids stay stable: "batched" runs with
-    # the tree cache on, "fused" with it off.
+    # The grid once covered the vector path's lane retirement; its ids
+    # are kept stable.  "batched" runs with the tree cache on, "fused"
+    # with it off, and the width is the chunk ``evaluate_batch`` takes.
     @pytest.mark.parametrize("use_tree_cache", [True, False], ids=["batched", "fused"])
     @pytest.mark.parametrize("width", [3, 64], ids=["k3", "k64"])
     @pytest.mark.parametrize("extrapolator", sorted(EXTRAPOLATORS))
     @pytest.mark.parametrize("threshold", [0.5, 0.7, 1.0, 1.3])
     def test_lane_retirement(
-        self, monkeypatch, threshold, extrapolator, width, use_tree_cache, nan_row
+        self, threshold, extrapolator, width, use_tree_cache, nan_row
     ):
         """The seeded toy cohort against a finite marker, over the grid of
-        thresholds, extrapolators, chunk widths, the tree cache (off,
-        duplicates share a column by exact parameters and replay without
-        cache hits) and poisoned rows: equivalent, and columns retire
-        before the horizon."""
+        thresholds, extrapolators, chunk widths, the tree cache and
+        poisoned rows: equivalent to the reference, and Algorithm 1 cuts
+        members before the horizon."""
         case = EvaluatorCase(
             es_threshold=threshold,
             extrapolator=extrapolator,
-            kernel_batch_size=width,
+            chunk=width,
             use_tree_cache=use_tree_cache,
             nan_row=nan_row,
         )
-        marker, evaluator, log = check_evaluator(case, monkeypatch)
-        n_cases = toy_task().n_cases
-        assert log.retired(n_cases)
-        assert evaluator.stats.steps_integrated < log.columns * n_cases
-        assert all(rollout.rows_run == rollout.n_steps for rollout in log.rollouts)
+        marker, evaluator = check_evaluator(case)
+        stats = evaluator.stats
+        assert stats.short_circuits > 0
+        assert stats.steps_evaluated < stats.steps_possible
         if nan_row is None:
             # Members beat the starting marker mid-cohort.
             assert evaluator.best_prev_full < marker
 
     @cases(SEEDED_RUNS)
     def test_seeded_run(self, case):
-        """A seeded engine run with the vector path on and off: same
-        champion, history and Algorithm 1 counts."""
+        """A seeded engine run's champion, re-scored by a fresh compiled
+        evaluator with ES and the tree cache off, has exactly its
+        fitness, and the interpreter agrees within rel 1e-9."""
         domain, config, seed = case
-        on = seeded_run(domain, config, seed)
-        scalar = dataclasses.replace(config, use_batched_kernel=False)
-        off = seeded_run(domain, scalar, seed)
-        assert on.stats.batched_evaluations > 0
-        assert off.stats.batched_evaluations == 0
-        assert [on.best_fitness, *(r.best_fitness for r in on.history)] == [
-            off.best_fitness, *(r.best_fitness for r in off.history)
-        ]
-        for name in ALGORITHM_1_COUNTERS:
-            assert getattr(on.stats, name) == getattr(off.stats, name), name
+        engine, result = seeded_run(domain, config, seed)
+        champion = result.best
+        assert champion.fully_evaluated
+        full = dataclasses.replace(config, es_threshold=None, use_tree_cache=False)
+        for use_compilation, rel in ((True, 0.0), (False, 1e-9)):
+            oracle = dataclasses.replace(full, use_compilation=use_compilation)
+            evaluator = GMRFitnessEvaluator(task=engine.task, config=oracle)
+            rescored = evaluator.evaluate(champion.copy())
+            assert agree(rescored, result.best_fitness, rel), rescored
 
 
 class TestNetwork:
