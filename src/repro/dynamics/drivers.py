@@ -69,16 +69,27 @@ class DriverTable:
         return self.values[:, index]
 
     def rows(self) -> list[tuple[float, ...]]:
-        """Return rows as tuples (fast positional access in inner loops).
+        """Return rows as tuples of Python floats (fast positional access
+        in inner loops).
 
-        The list is computed once and cached: simulators call this on
-        every fitness evaluation.
+        The values are Python floats, not ``numpy.float64``: arithmetic
+        on a NumPy scalar returns a NumPy scalar, so one driver value
+        would turn every state and error derived from it into one, and
+        a compiled step over such rows runs ~3x slower with the same
+        bits.  The list is computed once and cached (simulators call
+        this on every fitness evaluation) but never pickled.
         """
         cached = getattr(self, "_rows_cache", None)
         if cached is None:
-            cached = [tuple(row) for row in self.values]
+            cached = [tuple(row) for row in self.values.tolist()]
             object.__setattr__(self, "_rows_cache", cached)
         return cached
+
+    def __getstate__(self) -> dict:
+        # The row cache is ~3x the table's own size; rebuild it lazily.
+        state = dict(self.__dict__)
+        state.pop("_rows_cache", None)
+        return state
 
     def slice(self, start: int, stop: int) -> "DriverTable":
         """Return a time-sliced copy covering ``[start, stop)``."""

@@ -214,7 +214,9 @@ def observation_error_stream(
         raise ValueError(
             f"model has no state {target_state!r}; states: {model.state_names}"
         ) from None
-    observed = np.asarray(observed, dtype=float)
+    # Python floats, like the driver rows: a NumPy scalar observation
+    # would make every error a NumPy scalar.
+    observed = np.asarray(observed, dtype=float).tolist()
     if len(observed) != len(drivers):
         raise ValueError(
             f"{len(observed)} observations for {len(drivers)} driver rows"
@@ -222,9 +224,9 @@ def observation_error_stream(
     stepper = euler_steps(
         model, params, drivers, initial_state, dt, clamp, use_compiled
     )
-    for step_index, state in enumerate(stepper):
+    for state, target in zip(stepper, observed):
         predicted = state[target_index]
         if not math.isfinite(predicted):
             raise SimulationDiverged("predicted value is not finite")
-        error = predicted - observed[step_index]
+        error = predicted - target
         yield error * error

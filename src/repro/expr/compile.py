@@ -47,7 +47,7 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count
+from itertools import count, repeat
 from typing import Any, Callable, Hashable, Sequence
 
 import numpy as np
@@ -408,7 +408,7 @@ class CompiledStationKernel:
       driver-dependent, state-free subtrees the state code reads -- over
       a block of driver rows for every station at once.  ``VB`` has
       shape ``(n_vars, n_stations, rows)``; the result holds, per
-      station, one list of frontier values per row.
+      station, an iterator of one tuple of frontier values per row.
     * ``station(F, *S)`` computes one derivative tuple from a frontier
       row ``F`` and the station's states.
 
@@ -481,14 +481,17 @@ def _generate_station(
 
 
 def _frontier_rows(temps: tuple[np.ndarray, ...], VB: np.ndarray) -> list:
-    """Per-station lists of per-row frontier values.
+    """Per-station iterators of per-row frontier tuples.
 
     Every hoisted temp reads a driver, so each has ``VB``'s trailing
-    ``(n_stations, rows)`` shape.
+    ``(n_stations, rows)`` shape.  Each station's temps leave NumPy as
+    whole rows, zipped into one tuple per day as the loop consumes them
+    (a per-day list from ``tolist`` costs twice as much).
     """
     if not temps:
-        return np.empty(VB.shape[1:] + (0,)).tolist()
-    return np.stack(temps, axis=-1).tolist()
+        n_stations, n_rows = VB.shape[1:]
+        return [repeat((), n_rows) for __ in range(n_stations)]
+    return [zip(*station) for station in np.stack(temps, axis=1).tolist()]
 
 
 def compile_station_kernel(

@@ -65,10 +65,9 @@ def batched_protected_div(numerator, denominator):
     numerator, including NaN); everywhere else it is the IEEE quotient,
     so NaN/inf operands propagate the same way the scalar path does.
     """
-    denominator = np.asarray(denominator)
     near_zero = np.abs(denominator) < DIV_EPS
-    safe = np.where(near_zero, 1.0, denominator)
-    return np.where(near_zero, 0.0, np.asarray(numerator) / safe)
+    quotient = np.zeros(np.broadcast_shapes(np.shape(numerator), near_zero.shape))
+    return np.divide(numerator, denominator, out=quotient, where=~near_zero)
 
 
 def _libm_map(function, values: np.ndarray) -> np.ndarray:

@@ -307,7 +307,9 @@ class RiverSystemSimulator:
         of :meth:`network_errors` instead, with identical results.
 
         The loop body runs against the plain-Python lists of the cached
-        mixing plan, stepping one station per call of ``model``'s step
+        mixing plan -- fractions, boundary columns and driver rows
+        (:meth:`DriverTable.rows`) all hold Python floats, so every state
+        is one too -- stepping one station per call of ``model``'s step
         function.
         """
         n_states = len(model.state_names)
@@ -432,11 +434,11 @@ class RiverSystemSimulator:
         params: Sequence[float],
         target_station: str,
         target_index: int,
-        observed: np.ndarray,
+        observed: Sequence[float],
     ) -> Iterator[float]:
         """Per-day squared errors of state ``target_index`` at
-        ``target_station`` against ``observed``, through ``model``'s
-        station kernel.
+        ``target_station`` against ``observed`` (Python floats, one per
+        day), through ``model``'s station kernel.
 
         Bit-identical, day by day and raise by raise, to the errors of
         the compiled :meth:`steps` stream: the generated loop performs
@@ -453,7 +455,7 @@ class RiverSystemSimulator:
             stream = self._bind_stream(plan, *key)
             self._streams[key] = stream
         hoist, station = kernel.make(params)
-        yield from stream(hoist, station, observed.tolist())
+        yield from stream(hoist, station, observed)
 
     def _bind_stream(
         self,
@@ -466,7 +468,10 @@ class RiverSystemSimulator:
         :func:`_network_source`).
 
         The loop hoists over every station's driver table stacked as
-        ``(n_columns, n_stations, horizon)``.
+        ``(n_columns, n_stations, horizon)``.  Per upstream lag it reads
+        one index list, ``max(t - lag, 0) + 1`` per day, into both
+        upstream histories (whose item 0 is the initial state) and
+        headwater columns (bound behind one padding item).
         """
         source = _network_source(
             plan, state_names, self._order.index(target_station), target_index
@@ -480,16 +485,21 @@ class RiverSystemSimulator:
             namespace,
         )
         boundary = [
-            column
+            column[:1] + column
             for station in plan.stations
             for __, __, columns, __ in station.sources
             if columns is not None
             for column in columns
         ]
+        indices = [
+            [max(t - lag, 0) + 1 for t in range(self.horizon)]
+            for lag in _lags(plan)
+        ]
         return namespace["_bind"](
             [station.retained for station in plan.stations],
             [frac for station in plan.stations for frac, *__ in station.sources],
             boundary,
+            indices,
             plan.initial,
             np.stack(
                 [self.drivers[name].values.T for name in self._order], axis=1
@@ -499,6 +509,13 @@ class RiverSystemSimulator:
             self.clamp.minimum,
             self.clamp.maximum,
         )
+
+
+def _lags(plan: _MixingPlan) -> list[int]:
+    """The distinct lags at which stations read their sources."""
+    return sorted(
+        {lag for station in plan.stations for __, lag, __, __ in station.sources}
+    )
 
 
 def _unpack(names: Sequence[str], value: str) -> list[str]:
@@ -516,9 +533,10 @@ def _network_source(
 ) -> str:
     """Source of a network's generated day loop.
 
-    ``_bind(R, Q, C, X, D, T, dt, lo_, hi_)`` binds the plan (retained
-    and source fractions, boundary columns, initial states, stacked
-    drivers) and returns the generator ``_stream(hoist, station, OBS)``.
+    ``_bind(R, Q, C, O, X, D, T, dt, lo_, hi_)`` binds the plan
+    (retained and source fractions, padded boundary columns, source
+    indices per lag, initial states, stacked drivers) and returns the
+    generator ``_stream(hoist, station, OBS)``.
     Station ``k``'s state ``s`` lives in local ``x{k}_{s}``, and
     stations read as upstream sources keep per-state histories
     ``H{k}_{s}``.  Per day, each station runs :meth:`RiverSystemSimulator.
@@ -541,11 +559,13 @@ def _network_source(
             fractions.append(f"Q{k}_{j}")
             if columns is not None:
                 boundary.extend(f"C{k}_{j}_{s}" for s in states)
+    lags = [f"O{lag}" for lag in _lags(plan)]
     body = [
-        "def _bind(R, Q, C, X, D, T, dt, lo_, hi_):",
+        "def _bind(R, Q, C, O, X, D, T, dt, lo_, hi_):",
         *(f"    {line}" for line in _unpack([f"R{k}" for k in stations], "R")),
         *(f"    {line}" for line in _unpack(fractions, "Q")),
         *(f"    {line}" for line in _unpack(boundary, "C")),
+        *(f"    {line}" for line in _unpack(lags, "O")),
         "    def _stream(hoist, station, OBS):",
     ]
     inner = []
@@ -568,31 +588,29 @@ def _network_source(
     )
     day = []
     for k, station in enumerate(plan.stations):
-        current = "".join(f", x{k}_{s}" for s in states)
-        day.extend(_unpack([f"d{s}" for s in states], f"station(f{k}{current})"))
+        # The blend reads state s only to compute state s, so it
+        # updates x{k}_{s} in place.
+        x = [f"x{k}_{s}" for s in states]
+        step = f"station(f{k}, {', '.join(x)})"
+        day.extend(_unpack([f"d{s}" for s in states], step))
         day.append(f"r = R{k}[t]")
-        day.extend(f"b{s} = r * (x{k}_{s} + dt * d{s})" for s in states)
+        day.extend(f"{x[s]} = r * ({x[s]} + dt * d{s})" for s in states)
         for j, (__, lag, columns, upstream) in enumerate(station.sources):
             day.append(f"f = Q{k}_{j}[t]")
-            day.append(f"o = t - {lag}")
-            day.append("if o < 0:")
-            day.append("    o = 0")
+            day.append(f"o = O{lag}[t]")
             for s in states:
-                if columns is None:
-                    day.append(f"b{s} += f * H{upstream}_{s}[o + 1]")
-                else:
-                    day.append(f"b{s} += f * C{k}_{j}_{s}[o]")
+                read = f"H{upstream}_{s}" if columns is None else f"C{k}_{j}_{s}"
+                day.append(f"{x[s]} += f * {read}[o]")
         for s in states:
+            # One chained comparison on the common path; NaN fails it
+            # and is told apart from a clamp inside.
             message = f"state {state_names[s]} at {station.name} is NaN"
-            day.append(f"if b{s} != b{s}:")
-            day.append(f"    raise _Diverged({message!r})")
-            day.append(f"if b{s} < lo_:")
-            day.append(f"    b{s} = lo_")
-            day.append(f"elif b{s} > hi_:")
-            day.append(f"    b{s} = hi_")
-        day.extend(f"x{k}_{s} = b{s}" for s in states)
+            day.append(f"if not lo_ <= {x[s]} <= hi_:")
+            day.append(f"    if {x[s]} != {x[s]}:")
+            day.append(f"        raise _Diverged({message!r})")
+            day.append(f"    {x[s]} = lo_ if {x[s]} < lo_ else hi_")
         if k in feeding:
-            day.extend(f"H{k}_{s}.append(b{s})" for s in states)
+            day.extend(f"H{k}_{s}.append({x[s]})" for s in states)
     predicted = f"x{target}_{target_index}"
     day.append(f"if not _isfinite({predicted}):")
     day.append("    raise _Diverged('prediction is not finite')")
@@ -637,6 +655,9 @@ class RiverTask:
                 f"target {self.target_station!r} is not a simulated station"
             )
         self._target_index = self.state_names.index(self.target_state)
+        # Both error streams read Python floats: a NumPy scalar
+        # observation would make every error a NumPy scalar.
+        self._observed_floats = self.observed.tolist()
 
     @property
     def n_cases(self) -> int:
@@ -660,7 +681,7 @@ class RiverTask:
         if use_compiled:
             return self.simulator.network_errors(
                 model, params, self.target_station, self._target_index,
-                self.observed,
+                self._observed_floats,
             )
         return self.stepped_errors(model, params, use_compiled=False)
 
@@ -674,13 +695,14 @@ class RiverTask:
         its interpreter arm, and with ``use_compiled`` the reference the
         compiled network stream is tested against."""
         index = self._target_index
-        for t, snapshot in enumerate(
-            self.simulator.steps(model, params, use_compiled=use_compiled)
+        for snapshot, target in zip(
+            self.simulator.steps(model, params, use_compiled=use_compiled),
+            self._observed_floats,
         ):
             predicted = snapshot[self.target_station][index]
             if not math.isfinite(predicted):
                 raise SimulationDiverged("prediction is not finite")
-            error = predicted - self.observed[t]
+            error = predicted - target
             yield error * error
 
     def compiled_kernel(self, model: ProcessModel) -> CompiledStationKernel:

@@ -1,6 +1,7 @@
 """Integration, clamping, divergence, and the modeling-task API."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from repro.dynamics.system import ModelError, ProcessModel
 from repro.dynamics.task import BAD_FITNESS, ModelingTask
 from repro.expr import ast
 from repro.expr.ast import Const, Param, State, Var
+from tests.oracle import outcome, wavy_drivers
 
 
 def decay_model() -> ProcessModel:
@@ -297,3 +299,60 @@ class TestObservationStream:
                     model, (0.1,), drivers(5), (1.0,), np.zeros(5), "Q"
                 )
             )
+
+
+def wavy_task(n: int = 30) -> ModelingTask:
+    """A task whose driver ``Vx`` swings through [0.5, 1.5]."""
+    return ModelingTask(
+        drivers=wavy_drivers(n),
+        observed=np.linspace(1.0, 3.0, n),
+        target_state="B",
+        state_names=("B",),
+        initial_state=(2.0,),
+    )
+
+
+class TestFloatBoundary:
+    """The scalar step loop runs over Python floats only: driver rows
+    and observations are converted at the boundary, so no NumPy scalar
+    leaks into a state or an error."""
+
+    @pytest.mark.parametrize("use_compiled", [True, False])
+    def test_error_stream_yields_python_floats(self, use_compiled):
+        model = ProcessModel.from_equations(
+            {"B": ast.sub(ast.mul(Param("k"), Var("Vx")), State("B"))},
+            var_order=("Vx",),
+        )
+        errors = list(wavy_task().error_stream(model, (0.7,), use_compiled))
+        assert len(errors) == 30
+        assert all(type(error) is float for error in errors)
+
+    @pytest.mark.parametrize(
+        "equation",
+        [
+            # p * Vx * B overflows to +inf once B is clamped to 1e6; the
+            # state saturates at the clamp's ceiling.
+            "saturating",
+            # p * Vx * B - p * Vx * B is inf - inf = NaN once the product
+            # overflows; the rollout raises.
+            "poisoned",
+        ],
+    )
+    def test_overflow_is_silent_and_paths_agree(self, equation):
+        product = ast.mul(ast.mul(Param("p"), Var("Vx")), State("B"))
+        rhs = product if equation == "saturating" else ast.sub(product, product)
+        model = ProcessModel.from_equations({"B": rhs}, var_order=("Vx",))
+        task = wavy_task()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            compiled = outcome(task.error_stream(model, (HUGE,)))
+            interpreted = outcome(
+                task.error_stream(model, (HUGE,), use_compiled=False)
+            )
+        assert compiled == interpreted
+        values, error = compiled
+        if equation == "saturating":
+            assert error is None and len(values) == 30
+        else:
+            assert error == (SimulationDiverged, "state became NaN")
+            assert len(values) < 30

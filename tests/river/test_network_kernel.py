@@ -158,19 +158,29 @@ class TestNamedCases:
         assert_same_stream(task, model, params)
 
     def test_hoisted_overflow_warns_nowhere(self):
-        # The hoist overflows silently: a RuntimeWarning escalated to an
-        # error would escape RiverTask.rmse.  (The steps() stream does
-        # warn here, since its driver rows hold NumPy scalars, so it runs
-        # with warnings ignored.)
+        # Both streams overflow silently: a RuntimeWarning escalated to an
+        # error would escape RiverTask.rmse.  The hoist runs under
+        # np.errstate; the steps() stream's driver rows are Python floats.
         task, model, params = self.overflowing_hoist()
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            stepped = outcome(task.stepped_errors(model, params))
-        with warnings.catch_warnings():
             warnings.simplefilter("error")
+            stepped = outcome(task.stepped_errors(model, params))
             network = outcome(task.error_stream(model, params))
         assert network == stepped
         assert network[1] == (SimulationDiverged, "state X0 at B is NaN")
+
+    def test_streams_yield_python_floats(self):
+        model = chain_model("a * Vx - b * X0 * X1", "c * X0 - d * X1 * Vy")
+        task = chain_task(model)
+        params = (0.7, 0.05, 0.2, 0.1)
+        for stream in (
+            task.error_stream(model, params),
+            task.stepped_errors(model, params),
+            task.stepped_errors(model, params, use_compiled=False),
+        ):
+            errors = list(stream)
+            assert len(errors) == 30
+            assert all(type(error) is float for error in errors)
 
     def test_infinite_clamp_bounds_raise_isfinite(self):
         model = chain_model("g * X0 * Vy")
@@ -252,7 +262,7 @@ class TestNamedCases:
         hoist, station = model.station_kernel().make(params)
         frontier = hoist(stacked_drivers(task))
         step = model.compiled()
-        for row, x in zip(frontier[0], vx):
+        for row, x in zip(frontier[0], vx.tolist()):
             assert bits(station(row, 2.0, 3.0)) == bits(
                 step(params, (x, 1.0), (2.0, 3.0))
             )
