@@ -7,7 +7,6 @@ from repro.dynamics.integrate import (
     euler_steps,
     is_finite_trajectory,
     observation_error_stream,
-    rk4_steps,
     safe_simulate,
     simulate,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "euler_steps",
     "is_finite_trajectory",
     "observation_error_stream",
-    "rk4_steps",
     "safe_simulate",
     "simulate",
 ]

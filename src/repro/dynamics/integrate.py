@@ -1,8 +1,7 @@
 """Forward integration of process models over driver data.
 
 The river models are integrated with a daily explicit Euler step (the
-standard choice for this family of ecological models); an RK4 stepper is
-provided for callers that need higher-order accuracy.  State trajectories
+standard choice for this family of ecological models).  State trajectories
 are clamped to a physically plausible band, and divergence (NaN) is
 reported via :class:`SimulationDiverged` so that fitness evaluation can
 assign the worst score instead of propagating bad floats.
@@ -86,58 +85,6 @@ def euler_steps(
         derivatives = step(params, row, state)
         for index in range(n_states):
             state[index] = clamp.apply(state[index] + dt * derivatives[index])
-        yield tuple(state)
-
-
-def _checked_slopes(slopes: tuple[float, ...]) -> tuple[float, ...]:
-    """Raise :class:`SimulationDiverged` if any slope is NaN.
-
-    RK4 evaluates the step function at intermediate points; a NaN in an
-    intermediate slope (``k2``/``k3``) would otherwise propagate silently
-    through the combined update, so slopes get the same loud-failure
-    treatment :meth:`ClampSpec.apply` gives states.
-    """
-    for value in slopes:
-        if value != value:  # NaN
-            raise SimulationDiverged("slope became NaN")
-    return slopes
-
-
-def rk4_steps(
-    model: ProcessModel,
-    params: Sequence[float],
-    drivers: DriverTable,
-    initial_state: Sequence[float],
-    dt: float = 1.0,
-    clamp: ClampSpec = ClampSpec(),
-    use_compiled: bool = True,
-) -> Iterator[tuple[float, ...]]:
-    """Yield states from a classical Runge-Kutta-4 integration.
-
-    Driver values are held constant within a step (they are daily
-    observations, so sub-step interpolation would be spurious precision).
-    Matches :func:`euler_steps` error behaviour: a NaN in any slope or
-    updated state raises :class:`SimulationDiverged`, and ``use_compiled``
-    selects between the compiled step function and the reference
-    interpreter.
-    """
-    if drivers.names != model.var_order:
-        drivers = drivers.select(model.var_order)
-    params = tuple(params)
-    state = [float(value) for value in initial_state]
-    n_states = len(state)
-    step = model.compiled() if use_compiled else model.interpret_step
-    for row in drivers.rows():
-        k1 = _checked_slopes(step(params, row, state))
-        mid1 = [state[i] + 0.5 * dt * k1[i] for i in range(n_states)]
-        k2 = _checked_slopes(step(params, row, mid1))
-        mid2 = [state[i] + 0.5 * dt * k2[i] for i in range(n_states)]
-        k3 = _checked_slopes(step(params, row, mid2))
-        end = [state[i] + dt * k3[i] for i in range(n_states)]
-        k4 = _checked_slopes(step(params, row, end))
-        for i in range(n_states):
-            increment = (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) / 6.0
-            state[i] = clamp.apply(state[i] + dt * increment)
         yield tuple(state)
 
 

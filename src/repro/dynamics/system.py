@@ -9,10 +9,10 @@ Figure 10.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import InitVar, dataclass, field
+from typing import Mapping, NamedTuple, Sequence
 
-from repro.expr.ast import Expr, free_params, free_states, free_vars, strip_ext
+from repro.expr.ast import Expr, Param, State, Var, strip_ext
 from repro.expr.compile import (
     KERNEL_CACHE,
     CompiledModel,
@@ -34,6 +34,29 @@ class ModelError(ValueError):
     """Raised for ill-formed process models."""
 
 
+class FreeNames(NamedTuple):
+    """The parameter, driver-variable and state names an expression reads."""
+
+    params: set[str]
+    variables: set[str]
+    states: set[str]
+
+    @classmethod
+    def of(cls, expr: Expr) -> "FreeNames":
+        """Collect ``expr``'s free names in one walk."""
+        params: set[str] = set()
+        variables: set[str] = set()
+        states: set[str] = set()
+        for node in expr.walk():
+            if isinstance(node, Param):
+                params.add(node.name)
+            elif isinstance(node, Var):
+                variables.add(node.name)
+            elif isinstance(node, State):
+                states.add(node.name)
+        return cls(params, variables, states)
+
+
 @dataclass
 class ProcessModel:
     """A system of coupled ``dX/dt`` equations.
@@ -44,6 +67,11 @@ class ProcessModel:
             compiled step functions.
         param_order: Parameter order used by compiled step functions.
         var_order: Driver-variable order used by compiled step functions.
+        free: Construction only: each equation's :class:`FreeNames`, in
+            equation order, when the caller already has them; otherwise
+            they are collected from the equations.  Either way every
+            equation is checked against the states, parameters and
+            variables.
     """
 
     equations: dict[str, Expr]
@@ -53,29 +81,37 @@ class ProcessModel:
     _station: CompiledStationKernel | None = field(
         default=None, repr=False, compare=False
     )
+    free: InitVar[Sequence[FreeNames] | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, free: Sequence[FreeNames] | None) -> None:
         if not self.equations:
             raise ModelError("a process model needs at least one equation")
         self.param_order = tuple(self.param_order)
         self.var_order = tuple(self.var_order)
+        if free is None:
+            free = [FreeNames.of(expr) for expr in self.equations.values()]
+        elif len(free) != len(self.equations):
+            raise ModelError(
+                f"free names given for {len(free)} of "
+                f"{len(self.equations)} equations"
+            )
         states = set(self.state_names)
         params = set(self.param_order)
         variables = set(self.var_order)
-        for state, expr in self.equations.items():
-            unknown_states = free_states(expr) - states
+        for state, names in zip(self.equations, free):
+            unknown_states = names.states - states
             if unknown_states:
                 raise ModelError(
                     f"equation for {state} references unknown states "
                     f"{sorted(unknown_states)}"
                 )
-            unknown_params = free_params(expr) - params
+            unknown_params = names.params - params
             if unknown_params:
                 raise ModelError(
                     f"equation for {state} references unbound parameters "
                     f"{sorted(unknown_params)}"
                 )
-            unknown_vars = free_vars(expr) - variables
+            unknown_vars = names.variables - variables
             if unknown_vars:
                 raise ModelError(
                     f"equation for {state} references unknown variables "
@@ -102,20 +138,33 @@ class ProcessModel:
         equations: Mapping[str, Expr],
         var_order: Sequence[str],
         extra_params: Sequence[str] = (),
+        free: Sequence[FreeNames] | None = None,
+        keys: Sequence[str] | None = None,
     ) -> "ProcessModel":
         """Build a model, inferring the parameter order from the equations.
 
         Parameters are ordered with the explicitly supplied ``extra_params``
         first (so that shared expert parameters keep stable positions),
         followed by any remaining parameters in sorted order.
+
+        A caller that already knows each equation's :class:`FreeNames`
+        (``free``) and :func:`~repro.expr.simplify.canonical_key`
+        (``keys``), in equation order, passes them so that neither is
+        computed again: the model's checks run on ``free`` and
+        :meth:`structure_key` joins ``keys``.
         """
         equations = dict(equations)
+        if free is None:
+            free = [FreeNames.of(expr) for expr in equations.values()]
         discovered: set[str] = set()
-        for expr in equations.values():
-            discovered |= free_params(expr)
+        for names in free:
+            discovered |= names.params
         ordered = list(extra_params)
         ordered.extend(sorted(discovered - set(extra_params)))
-        return cls(equations, tuple(ordered), tuple(var_order))
+        model = cls(equations, tuple(ordered), tuple(var_order), free=free)
+        if keys is not None:
+            model.__dict__["_structure_key"] = _join_keys(equations, keys)
+        return model
 
     def _kernel_key(self, kind: str) -> tuple:
         """Cache key for this model's kernels in the process-global LRU.
@@ -210,11 +259,8 @@ class ProcessModel:
         """
         cached = self.__dict__.get("_structure_key")
         if cached is None:
-            parts = [
-                f"{name}={canonical_key(expr)}"
-                for name, expr in self.equations.items()
-            ]
-            cached = ";".join(parts)
+            keys = [canonical_key(expr) for expr in self.equations.values()]
+            cached = _join_keys(self.equations, keys)
             self.__dict__["_structure_key"] = cached
         return cached
 
@@ -225,3 +271,8 @@ class ProcessModel:
             for name, expr in self.equations.items()
         ]
         return "\n".join(lines)
+
+
+def _join_keys(equations: Mapping[str, Expr], keys: Sequence[str]) -> str:
+    """:meth:`ProcessModel.structure_key` from per-equation keys."""
+    return ";".join(f"{name}={key}" for name, key in zip(equations, keys))

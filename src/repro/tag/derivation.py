@@ -109,6 +109,16 @@ class DerivationNode:
         return values
 
 
+def _walk_with_parents(
+    parent: DerivationNode | None,
+    address: Address | None,
+    node: DerivationNode,
+) -> Iterator[tuple[DerivationNode | None, Address | None, DerivationNode]]:
+    yield parent, address, node
+    for child_address, child in list(node.children.items()):
+        yield from _walk_with_parents(node, child_address, child)
+
+
 @dataclass
 class DerivationTree:
     """A complete derivation: a rooted tree of :class:`DerivationNode`."""
@@ -134,17 +144,7 @@ class DerivationTree:
         self,
     ) -> Iterator[tuple[DerivationNode | None, Address | None, DerivationNode]]:
         """Yield ``(parent, address, node)`` triples in pre-order."""
-
-        def _walk(
-            parent: DerivationNode | None,
-            address: Address | None,
-            node: DerivationNode,
-        ) -> Iterator[tuple[DerivationNode | None, Address | None, DerivationNode]]:
-            yield parent, address, node
-            for child_address, child in list(node.children.items()):
-                yield from _walk(node, child_address, child)
-
-        return _walk(None, None, self.root)
+        return _walk_with_parents(None, None, self.root)
 
     def open_sites(self, grammar: TagGrammar) -> list[tuple[DerivationNode, Address]]:
         """All ``(node, address)`` pairs where a new adjunction could occur."""

@@ -14,7 +14,6 @@ from repro.dynamics.integrate import (
     SimulationDiverged,
     euler_steps,
     observation_error_stream,
-    rk4_steps,
     safe_simulate,
     simulate,
 )
@@ -110,16 +109,6 @@ class TestEuler:
             {"B": Var("Vx")}, var_order=("Vx",)
         )
         assert safe_simulate(model, (), table, (1.0,)) is None
-
-
-class TestRk4:
-    def test_rk4_more_accurate_than_euler(self):
-        model = decay_model()
-        k, n = 0.2, 20  # exact final value stays above the clamp floor
-        exact = math.exp(-k * n)
-        euler_final = simulate(model, (k,), drivers(n), (1.0,))[-1, 0]
-        rk4_final = list(rk4_steps(model, (k,), drivers(n), (1.0,)))[-1][0]
-        assert abs(rk4_final - exact) < abs(euler_final - exact)
 
 
 class TestModelingTask:

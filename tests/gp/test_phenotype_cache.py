@@ -28,9 +28,9 @@ from repro.gp.individual import Individual
 from repro.gp.init import attach, random_individual
 from repro.gp.phenotype import PhenotypeCache, shape_key
 from repro.tag.derivation import DerivationNode, DerivationTree
-from repro.tag.derive import DeriveError
-from repro.tag.symbols import nonterminal
-from repro.tag.trees import Lexeme
+from repro.tag.derive import DeriveError, translate_equation
+from repro.tag.symbols import nonterminal, terminal
+from repro.tag.trees import BetaTree, Lexeme, TreeNode
 from tests.oracle import CHAIN_CONFIG, OPERATORS, apply, bits, domain_setup
 
 
@@ -280,3 +280,145 @@ class TestHygiene:
             "steps_evaluated",
         ):
             assert getattr(cached_stats, name) == getattr(stats, name)
+
+
+#: Lotka-Volterra's root sites: equation 0 (Prey) and equation 1 (Pred).
+PREY_SITE, PRED_SITE = (0,), (1, 2, 2)
+
+
+def lv_individual(prey_const: bool, pred_beta=None, seed: int = 4):
+    """A Lotka-Volterra individual: equation 1 carries one random
+    constant (or ``pred_beta``); equation 0 one more when
+    ``prey_const``.  Constants get distinct values."""
+    spec, knowledge, grammar = domain_setup("lotka_volterra")
+    rng = random.Random(seed)
+    root = DerivationNode(tree=grammar.start_alphas()[0])
+    root.fill_lexemes(grammar, rng)
+    pred_beta = pred_beta or grammar.betas["conn:ExtMort:*:R"]
+    pred = attach(grammar, root, PRED_SITE, pred_beta, rng)
+    if prey_const:
+        prey_beta = grammar.betas["conn:ExtPrey:+:R"]
+        prey = attach(grammar, root, PREY_SITE, prey_beta, rng)
+        for lexeme in prey.lexemes.values():
+            if lexeme.payload[0] == "rconst":
+                lexeme.payload[1].value = 3.25
+    for lexeme in pred.lexemes.values():
+        if lexeme.payload[0] == "rconst":
+            lexeme.payload[1].value = 7.5
+    individual = Individual(
+        derivation=DerivationTree(root), params=knowledge.initial_parameters()
+    )
+    return individual, spec.state_names, spec.var_order
+
+
+def untranslatable_beta(symbol) -> BetaTree:
+    """A beta that passes validation but has no expression: a variable
+    and the foot side by side, with no operator between them."""
+    variable = TreeNode(terminal("var:Vtmp"), payload=("var", "Vtmp"))
+    return BetaTree(
+        "bogus", TreeNode(symbol, (variable, TreeNode(symbol, is_foot=True)))
+    )
+
+
+class TestFragments:
+    @pytest.mark.parametrize("change", ["gains", "loses"])
+    def test_equation_zero_changes_its_constants(self, change):
+        """Equation 1 is unchanged while equation 0 gains (or loses) a
+        random constant, so equation 1's constant is renamed."""
+        first, second = (False, True) if change == "gains" else (True, False)
+        cache = PhenotypeCache()
+        for prey_const in (first, second):
+            individual, names, order = lv_individual(prey_const)
+            model, params, hit = cache.phenotype(individual, names, order)
+            assert not assert_same_phenotype(
+                (model, params, hit), individual.phenotype(names, order)
+            )
+        values = dict(zip(model.param_order, params))
+        if second:
+            assert (values["_R0"], values["_R1"]) == (3.25, 7.5)
+            assert "_R1" in model.structure_key().split(";")[1]
+        else:
+            assert values["_R0"] == 7.5
+            assert "_R1" not in values
+
+    def test_unpickled_copy_served_by_a_warm_cache(self):
+        """An unpickled individual's elementary trees are copies with
+        other ids; the warm cache still serves the reference."""
+        cache = PhenotypeCache()
+        for prey_const in (False, True):
+            individual, names, order = lv_individual(prey_const)
+            cache.phenotype(individual, names, order)
+            copy = pickle.loads(pickle.dumps(individual))
+            for __ in range(2):
+                for each in (copy, individual):
+                    assert_same_phenotype(
+                        cache.phenotype(each, names, order),
+                        each.phenotype(names, order),
+                    )
+
+    def test_derive_error_leaves_no_fragment(self):
+        cache = PhenotypeCache()
+        individual, names, order = lv_individual(False)
+        cache.phenotype(individual, names, order)
+        fragments = dict(cache._fragments)
+        symbol = individual.derivation.root.tree.node_at(PRED_SITE).symbol
+        # Equation 0 is new and translates; equation 1 does not.
+        broken, __, __ = lv_individual(True, untranslatable_beta(symbol))
+        for __ in range(2):
+            with pytest.raises(DeriveError):
+                broken.phenotype(names, order)
+            with pytest.raises(DeriveError):
+                cache.phenotype(broken, names, order)
+        assert cache._fragments == fragments
+        assert len(cache) == 1
+
+    def test_table_stays_bounded(
+        self, toy_grammar, toy_knowledge, toy_task, monkeypatch
+    ):
+        names, order = toy_task.state_names, toy_task.var_order
+        monkeypatch.setattr(phenotype_module, "FRAGMENT_TABLE_SIZE", 3)
+        cache = PhenotypeCache()
+        for individual in population(toy_grammar, toy_knowledge, 30):
+            cache.phenotype(individual, names, order)
+            assert len(cache._fragments) <= 3
+        assert len(cache._fragments) == 3
+
+    def test_reset_and_pickle_drop_the_table(
+        self, toy_grammar, toy_knowledge, toy_task
+    ):
+        evaluator = make_evaluator(toy_task)
+        for individual in population(toy_grammar, toy_knowledge, 5):
+            evaluator.evaluate(individual)
+        assert len(evaluator._phenotypes._fragments) > 0
+        restored = pickle.loads(pickle.dumps(evaluator))
+        assert len(restored._phenotypes._fragments) == 0
+        evaluator.reset()
+        assert len(evaluator._phenotypes._fragments) == 0
+
+    @pytest.mark.parametrize("domain", sorted(available_domains()))
+    def test_subtree_mutations_reuse_fragments(self, domain, monkeypatch):
+        """Non-vacuity: along a chain of single-subtree mutations, whole
+        models missed by the memo are composed from fragments without
+        translating every equation."""
+        spec, knowledge, grammar = domain_setup(domain)
+        names, order = spec.state_names, spec.var_order
+        translated = []
+
+        def counting(root, index, offset, rconsts):
+            translated.append(index)
+            return translate_equation(root, index, offset, rconsts)
+
+        monkeypatch.setattr(phenotype_module, "translate_equation", counting)
+        rng = random.Random(7)
+        cache = PhenotypeCache()
+        current = random_individual(grammar, knowledge, CHAIN_CONFIG, rng)
+        misses = 0
+        for __ in range(30):
+            hit = assert_same_phenotype(
+                cache.phenotype(current, names, order),
+                current.phenotype(names, order),
+            )
+            misses += not hit
+            current = apply("subtree", current, current, knowledge, grammar, rng)
+        assert misses > 1
+        assert len(translated) < misses * len(names)

@@ -1,12 +1,17 @@
 """Adjoining, substitution, derivation -> derived tree -> expression."""
 
+import gc
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.domains import available_domains
 from repro.expr import ast
 from repro.expr.ast import Const, Ext, Param, State, Var
 from repro.expr.evaluate import evaluate
+from repro.gp.init import random_individual
 from repro.gp.knowledge import (
     ExtensionSpec,
     ParameterPrior,
@@ -22,9 +27,12 @@ from repro.tag.derive import (
     lift_model,
     substitute_node,
     to_expressions,
+    translate_equation,
+    validate,
 )
-from repro.tag.symbols import MODEL, connector_symbol, extender_symbol
-from repro.tag.trees import TreeNode
+from repro.tag.symbols import MODEL, connector_symbol, extender_symbol, terminal
+from repro.tag.trees import BetaTree, Lexeme, TreeNode
+from tests.oracle import CHAIN_CONFIG, OPERATORS, apply, domain_setup
 
 
 def river_like_knowledge() -> PriorKnowledge:
@@ -187,3 +195,128 @@ class TestDerivation:
         connector_beta_tree = grammar.betas["conn:Ext1:+:R"]
         site_symbol = connector.node_at(extender_sites[0]).symbol
         assert not grammar.can_adjoin(connector_beta_tree, site_symbol)
+
+
+def reference(derivation):
+    """``to_expressions(derive(...))`` and the constants it met."""
+    met = []
+    expressions, rvalues = to_expressions(derive(derivation), met)
+    return expressions, rvalues, met
+
+
+def translate(derivation):
+    """What the phenotype memo does on a miss: validate, then translate
+    equation by equation straight from the derivation."""
+    validate(derivation)
+    root = derivation.root
+    expressions, met = [], []
+    for index in range(len(root.tree.root.children)):
+        own = []
+        expressions.append(translate_equation(root, index, len(met), own))
+        met.extend(own)
+    return expressions, {f"_R{k}": r.value for k, r in enumerate(met)}, met
+
+
+def assert_translates_like_reference(derivation):
+    expressions, rvalues, met = reference(derivation)
+    got_expressions, got_rvalues, got = translate(derivation)
+    assert (got_expressions, got_rvalues) == (expressions, rvalues)
+    assert [id(r) for r in got] == [id(r) for r in met]
+
+
+def seeded(grammar, adjoin_at_root=False):
+    """A seed derivation with one ``R`` connector (and one stacked on
+    the connector's own root)."""
+    rng = random.Random(0)
+    root = DerivationNode(tree=grammar.alphas["seed"])
+    child = DerivationNode(tree=grammar.betas["conn:Ext1:+:R"])
+    child.fill_lexemes(grammar, rng)
+    root.children[root.open_adjunction_addresses(grammar)[0]] = child
+    if adjoin_at_root:
+        stacked = DerivationNode(tree=grammar.betas["conn:Ext1:+:Vtmp"])
+        stacked.fill_lexemes(grammar, rng)
+        child.children[()] = stacked
+    return root, child
+
+
+class TestTranslateEquation:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        domain=st.sampled_from(sorted(available_domains())),
+        seed=st.integers(0, 10_000),
+        chain=st.lists(st.sampled_from(OPERATORS), max_size=8),
+    )
+    def test_matches_derived_tree_translation(self, domain, seed, chain):
+        spec, knowledge, grammar = domain_setup(domain)
+        rng = random.Random(seed)
+        current = random_individual(grammar, knowledge, CHAIN_CONFIG, rng)
+        other = random_individual(grammar, knowledge, CHAIN_CONFIG, rng)
+        assert_translates_like_reference(current.derivation)
+        for op in chain:
+            current = apply(op, current, other, knowledge, grammar, rng)
+            assert_translates_like_reference(current.derivation)
+
+    @pytest.mark.parametrize("adjoin_at_root", [False, True])
+    def test_stacked_adjunctions(self, adjoin_at_root):
+        grammar = build_grammar(river_like_knowledge())
+        root, __ = seeded(grammar, adjoin_at_root)
+        assert_translates_like_reference(DerivationTree(root))
+
+    def test_same_faults_as_the_derived_tree(self):
+        grammar = build_grammar(river_like_knowledge())
+        symbol = connector_symbol("Ext1")
+        foot = TreeNode(symbol, is_foot=True)
+        variable = TreeNode(terminal("var:Vtmp"), payload=("var", "Vtmp"))
+        shapes = {
+            "no operator": (variable, foot),
+            "four children": (variable, variable, variable, foot),
+        }
+        broken = []
+        for name, children in shapes.items():
+            root, child = seeded(grammar)
+            child.children[()] = DerivationNode(
+                tree=BetaTree(name, TreeNode(symbol, children))
+            )
+            broken.append(root)
+        for payload in (("op", "+"), ("bogus", 1.0)):
+            root, child = seeded(grammar)
+            (address,) = child.lexemes
+            child.lexemes[address] = Lexeme(child.lexemes[address].symbol, payload)
+            broken.append(root)
+        root, child = seeded(grammar)
+        child.lexemes.clear()
+        broken.append(root)
+        for root in broken:
+            derivation = DerivationTree(root)
+            with pytest.raises(DeriveError) as want:
+                to_expressions(derive(derivation))
+            with pytest.raises(DeriveError) as got:
+                translate(derivation)
+            assert str(got.value) == str(want.value)
+
+
+class TestNoReferenceCycles:
+    """Deriving and translating leave nothing for the cyclic collector
+    (recursive nested closures each made a cycle per call)."""
+
+    @pytest.mark.parametrize(
+        "translate",
+        [
+            lambda d: to_expressions(derive(d)),
+            translate,
+            lambda d: list(d.walk_with_parents()),
+        ],
+        ids=["derive", "translate_equation", "walk_with_parents"],
+    )
+    def test_river_individual(self, translate):
+        spec, knowledge, grammar = domain_setup("river")
+        rng = random.Random(5)
+        individual = random_individual(grammar, knowledge, CHAIN_CONFIG, rng)
+        assert individual.size > 1
+        gc.collect()
+        gc.disable()
+        try:
+            translate(individual.derivation)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
