@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
-from repro.expr.ast import Expr, Param, State, Var, strip_ext
+from repro.expr.ast import Expr, Param, State, Var, exact_key, strip_ext
 from repro.expr.compile import (
     KERNEL_CACHE,
     CompiledModel,
@@ -21,7 +21,6 @@ from repro.expr.compile import (
     compile_station_kernel,
 )
 from repro.expr.evaluate import evaluate
-from repro.expr.simplify import canonical_key
 
 # Inert: the e2e benchmark's probes wrap these names of the deleted
 # vector kernel builders (ROADMAP item 1).  Nothing in the package calls
@@ -148,10 +147,10 @@ class ProcessModel:
         followed by any remaining parameters in sorted order.
 
         A caller that already knows each equation's :class:`FreeNames`
-        (``free``) and :func:`~repro.expr.simplify.canonical_key`
-        (``keys``), in equation order, passes them so that neither is
-        computed again: the model's checks run on ``free`` and
-        :meth:`structure_key` joins ``keys``.
+        (``free``) and :func:`~repro.expr.ast.exact_key` (``keys``), in
+        equation order, passes them so that neither is computed again:
+        the model's checks run on ``free`` and :meth:`structure_key`
+        joins ``keys``.
         """
         equations = dict(equations)
         if free is None:
@@ -169,9 +168,9 @@ class ProcessModel:
     def _kernel_key(self, kind: str) -> tuple:
         """Cache key for this model's kernels in the process-global LRU.
 
-        Keyed on the canonical structure plus every positional order the
-        generated source bakes in -- the same sharing rule the fitness
-        evaluator has always used for structurally identical individuals.
+        Keyed on the exact structure plus every positional order the
+        generated source bakes in, so two models share a kernel only if
+        they would generate the same source.
         """
         return (
             kind,
@@ -187,9 +186,11 @@ class ProcessModel:
         The step function has signature ``step(P, V, S) -> tuple`` where
         ``P`` follows :attr:`param_order`, ``V`` follows :attr:`var_order`
         and ``S`` follows :attr:`state_names`; the result holds one
-        derivative per state.  Kernels are shared per structure through
-        the process-global :data:`repro.expr.compile.KERNEL_CACHE`, so
-        compilation cost is paid once per structure per process.
+        derivative per state.  Kernels are shared through the
+        process-global :data:`repro.expr.compile.KERNEL_CACHE` between
+        models of one exact structure (:meth:`_kernel_key`), so
+        compilation cost is paid once per structure per process and a
+        model never runs the kernel of a different tree.
         """
         if self._compiled is None:
             self._compiled = KERNEL_CACHE.get_or_build(
@@ -219,15 +220,6 @@ class ProcessModel:
             exprs, self.param_order, self.var_order, self.state_names
         )
 
-    def adopt_kernel(self, kernel: CompiledModel | CompiledStationKernel) -> None:
-        """Bind a kernel compiled for a structurally identical model (same
-        structure key and parameter order): a station kernel or a scalar
-        step function."""
-        if isinstance(kernel, CompiledStationKernel):
-            self._station = kernel
-        else:
-            self._compiled = kernel
-
     def interpret_step(
         self,
         params: Sequence[float],
@@ -248,18 +240,20 @@ class ProcessModel:
         )
 
     def structure_key(self) -> str:
-        """A canonical key identifying the model structure.
+        """A key identifying the model structure exactly.
 
-        Two models with the same key are algebraically identical up to
-        commutative reordering (parameter *names* included), which is what
-        both the compiled-function cache and the fitness tree cache key on.
-        The key is memoised per instance (equations are never mutated
-        after construction); the memo travels through pickling, saving
-        recanonicalisation in pool workers.
+        It joins each equation's :func:`~repro.expr.ast.exact_key`: two
+        models share it only if their equations are the same trees up to
+        ``Ext`` markers (parameter *names* and operand order included), so
+        they evaluate to the same bits.  The kernel cache, the fitness
+        tree cache and the triage hull memo key on it.  The key is
+        memoised per instance (equations are never mutated after
+        construction); the memo travels through pickling, saving the
+        walk in pool workers.
         """
         cached = self.__dict__.get("_structure_key")
         if cached is None:
-            keys = [canonical_key(expr) for expr in self.equations.values()]
+            keys = [exact_key(expr) for expr in self.equations.values()]
             cached = _join_keys(self.equations, keys)
             self.__dict__["_structure_key"] = cached
         return cached

@@ -33,11 +33,6 @@ BINARY_OPS = ("+", "-", "*", "/", "min", "max")
 #: Unary operators understood by the evaluator and compiler.
 UNARY_OPS = ("neg", "log", "exp")
 
-#: Operators for which operand order does not matter (used by
-#: canonicalisation when producing cache keys).
-COMMUTATIVE_OPS = frozenset({"+", "*", "min", "max"})
-
-
 class ExprError(ValueError):
     """Raised for structurally invalid expressions."""
 
@@ -257,6 +252,27 @@ def strip_ext(expr: Expr) -> Expr:
     if new_kids == kids:
         return expr
     return expr.with_children(new_kids)
+
+
+def exact_key(expr: Expr) -> str:
+    """A string naming ``expr`` exactly, up to :class:`Ext` markers.
+
+    Operands keep their order, nothing is simplified and constants print
+    with ``repr`` (which round-trips), so two trees with one key lower to
+    the same source (under the same name orders) and evaluate to the same
+    bits under every binding.
+    Kernels, tree-cache results and triage verdicts are shared on it
+    (:meth:`repro.dynamics.system.ProcessModel.structure_key`).
+    """
+    if isinstance(expr, Ext):
+        return exact_key(expr.operand)
+    if isinstance(expr, BinOp):
+        return f"({expr.op} {exact_key(expr.lhs)} {exact_key(expr.rhs)})"
+    if isinstance(expr, UnOp):
+        return f"({expr.op} {exact_key(expr.operand)})"
+    if isinstance(expr, Const):
+        return repr(expr.value)
+    return f"{type(expr).__name__}:{expr}"
 
 
 def free_params(expr: Expr) -> set[str]:

@@ -36,9 +36,14 @@ bit:
   parameter vector.
 
 Compilation cost is paid once per structure per process: kernels are
-memoised in a bounded process-global LRU (:data:`KERNEL_CACHE`), which
-worker processes repopulate lazily after pickling (exec-generated
-functions cannot cross process boundaries).
+memoised in a bounded process-global LRU (:data:`KERNEL_CACHE`), keyed
+on the exact tree and the orders the source bakes in
+(:meth:`repro.dynamics.system.ProcessModel.structure_key`), so a kernel
+is shared only between models that would generate the same source.
+Worker processes and resumed runs start with their own empty table and
+fill it lazily (exec-generated functions cannot cross process
+boundaries); since keys are exact, what a model computes does not depend
+on which kernels a process compiled before it.
 """
 
 from __future__ import annotations
@@ -547,8 +552,7 @@ class KernelCache:
     dictionary lookup, and evolutionary search re-proposes the same
     structures constantly -- so kernels are memoised per structure and
     the least recently *used* (not oldest) entry is evicted at capacity.
-    Also used per-evaluator for scalar kernel sharing; the process-global
-    instance is :data:`KERNEL_CACHE`.
+    The process-global instance is :data:`KERNEL_CACHE`.
     """
 
     def __init__(self, max_entries: int = 512) -> None:
@@ -591,23 +595,7 @@ class KernelCache:
             self.put(key, kernel)
         return kernel
 
-    def clear(self) -> None:
-        """Drop every entry (counters are kept)."""
-        self._entries.clear()
 
-    def __getstate__(self) -> dict:
-        # Compiled kernels are exec-generated closures and unpicklable;
-        # ship the configuration and the counters (a checkpoint round-trip
-        # must not zero hit/miss/eviction statistics) and let the receiving
-        # process rebuild entries on demand.
-        return {"max_entries": self.max_entries, "stats": self.stats}
-
-    def __setstate__(self, state: dict) -> None:
-        self.max_entries = state["max_entries"]
-        self.stats = state["stats"]
-        self._entries = OrderedDict()
-
-
-#: Process-global kernel cache shared by every model and evaluator in
-#: this process (worker processes each grow their own after pickling).
+#: Process-global kernel cache shared by every model in this process
+#: (worker processes each grow their own after pickling).
 KERNEL_CACHE = KernelCache(max_entries=512)

@@ -1,11 +1,11 @@
-"""Algebraic simplification and canonicalisation of expression ASTs.
+"""Algebraic simplification of expression ASTs.
 
-The GP tree cache (:mod:`repro.gp.cache`) keys evaluations on a *canonical*
-form of the expression, so that algebraically identical individuals share a
-cache slot.  The paper (Section III-D) notes that simplifying trees before
-evaluation raises the cache hit rate; this module provides both the
-semantics-preserving rewriter (:func:`simplify`) and the order-insensitive
-key (:func:`canonical_key`).
+The paper (Section III-D) simplifies trees before evaluation to raise the
+tree-cache hit rate.  Here :func:`simplify` serves the lint rules
+(:mod:`repro.lint.expr_rules`); the caches key on the exact tree
+(:func:`repro.expr.ast.exact_key`), because the rewrites assume finite
+leaves and may flip the sign of a zero, so they need not preserve a
+result's bits on every input.
 
 Simplification is conservative: every rewrite preserves the protected
 operator semantics of :mod:`repro.expr.evaluate` exactly (verified by
@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 
 from repro.expr.ast import (
-    COMMUTATIVE_OPS,
     BinOp,
     Const,
     Expr,
@@ -153,49 +152,3 @@ def _finite_safe(expr: Expr) -> bool:
     if isinstance(expr, BinOp) and expr.op in ("min", "max"):
         return _finite_safe(expr.lhs) and _finite_safe(expr.rhs)
     return False
-
-
-def canonical_key(expr: Expr) -> str:
-    """Return a canonical string key for ``expr``.
-
-    The key is invariant under operand order of commutative operators and
-    under ``Ext`` markers, and is computed on the simplified tree, so that
-    algebraically equal-by-rewrite expressions map to the same key.  It is
-    *not* a full decision procedure for algebraic equality.  Constants print
-    with ``repr``, which round-trips, so trees that differ in a constant's
-    last digit keep distinct keys.  Equal keys do *not* imply bit-equal
-    values: chains of one commutative operator are flattened, so
-    ``(p + q) + B`` and ``p + (q + B)`` share a key although float
-    addition is not associative (at ``p = 1e16``, ``q = B = 1`` they give
-    ``1e16`` and ``1.0000000000000002e16``).
-    """
-    return _key(simplify(expr))
-
-
-def _key(expr: Expr) -> str:
-    if isinstance(expr, Ext):
-        return _key(expr.operand)
-    if isinstance(expr, BinOp):
-        if expr.op in COMMUTATIVE_OPS:
-            operands = sorted(_flatten(expr, expr.op))
-            return f"({expr.op} {' '.join(operands)})"
-        return f"({expr.op} {_key(expr.lhs)} {_key(expr.rhs)})"
-    if isinstance(expr, UnOp):
-        return f"({expr.op} {_key(expr.operand)})"
-    if isinstance(expr, Const):
-        return repr(expr.value)
-    return f"{type(expr).__name__}:{expr}"
-
-
-def _flatten(expr: BinOp, op: str) -> list[str]:
-    """Collect keys of a maximal same-operator commutative subtree."""
-    keys: list[str] = []
-    for side in (expr.lhs, expr.rhs):
-        inner = side
-        while isinstance(inner, Ext):
-            inner = inner.operand
-        if isinstance(inner, BinOp) and inner.op == op:
-            keys.extend(_flatten(inner, op))
-        else:
-            keys.append(_key(inner))
-    return keys

@@ -1,10 +1,12 @@
 """Tree caching of fitness evaluations (Section III-D).
 
-Evaluation results are cached keyed on the *canonical* model structure
-plus the (rounded) parameter values, so re-evaluating an algebraically
-identical individual is a dictionary lookup.  Canonicalising the structure
-first -- the paper's "algebraically simplifying the trees before they are
-evaluated" -- is what lifts the hit rate above exact-duplicate matching.
+Evaluation results are cached keyed on the exact model structure plus
+the (rounded) parameter values, so re-evaluating an individual seen
+before is a dictionary lookup.  The paper also simplifies trees before
+keying them to lift the hit rate; here the key is the tree that is
+compiled and interpreted, so a cached result is the one the individual
+itself would compute (simplifying rewrites and commutative reordering can
+change the last bits, or a NaN, of a result).
 """
 
 from __future__ import annotations
@@ -82,7 +84,9 @@ class TreeCache:
 
     @staticmethod
     def make_key(structure_key: str, params: Sequence[float]) -> Hashable:
-        """Build a cache key from a structure key and parameter values."""
+        """Build a cache key from a structure key
+        (:meth:`~repro.dynamics.system.ProcessModel.structure_key`, exact
+        up to ``Ext`` markers) and parameter values."""
         rounded = tuple(
             float(format(value, f".{PARAM_KEY_DIGITS}g")) for value in params
         )

@@ -65,7 +65,7 @@ class GMRConfig:
             the paper's Figure 11, eager thresholds trade accuracy for
             fewer evaluated time steps, and 1.3 matches full evaluation
             quality at a fraction of the cost on the river task.
-        use_tree_cache: Enable fitness caching on canonical structure.
+        use_tree_cache: Enable fitness caching on exact structure.
         use_compilation: Evaluate through runtime-compiled step functions
             (False falls back to the tree-walking interpreter).
         crossover_retries: Attempts to find compatible crossover subtrees
@@ -106,8 +106,6 @@ class GMRConfig:
         tree_cache_size: LRU capacity of the fitness tree cache
             (entries).  Bounds cache memory over long campaigns; see
             :class:`repro.gp.cache.TreeCache`.
-        compiled_cache_size: LRU capacity of the evaluator's compiled-
-            kernel share table (entries).
         domain: Name of the problem domain this run revises models for
             (see :mod:`repro.domains`).  Engines built through
             ``GMREngine.for_domain`` resolve knowledge and task from the
@@ -175,7 +173,6 @@ class GMRConfig:
     checkpoint_every: int = 0
     gaussian_proposals: int = 1
     tree_cache_size: int = 200_000
-    compiled_cache_size: int = 512
     domain: str = field(default="river", repr=False)
     checkpoint_keep: int = field(default=1, repr=False)
 
@@ -212,8 +209,6 @@ class GMRConfig:
             raise ConfigError("gaussian_proposals must be positive")
         if self.tree_cache_size < 1:
             raise ConfigError("tree_cache_size must be positive")
-        if self.compiled_cache_size < 1:
-            raise ConfigError("compiled_cache_size must be positive")
 
     def sigma_scale(self, generation: int) -> float:
         """Linear ramp-down of the Gaussian-mutation sigma (Section III-B3).

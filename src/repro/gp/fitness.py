@@ -3,16 +3,18 @@
 The evaluator combines the three speedup techniques of Section III-D, each
 independently switchable for the Figure 10 ablation:
 
-* **Tree caching (TC)** -- fitness results are cached on the canonical
-  simplified structure plus parameter values (:mod:`repro.gp.cache`).
+* **Tree caching (TC)** -- fitness results are cached on the exact
+  structure (:meth:`ProcessModel.structure_key`) plus parameter values
+  (:mod:`repro.gp.cache`).
 * **Evaluation short-circuiting (ES)** -- Algorithm 1: evaluation over the
   fitness cases is stopped as soon as the extrapolated fitness cannot beat
   the best previously *fully evaluated* fitness, controlled by the
   ``threshold`` eagerness parameter.
 * **Runtime compilation (RC)** -- models are evaluated through compiled
   step functions rather than the tree-walking interpreter
-  (:mod:`repro.expr.compile`); compiled functions are shared between
-  structurally identical individuals.
+  (:mod:`repro.expr.compile`); compiled functions are shared, through
+  the process-global kernel cache, between individuals of one exact
+  structure, so a model's bits never depend on what compiled before it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Callable, Hashable, Iterable, Sequence
 from repro.dynamics.integrate import SimulationDiverged
 from repro.dynamics.system import ProcessModel
 from repro.dynamics.task import BAD_FITNESS, ModelingTask
-from repro.expr.compile import KernelCache, KernelCacheStats
+from repro.expr.compile import KERNEL_CACHE, KernelCache
 from repro.gp.cache import CacheStats, TreeCache
 from repro.gp.config import GMRConfig
 from repro.gp.individual import Individual
@@ -197,7 +199,6 @@ class GMRFitnessEvaluator:
 
     def __post_init__(self) -> None:
         self._cache = TreeCache(max_entries=self.config.tree_cache_size)
-        self._compiled = KernelCache(max_entries=self.config.compiled_cache_size)
         # Static triage bounds the reachable states from the plain-ODE
         # task surface; duck-typed tasks without it (e.g. the
         # network-coupled river task, which streams errors from its own
@@ -224,17 +225,18 @@ class GMRFitnessEvaluator:
     def cache(self) -> TreeCache:
         return self._cache
 
+    # Probe-only: the e2e benchmark's probes read the kernel cache's
+    # counters through this name (ROADMAP item 1).  Nothing in the
+    # package reads it.
     @property
     def compiled_cache(self) -> KernelCache:
-        """The bounded share table of compiled step functions."""
-        return self._compiled
+        """The process-global kernel cache the models compile into."""
+        return KERNEL_CACHE
 
     def reset(self) -> None:
         """Clear caches and the best-previous-full marker (new run)."""
         self._cache.clear()
         self._cache.stats = CacheStats()
-        self._compiled.clear()
-        self._compiled.stats = KernelCacheStats()
         self._phenotypes.clear()
         self.best_prev_full = math.inf
         self.stats = EvaluationStats()
@@ -275,10 +277,8 @@ class GMRFitnessEvaluator:
         return None
 
     def __getstate__(self) -> dict:
-        # The kernel cache drops its exec-generated entries but keeps its
-        # counters (see KernelCache.__getstate__); tracers hold sink file
-        # handles and stay behind; the profiler, the triage context and
-        # the phenotype memo restart empty.
+        # Tracers hold sink file handles and stay behind; the profiler,
+        # the triage context and the phenotype memo restart empty.
         state = dict(self.__dict__)
         state["tracer"] = None
         state["_profile"] = PhaseProfile()
@@ -302,10 +302,9 @@ class GMRFitnessEvaluator:
     def _evaluate_inner(self, individual: Individual) -> tuple[float, bool]:
         config = self.config
         model, params = self._phenotype(individual)
-        structure_key = model.structure_key()
         cache_key = None
         if config.use_tree_cache:
-            cache_key = TreeCache.make_key(structure_key, params)
+            cache_key = TreeCache.make_key(model.structure_key(), params)
         cached = self._cached(cache_key)
         if cached is not None:
             return cached, True
@@ -315,7 +314,7 @@ class GMRFitnessEvaluator:
             if fatal:
                 return self._triage_skip(cache_key)
 
-        return self._evaluate_scalar(model, params, structure_key, cache_key)
+        return self._evaluate_scalar(model, params, cache_key)
 
     # -- Algorithm 1's outcomes ------------------------------------------
 
@@ -423,7 +422,6 @@ class GMRFitnessEvaluator:
         self,
         model: ProcessModel,
         params: tuple[float, ...],
-        structure_key: str,
         cache_key: Hashable | None,
     ) -> tuple[float, bool]:
         """Run one individual through the scalar Algorithm 1 loop.
@@ -437,16 +435,7 @@ class GMRFitnessEvaluator:
 
         if config.use_compilation:
             with self._profile.phase("compile"):
-                # Sharing must key on the parameter order too: simplification
-                # can collapse structurally different models (with different
-                # raw parameter vectors) onto one canonical key, but a
-                # compiled step function indexes parameters positionally.
-                share_key = (structure_key, model.param_order)
-                shared = self._compiled.get(share_key)
-                if shared is not None:
-                    model.adopt_kernel(shared)
-                else:
-                    self._compiled.put(share_key, self._task_kernel(model))
+                self._task_kernel(model)
 
         self.stats.steps_possible += total_cases
         threshold = config.es_threshold

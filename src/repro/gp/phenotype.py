@@ -1,7 +1,7 @@
 """A bounded memo of genotype -> phenotype derivation, per derivation shape.
 
 Turning a derivation tree into a :class:`~repro.dynamics.system.ProcessModel`
-(lint validation, translation, model construction and the canonical
+(lint validation, translation, model construction and the exact
 structure key) is a large share of an evaluation's cost.  Most of those
 derivations repeat one seen moments earlier: Gaussian proposals and
 hill-climb parameter moves change constant values, never the
@@ -25,7 +25,7 @@ the random constants (``rconst`` lexemes), split by top-level equation
 Below the models sits a *fragment table*: translated equations keyed on
 the equation index, that equation's shape and the number of ``_Rk``
 constants before it (which fixes the names of its own).  A fragment
-holds the equation's expression, its canonical key, its free names and
+holds the equation's expression, its exact key, its free names and
 which of its constants becomes which ``_Rk``.  A model miss translates
 only the equations the table lacks (:func:`repro.tag.derive.translate_equation`,
 no derived tree) and builds the model from the fragments' free names
@@ -50,8 +50,7 @@ from dataclasses import dataclass
 from typing import Any, Hashable
 
 from repro.dynamics.system import FreeNames, ProcessModel
-from repro.expr.ast import Expr
-from repro.expr.simplify import canonical_key
+from repro.expr.ast import Expr, exact_key
 from repro.gp.individual import Individual
 from repro.tag.derivation import DerivationNode
 from repro.tag.derive import translate_equation, validate
@@ -342,7 +341,7 @@ def _fragment(
             trees.extend(node.tree for node in child.walk())
     return _Fragment(
         expr=expr,
-        key=canonical_key(expr),
+        key=exact_key(expr),
         free=FreeNames.of(expr),
         consts=tuple(position[id(rconst)] for rconst in met),
         trees=tuple(trees),

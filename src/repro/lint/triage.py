@@ -78,8 +78,9 @@ class TriageContext:
     constants) when a domain matches the task, else it is empty; only
     :func:`triage_fatal` reads it, so the reports of
     :func:`triage_equations` do not depend on it.  ``hull_memo`` caches
-    :func:`triage_fatal`'s hull verdict per ``(structure_key,
-    param_order)``; it is not compared, and ``dataclasses.replace``
+    :func:`triage_fatal`'s hull verdict per exact structure and parameter
+    order (``(structure_key, param_order)``), so a verdict is reused only
+    for the tree it was computed on; it is not compared, and ``dataclasses.replace``
     starts a new one.
     ``unit_env``/``expected_units`` are ``None``/empty when the domain
     carries no unit annotations, which disables the unit pass.
@@ -349,7 +350,8 @@ def _hull_bounds(
     binding is fatal.  ``None`` (a parameter without a prior, or a hull
     verdict of maybe or always NaN) leaves the decision to the point
     walk.  Memoised per ``(structure_key, param_order)`` in
-    ``context.hull_memo``.
+    ``context.hull_memo``; the structure key is exact, so two trees share
+    a verdict only if the interval walk would see the same tree.
     """
     key = (model.structure_key(), model.param_order)
     memo = context.hull_memo

@@ -161,15 +161,6 @@ EVENT_SCHEMAS: dict[str, EventSchema] = {
             "wall_time": float,
             "compile_time": float,
             "step_time": float,
-            # No longer emitted since the vector path (and before it,
-            # structure fusion) was deleted; still accepted so older
-            # traces read.
-            "batched": bool,
-            "groups": int,
-            "columns": int,
-            "cohorts": int,
-            "batch_fill": float,
-            "source": str,
         },
     ),
     # A run snapshot written to disk (point).

@@ -54,14 +54,19 @@ class TestProcessModel:
         )
         assert model.param_order == ("z", "a")
 
-    def test_structure_key_ignores_commutative_order(self):
+    def test_structure_key_keeps_commutative_order(self):
+        """``min(B, x)`` and ``min(x, B)`` differ when ``x`` is NaN, so
+        models whose equations differ only in a commutative operand order
+        keep distinct keys (and kernels)."""
         left = ProcessModel.from_equations(
-            {"B": ast.add(Param("a"), Param("b"))}, var_order=()
+            {"B": ast.minimum(State("B"), Param("a"))}, var_order=()
         )
         right = ProcessModel.from_equations(
-            {"B": ast.add(Param("b"), Param("a"))}, var_order=()
+            {"B": ast.minimum(Param("a"), State("B"))}, var_order=()
         )
-        assert left.structure_key() == right.structure_key()
+        assert left.param_order == right.param_order
+        assert left.structure_key() != right.structure_key()
+        assert left.compiled() is not right.compiled()
 
     def test_interpret_matches_compiled(self):
         model = decay_model()

@@ -14,6 +14,7 @@ import copy
 import dataclasses
 import random
 
+from repro.expr.compile import KERNEL_CACHE
 from repro.gp.fitness import GMRFitnessEvaluator
 from repro.gp.init import random_individual
 from repro.gp.local_search import hill_climb
@@ -52,10 +53,11 @@ class TestCohortEquivalence:
             toy_grammar, toy_knowledge, config, seed=2, size=10, duplicates=0
         )
         evaluator = GMRFitnessEvaluator(task=toy_task, config=config)
+        lookups = KERNEL_CACHE.stats.lookups
         evaluator.evaluate_batch(cohort)
         assert evaluator.stats.evaluations == len(cohort)
         assert evaluator.stats.compile_time == 0.0
-        assert len(evaluator.compiled_cache) == 0
+        assert KERNEL_CACHE.stats.lookups == lookups
 
     def test_network_style_task_falls_back_to_scalar(
         self, toy_grammar, toy_knowledge, toy_task, small_config
@@ -105,11 +107,6 @@ class TestBoundedCaches:
         config = dataclasses.replace(small_config, tree_cache_size=17)
         evaluator = GMRFitnessEvaluator(task=toy_task, config=config)
         assert evaluator.cache.max_entries == 17
-
-    def test_compiled_cache_capacity_from_config(self, toy_task, small_config):
-        config = dataclasses.replace(small_config, compiled_cache_size=5)
-        evaluator = GMRFitnessEvaluator(task=toy_task, config=config)
-        assert evaluator.compiled_cache.max_entries == 5
 
     def test_tree_cache_evictions_counted(
         self, toy_grammar, toy_knowledge, toy_task, small_config

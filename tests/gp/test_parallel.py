@@ -9,6 +9,7 @@ the seed, never as a hang or a silent drop.
 
 from __future__ import annotations
 
+import copy
 import math
 import pickle
 import random
@@ -213,14 +214,23 @@ class TestPickling:
             model.compiled()(params, (1.0,), (2.0,))
         )
 
-    def test_evaluator_round_trip_drops_compiled_table(self, toy_task):
-        config = GMRConfig(population_size=4, max_generations=1)
+    def test_evaluator_round_trip_drops_compiled_table(
+        self, toy_grammar, toy_knowledge, toy_task
+    ):
+        """An evaluator that has compiled kernels pickles without them
+        (they are exec-generated) and its clone scores the same."""
+        config = GMRConfig(population_size=4, max_generations=1, max_size=8)
         evaluator = GMRFitnessEvaluator(task=toy_task, config=config)
-        evaluator._compiled.put(("k",), object())
+        individual = random_individual(
+            toy_grammar, toy_knowledge, config, random.Random(0)
+        )
+        fitness = evaluator.evaluate(copy.deepcopy(individual))
+        assert evaluator.stats.compile_time > 0.0
         clone = pickle.loads(pickle.dumps(evaluator))
-        assert len(clone._compiled) == 0
-        assert clone._compiled.max_entries == config.compiled_cache_size
+        clone.reset()
         assert math.isinf(clone.best_prev_full)
+        assert clone.evaluate(individual) == fitness
+        assert clone.stats.compile_time > 0.0
 
     def test_pool_backend_pickles_without_pool(self):
         backend = ProcessPoolBackend(max_workers=2)

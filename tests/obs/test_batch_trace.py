@@ -2,9 +2,10 @@
 
 Each :meth:`GMRFitnessEvaluator.evaluate_batch` call emits one point
 whose ``cache_hits``, ``compile_time`` and ``step_time`` are the
-:class:`EvaluationStats` deltas over that call.  Points no longer carry
-the fields of the deleted vector path and structure fusion, but traces
-that do still read.
+:class:`EvaluationStats` deltas over that call.  The fields of the
+deleted vector path and structure fusion are off the schema: points do
+not carry them, and traces written while they existed no longer
+validate.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import pytest
 
 from repro.gp.fitness import GMRFitnessEvaluator
 from repro.gp.knowledge import build_grammar
-from repro.obs import MemorySink, Tracer, iter_trace, validate_event
+from repro.obs import MemorySink, TraceSchemaError, Tracer, iter_trace, validate_event
 from tests.oracle import SMALL_CONFIG, make_cohort, toy_knowledge, toy_task
 
 DELTAS = ("cache_hits", "compile_time", "step_time")
@@ -52,7 +53,7 @@ def test_batch_point_fields_are_stats_deltas(use_compilation):
     assert event.fields["cache_hits"] > 0
 
 
-def test_points_with_a_cohort_count_still_read(tmp_path):
+def test_points_with_retired_fields_are_refused(tmp_path):
     """An ``evaluation_batch`` line as written while structure fusion
     existed, ``cohorts`` and the vector path's fields included."""
     fields = dict(
@@ -66,5 +67,5 @@ def test_points_with_a_cohort_count_still_read(tmp_path):
     )
     path = tmp_path / "old.jsonl"
     path.write_text(json.dumps(line) + "\n")
-    [event] = iter_trace(path)
-    assert event.fields == fields
+    with pytest.raises(TraceSchemaError, match="unexpected field"):
+        list(iter_trace(path))

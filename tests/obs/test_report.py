@@ -25,9 +25,8 @@ def _record_run(tracer: Tracer) -> None:
             tracer.point(
                 "evaluation_batch",
                 size=6,
-                batched=False,
                 wall_time=0.25,
-                source="scalar",
+                cache_hits=1,
             )
             tracer.point(
                 "generation",

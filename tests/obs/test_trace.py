@@ -288,10 +288,11 @@ class TestTracer:
     def test_absorbed_events_keep_fields(self):
         worker_sink = MemorySink()
         Tracer(worker_sink).point(
-            "evaluation_batch", size=7, batched=True, source="batched"
+            "evaluation_batch", size=7, cache_hits=2, step_time=0.5
         )
         parent_sink = MemorySink()
         Tracer(parent_sink).absorb(worker_sink.events)
         (event,) = parent_sink.events
         assert event.fields["size"] == 7
-        assert event.fields["batched"] is True
+        assert event.fields["cache_hits"] == 2
+        assert event.fields["step_time"] == 0.5

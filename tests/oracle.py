@@ -61,11 +61,7 @@ from repro.dynamics.system import ProcessModel
 from repro.dynamics.task import BAD_FITNESS, ModelingTask
 from repro.expr import ast
 from repro.expr.ast import Const, Expr, Ext, Param, State, Var
-from repro.expr.compile import (
-    KERNEL_CACHE,
-    compile_model,
-    compile_station_kernel,
-)
+from repro.expr.compile import compile_model, compile_station_kernel
 from repro.expr.evaluate import evaluate
 from repro.expr.simplify import simplify
 from repro.gp.cache import TreeCache
@@ -773,12 +769,8 @@ def _sequential(case: EvaluatorCase):
     evaluator = GMRFitnessEvaluator(task, config_for(case), extrapolate)
     evaluator.best_prev_full = marker
     population = copy.deepcopy(cohort)
-    # Each side compiles its own kernels, from the same cohort members,
-    # whatever earlier draws compiled (see tests/conftest.py).
-    KERNEL_CACHE.clear()
     for member in population:
         evaluator.evaluate(member)
-    KERNEL_CACHE.clear()
     reference = reference_algorithm_1(
         task, config_for(case), extrapolate, marker, copy.deepcopy(cohort)
     )
@@ -796,7 +788,6 @@ def check_evaluator(case: EvaluatorCase):
         task, config_for(case), EXTRAPOLATORS[case.extrapolator]
     )
     ev_batched.best_prev_full = marker
-    KERNEL_CACHE.clear()
     chunk = case.chunk or len(pop_batched)
     for start in range(0, len(pop_batched), chunk):
         ev_batched.evaluate_batch(pop_batched[start : start + chunk])

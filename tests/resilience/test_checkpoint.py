@@ -179,7 +179,9 @@ class TestCacheCounterPreservation:
     """Satellite fix: the checkpoint round-trip used to zero the
     compiled-cache hit/miss/eviction counters (the evaluator's
     ``__getstate__`` swapped in a fresh ``KernelCache``), so resumed
-    runs under-reported cache traffic."""
+    runs under-reported cache traffic.  The evaluator now holds no
+    kernel table: ``compiled_cache`` is the process-global one, which a
+    checkpoint does not carry."""
 
     def test_kernel_cache_counters_survive_pickling(self, checkpointed):
         __, path, __ = checkpointed

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import pytest
 
+import repro.dynamics.system as system
+from repro.expr.compile import KernelCache
 from repro.gp.checkpoint import load_checkpoint
 
 
@@ -103,19 +105,25 @@ class TestCrashResumeEquivalence:
         )
         assert histories(ours) == histories(theirs)
 
-    def test_resume_with_warm_capped_caches(self, make_engine, tmp_path):
+    def test_resume_with_warm_capped_caches(
+        self, make_engine, tmp_path, monkeypatch
+    ):
         """Satellite fix: resume equivalence with caches small enough to
         evict.  The checkpoint round-trip used to zero the compiled
         cache's counters, so the resumed run's cache statistics drifted
         from the uninterrupted run even though its search was identical.
+        The kernel table is process-global now; a two-entry one churns
+        as hard, and since kernels are keyed on the exact tree, what is
+        evicted and rebuilt cannot change a result.
         """
+        kernels = KernelCache(max_entries=2)
+        monkeypatch.setattr(system, "KERNEL_CACHE", kernels)
 
         def capped(**overrides):
             return make_engine(
                 checkpoint_every=1,
                 max_generations=4,
                 tree_cache_size=2,
-                compiled_cache_size=2,
                 **overrides,
             )
 
@@ -127,13 +135,13 @@ class TestCrashResumeEquivalence:
         engine = capped()
         with pytest.raises(SimulatedCrash):
             engine.run(seed=9, checkpoint_path=path, progress=crash_at(2))
+        # The two-entry kernel table churned.
+        assert kernels.stats.misses > 0
+        assert kernels.stats.evictions > 0
         checkpoint = load_checkpoint(path)
-        kernel_stats = checkpoint.evaluator.compiled_cache.stats
         tree_stats = checkpoint.evaluator.cache.stats
         # The snapshot carries the warm counters, not zeroed ones --
         # including evictions, the counter the old round-trip dropped.
-        assert kernel_stats.misses > 0
-        assert kernel_stats.evictions > 0
         assert tree_stats.misses > 0
         assert tree_stats.evictions > 0
 

@@ -29,6 +29,7 @@ from repro.expr import parse
 from repro.expr.compile import (
     KERNEL_CACHE,
     CompiledStationKernel,
+    KernelCache,
     compile_model,
     compile_station_kernel,
 )
@@ -338,23 +339,34 @@ class TestEvaluatorCompilePhase:
         def no_scalar_kernel(*args, **kwargs):
             raise AssertionError("scalar kernel compiled for the network task")
 
+        builds = []
+
+        def counted_station_kernel(*args, **kwargs):
+            builds.append(1)
+            return compile_station_kernel(*args, **kwargs)
+
         task, knowledge, grammar = river_setup()
+        kernels = KernelCache(max_entries=512)
+        monkeypatch.setattr(system, "KERNEL_CACHE", kernels)
         monkeypatch.setattr(system, "compile_model", no_scalar_kernel)
+        monkeypatch.setattr(
+            system, "compile_station_kernel", counted_station_kernel
+        )
         evaluator = GMRFitnessEvaluator(task=task, config=network_config())
         rng = random.Random(21)
         for __ in range(6):
             individual = random_individual(grammar, knowledge, CHAIN_CONFIG, rng)
             evaluator.evaluate(individual)
-            # Same structure, new parameters: a share-table hit.
+            # Same structure, new parameters: the kernel is reused.
             evaluator.evaluate(
                 gaussian_mutation(individual, knowledge, CHAIN_CONFIG, rng)
             )
-        shared = evaluator.compiled_cache.stats
-        assert shared.hits >= 6
+        assert kernels.stats.hits >= 6
+        assert len(builds) == kernels.stats.misses <= 6
         assert evaluator.stats.compile_time > 0.0
         assert all(
             isinstance(kernel, CompiledStationKernel)
-            for kernel in evaluator.compiled_cache._entries.values()
+            for kernel in kernels._entries.values()
         )
 
 
@@ -368,7 +380,6 @@ class TestPickling:
         ]
         before = [evaluator.evaluate(individual) for individual in individuals]
         assert task.simulator._plans and task.simulator._streams
-        assert len(evaluator.compiled_cache) > 0
 
         task_copy = pickle.loads(pickle.dumps(task))
         assert task_copy.simulator._plans == {}
@@ -382,10 +393,8 @@ class TestPickling:
         assert task_copy.simulator._plans and task_copy.simulator._streams
 
         evaluator_copy = pickle.loads(pickle.dumps(evaluator))
-        assert len(evaluator_copy.compiled_cache) == 0
         evaluator_copy.reset()
         assert [evaluator_copy.evaluate(i) for i in individuals] == before
-        assert len(evaluator_copy.compiled_cache) > 0
 
     def test_station_kernel_dropped_from_model_pickle(self):
         model = chain_model("a * X0")

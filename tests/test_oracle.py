@@ -19,7 +19,6 @@ from repro.dynamics.integrate import ClampSpec
 from repro.dynamics.system import ProcessModel
 from repro.expr import ast
 from repro.expr.ast import Const, Param, State, Var
-from repro.expr.compile import KERNEL_CACHE
 from repro.expr.evaluate import DIV_EPS, EXP_MAX
 from repro.gp.config import GMRConfig
 from repro.gp.engine import GMREngine
@@ -260,13 +259,11 @@ SEEDED_RUNS = {
 
 
 def seeded_run(domain: str, config: GMRConfig, seed: int):
-    """A seeded engine run on the toy problem or a domain's full task,
-    compiling its own kernels (see ``tests/conftest.py``)."""
+    """A seeded engine run on the toy problem or a domain's full task."""
     if domain == "toy":
         engine = GMREngine(toy_knowledge(), toy_task(), config)
     else:
         engine = GMREngine.for_domain(domain, config)
-    KERNEL_CACHE.clear()
     return engine, engine.run(seed=seed)
 
 
