@@ -2,10 +2,12 @@
 
 The paper evaluates evolved models with *runtime compilation* (tree ->
 source -> G++ -> dynamically loaded object).  We reproduce the same code
-path in Python: the AST is lowered to straight-line Python source (one
-assignment per node, so protected-operator guards never duplicate work),
-compiled once with :func:`compile`, and the resulting function is reused
-for every time step of every simulation.
+path in Python: the AST is lowered to straight-line Python source shaped
+like the expression itself -- a value read once is written inline where
+it is read, a value read twice or more is bound to a temp once, so
+neither shared subtrees nor the operands of protected-operator guards
+are computed twice -- compiled once with :func:`compile`, and the
+resulting function is reused for every time step of every simulation.
 
 Compiled functions take positional tuples rather than name lookups --
 the orderings of parameters, driver variables, and states are baked into
@@ -16,15 +18,15 @@ implement identical protected semantics; the property-based test suite
 checks them against each other on random expressions.
 
 One lowering pass (:class:`_Lowering`) emits every kernel form.  It
-walks a tree once, value-numbers every assignment into a *stream*
-(:class:`_Stream`), and lets each stream route a subtree to another
-stream by its dependency mask -- which of parameters ``P``, drivers
-``V`` and states ``S`` it reads.  A form supplies only its streams'
-operator spelling (scalar inline guards, or the NumPy helpers of
-:mod:`repro.expr.evaluate`), its leaf spelling and the routing tables.
-Every spelling takes ``exp``/``log`` from libm (the NumPy helpers map
-it element by element), so every form matches the scalar step bit for
-bit:
+walks a tree once, value-numbers every operation into a *stream*
+(:class:`_Stream`), which renders it as expressions, and lets each
+stream route a subtree to another stream by its dependency mask --
+which of parameters ``P``, drivers ``V`` and states ``S`` it reads.  A
+form supplies only its streams' operator spelling (scalar inline guards,
+or the NumPy helpers of :mod:`repro.expr.evaluate`), its leaf spelling
+and the routing tables.  Every spelling takes ``exp``/``log`` from libm
+(the NumPy helpers map it element by element), so every form matches
+the scalar step bit for bit:
 
 * the **scalar** form (:func:`compile_model`) is one scalar stream with
   no routing: one candidate steps through plain Python floats; and
@@ -52,7 +54,7 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count, repeat
+from itertools import repeat
 from typing import Any, Callable, Hashable, Sequence
 
 import numpy as np
@@ -83,27 +85,96 @@ class CompilationError(ValueError):
     """Raised when an expression cannot be lowered to source."""
 
 
-class _Stream:
-    """A value-numbered sink of straight-line assignments.
+#: Python precedence levels of the generated spellings, loosest first:
+#: a conditional expression, ``+``/``-``, ``*``/``/``, unary ``-``, and
+#: atoms (names, literals, subscripts and calls).
+_COND, _ADD, _MUL, _UNARY, _ATOM = range(5)
 
-    Every emitted rhs is a pure expression over earlier temps, so
-    textually identical rhs compute identical values and structurally
-    repeated subtrees collapse to one temp.  This base class spells the
-    protected operators as the scalar inline guards.
+#: Longest text inlined into a reader; a longer one is bound to its temp,
+#: which keeps the nesting depth of every generated expression far below
+#: what CPython's parser and compiler accept.
+_INLINE_CHARS = 500
+
+#: An operator's spelling: a format over its operands, the precedence of
+#: the result, the least precedence each operand slot takes without
+#: parentheses, and how many times the format reads each operand.
+_Spelling = tuple[str, int, tuple[int, ...], tuple[int, ...]]
+
+#: ``+``, ``-`` and ``*`` are left-associative: a right operand at the
+#: operator's own level keeps its parentheses, so ``a + (b + c)`` is
+#: never re-associated.
+_ARITHMETIC: dict[str, _Spelling] = {
+    "+": ("{0} + {1}", _ADD, (_ADD, _MUL), (1, 1)),
+    "-": ("{0} - {1}", _ADD, (_ADD, _MUL), (1, 1)),
+    "*": ("{0} * {1}", _MUL, (_MUL, _UNARY), (1, 1)),
+    "neg": ("-{0}", _UNARY, (_UNARY,), (1,)),
+}
+
+
+class _Stream:
+    """A value-numbered sink of straight-line code, rendered as
+    expressions.
+
+    Lowering *records* one entry per distinct operation: a spelling over
+    operand names, keyed on both, so structurally repeated subtrees
+    collapse to one entry.  Leaves are never entries: a parameter,
+    driver or state read, a literal, or another stream's temp is spelled
+    where it is read.  :meth:`render` then writes an entry that is read
+    exactly once inline where it is read, parenthesised only where
+    Python's precedence needs it; every other entry -- read twice or
+    more (value-number and memo hits, operands a guard reads twice), or
+    kept (:meth:`keep`, :meth:`export`) -- is bound to its temp once.
+    The operations and their operands are the same either way, so the
+    rendering does not change a bit of any result.  This base class
+    spells each protected operator as one scalar inline guard.
 
     :attr:`route` maps a subtree's dependency mask to the stream that
     lowers it, and :meth:`export` turns a temp of this stream into the
-    leaf another stream reads it through.
+    leaf another stream reads it through.  Nothing is inlined across
+    streams.
     """
 
-    def __init__(self, prefix: str, bind_leaves: bool = True) -> None:
-        self.lines: list[str] = []
-        self._values: dict[str, str] = {}
+    # Every guard keeps the *protected* branch on the `if` side of the
+    # conditional.  That matters for NaN operands (any comparison with
+    # NaN is False): ``0.0 if -eps < y < eps else x / y`` takes the same
+    # branch as protected_div's ``abs(y) < eps`` for NaN, +-0.0, +-eps
+    # and +-inf, so a NaN denominator propagates, while the flipped
+    # spelling ``x / y if ... else 0.0`` would map it to 0.0.  An operand
+    # a guard reads twice is bound, so its slot precedence never applies.
+    spellings: dict[str, _Spelling] = {
+        **_ARITHMETIC,
+        "/": (
+            f"0.0 if {-DIV_EPS!r} < {{1}} < {DIV_EPS!r} else {{0}} / {{1}}",
+            _COND, (_MUL, _ATOM), (1, 2),
+        ),
+        "exp": (
+            f"_exp({EXP_MAX!r} if {{0}} > {EXP_MAX!r} else {{0}})",
+            _ATOM, (_ATOM,), (2,),
+        ),
+        "log": (
+            f"0.0 if {-LOG_EPS!r} < {{0}} < {LOG_EPS!r}"
+            " else _log({0} if {0} >= 0.0 else -{0})",
+            _COND, (_ATOM,), (4,),
+        ),
+        # Python's min/max return the *first* argument on ties and on
+        # any NaN-poisoned comparison; spell out the exact builtin
+        # semantics.
+        "min": ("{1} if {1} < {0} else {0}", _COND, (_ATOM, _ATOM), (2, 2)),
+        "max": ("{1} if {1} > {0} else {0}", _COND, (_ATOM, _ATOM), (2, 2)),
+        # A leaf bound to a temp of its own (see :meth:`share`).
+        "leaf": ("{0}", _ATOM, (_ATOM,), (1,)),
+    }
+
+    def __init__(self, prefix: str) -> None:
+        #: ``(temp, format, precedence, operands, slot precedences)`` per
+        #: entry, operands before their readers.
+        self._entries: list[
+            tuple[str, str, int, tuple[str, ...], tuple[int, ...]]
+        ] = []
+        self._values: dict[tuple[str, tuple[str, ...]], str] = {}
+        self._reads: dict[str, int] = {}
+        self._kept: set[str] = set()
         self._prefix = prefix
-        self._counter = count()
-        #: Whether a leaf gets its own temp; False when the leaves are
-        #: already names (the station step's state arguments).
-        self.bind_leaves = bind_leaves
         #: Node identity -> the name this stream reads the node by.
         self.memo: dict[int, str] = {}
         #: Stream lowering a subtree, indexed by its dependency mask; a
@@ -117,18 +188,38 @@ class _Stream:
         self.exported: list[str] = []
         self._exports: dict[str, str] = {}
 
-    def assign(self, rhs: str) -> str:
-        cached = self._values.get(rhs)
-        if cached is not None:
-            return cached
-        name = f"{self._prefix}{next(self._counter)}"
-        self.lines.append(f"    {name} = {rhs}")
-        self._values[rhs] = name
+    def apply(self, op: str, *operands: str) -> str:
+        """The name this stream reads ``op`` over ``operands`` by."""
+        key = (op, operands)
+        name = self._values.get(key)
+        if name is not None:
+            return name
+        try:
+            template, precedence, slots, uses = self.spellings[op]
+        except KeyError:
+            raise CompilationError(f"unknown operator {op!r}") from None
+        entries = self._entries
+        name = self._values[key] = f"{self._prefix}{len(entries)}"
+        entries.append((name, template, precedence, operands, slots))
+        reads = self._reads
+        for operand, use in zip(operands, uses):
+            reads[operand] = reads.get(operand, 0) + use
         return name
 
-    def leaf(self, spelling: str) -> str:
-        """The name this stream reads a leaf spelled ``spelling`` by."""
-        return self.assign(spelling) if self.bind_leaves else spelling
+    def keep(self, *names: str) -> None:
+        """Bind ``names`` (results) to their temps."""
+        self._kept.update(names)
+
+    def share(self, name: str) -> str:
+        """The name other streams' closures read this stream's ``name``
+        by: its temp, kept bound.  A subscript or call leaf (``P[i]``,
+        ``float('inf')``) gets a temp of its own, so a closure reads it
+        once per parameter vector rather than once per row; a finite
+        literal is read as it is."""
+        if name.endswith(("]", ")")):
+            name = self.apply("leaf", name)
+        self._kept.add(name)
+        return name
 
     def export(self, name: str) -> str:
         """The leaf spelling another stream reads temp ``name`` through."""
@@ -136,47 +227,34 @@ class _Stream:
         if read is None:
             read = self._exports[name] = self.reader.format(len(self.exported))
             self.exported.append(name)
+            self._kept.add(name)
         return read
 
-    # Every guard below keeps the *protected* branch on the `if` side of
-    # the conditional, mirroring the interpreter's comparison direction.
-    # The directions matter for NaN operands (any comparison with NaN is
-    # False): ``0.0 if m < eps else x / y`` propagates a NaN denominator
-    # like protected_div does, while the flipped spelling
-    # ``x / y if m >= eps else 0.0`` would silently map it to 0.0.
-
-    def unary(self, op: str, operand: str) -> str:
-        if op == "neg":
-            return self.assign(f"-{operand}")
-        if op == "exp":
-            clamped = self.assign(
-                f"{EXP_MAX!r} if {operand} > {EXP_MAX!r} else {operand}"
-            )
-            return self.assign(f"_exp({clamped})")
-        if op == "log":
-            magnitude = self.assign(
-                f"{operand} if {operand} >= 0.0 else -{operand}"
-            )
-            return self.assign(
-                f"0.0 if {magnitude} < {LOG_EPS!r} else _log({magnitude})"
-            )
-        raise CompilationError(f"unknown unary operator {op!r}")
-
-    def binary(self, op: str, lhs: str, rhs: str) -> str:
-        if op in ("+", "-", "*"):
-            return self.assign(f"{lhs} {op} {rhs}")
-        if op == "/":
-            magnitude = self.assign(f"{rhs} if {rhs} >= 0.0 else -{rhs}")
-            return self.assign(
-                f"0.0 if {magnitude} < {DIV_EPS!r} else {lhs} / {rhs}"
-            )
-        # Python's min/max return the *first* argument on ties and on any
-        # NaN-poisoned comparison; spell out the exact builtin semantics.
-        if op == "min":
-            return self.assign(f"{rhs} if {rhs} < {lhs} else {lhs}")
-        if op == "max":
-            return self.assign(f"{rhs} if {rhs} > {lhs} else {lhs}")
-        raise CompilationError(f"unknown binary operator {op!r}")
+    def render(self, indent: str) -> list[str]:
+        """The stream's assignments, indented by ``indent``."""
+        reads, kept = self._reads, self._kept
+        inlined: dict[str, tuple[str, int]] = {}
+        lines = []
+        for name, template, precedence, operands, slots in self._entries:
+            texts = []
+            for operand, slot in zip(operands, slots):
+                held = inlined.pop(operand, None)
+                if held is None:
+                    texts.append(operand)
+                elif held[1] >= slot:
+                    texts.append(held[0])
+                else:
+                    texts.append(f"({held[0]})")
+            text = template.format(*texts)
+            if (
+                reads.get(name) == 1
+                and name not in kept
+                and len(text) <= _INLINE_CHARS
+            ):
+                inlined[name] = (text, precedence)
+            else:
+                lines.append(f"{indent}{name} = {text}")
+        return lines
 
 
 class _ArrayStream(_Stream):
@@ -188,25 +266,14 @@ class _ArrayStream(_Stream):
     (:data:`_ARRAY_OPERATORS`).
     """
 
-    def unary(self, op: str, operand: str) -> str:
-        if op == "neg":
-            return self.assign(f"-{operand}")
-        if op == "exp":
-            return self.assign(f"_pexp({operand})")
-        if op == "log":
-            return self.assign(f"_plog({operand})")
-        raise CompilationError(f"unknown unary operator {op!r}")
-
-    def binary(self, op: str, lhs: str, rhs: str) -> str:
-        if op in ("+", "-", "*"):
-            return self.assign(f"{lhs} {op} {rhs}")
-        if op == "/":
-            return self.assign(f"_pdiv({lhs}, {rhs})")
-        if op == "min":
-            return self.assign(f"_pmin({lhs}, {rhs})")
-        if op == "max":
-            return self.assign(f"_pmax({lhs}, {rhs})")
-        raise CompilationError(f"unknown binary operator {op!r}")
+    spellings = {
+        **_ARITHMETIC,
+        "/": ("_pdiv({0}, {1})", _ATOM, (_COND, _COND), (1, 1)),
+        "exp": ("_pexp({0})", _ATOM, (_COND,), (1,)),
+        "log": ("_plog({0})", _ATOM, (_COND,), (1,)),
+        "min": ("_pmin({0}, {1})", _ATOM, (_COND, _COND), (1, 1)),
+        "max": ("_pmax({0}, {1})", _ATOM, (_COND, _COND), (1, 1)),
+    }
 
 
 #: The helpers an :class:`_ArrayStream`'s operator spellings call.
@@ -294,32 +361,37 @@ class _Lowering:
             if target is not None:
                 name = self.lower(expr, target)
                 if target.reader is not None:
-                    name = stream.leaf(target.export(name))
+                    name = target.export(name)
+                else:
+                    name = target.share(name)
                 memo[key] = name
                 return name
-        if isinstance(expr, Const):
+        kind = type(expr)
+        if kind is BinOp:
+            lhs = self.lower(expr.lhs, stream)
+            name = stream.apply(expr.op, lhs, self.lower(expr.rhs, stream))
+        elif kind is UnOp:
+            name = stream.apply(expr.op, self.lower(expr.operand, stream))
+        elif kind is Ext:
+            name = self.lower(expr.operand, stream)
+        elif kind is Const:
             value = expr.value
             # A non-finite float's repr (``nan``, ``inf``) is no literal.
-            spelling = repr(value) if math.isfinite(value) else f"float('{value}')"
-            name = stream.assign(spelling)
-        elif isinstance(expr, (Param, Var, State)):
-            name = stream.leaf(self._lookup(expr))
-        elif isinstance(expr, Ext):
-            name = self.lower(expr.operand, stream)
-        elif isinstance(expr, UnOp):
-            name = stream.unary(expr.op, self.lower(expr.operand, stream))
-        elif isinstance(expr, BinOp):
-            lhs = self.lower(expr.lhs, stream)
-            name = stream.binary(expr.op, lhs, self.lower(expr.rhs, stream))
+            # A negative literal is a unary expression, which is valid
+            # in every operand slot of every spelling.
+            name = repr(value) if math.isfinite(value) else f"float('{value}')"
         else:
-            raise CompilationError(
-                f"cannot compile node type {type(expr).__name__}"
-            )
+            name = self._lookup(expr)
         memo[key] = name
         return name
 
-    def _lookup(self, leaf: Param | Var | State) -> str:
-        spelled, kind = self._spellings[type(leaf)]
+    def _lookup(self, leaf: Expr) -> str:
+        spelling = self._spellings.get(type(leaf))
+        if spelling is None:
+            raise CompilationError(
+                f"cannot compile node type {type(leaf).__name__}"
+            )
+        spelled, kind = spelling
         try:
             return spelled[leaf.name]
         except KeyError:
@@ -355,9 +427,10 @@ def generate_source(
         ("P[{0}]", "V[{0}]", "S[{0}]"), param_order, var_order, state_order
     )
     results = [lowering.lower(expr, step) for expr in exprs]
+    step.keep(*results)
     header = f"def {name}(P, V, S):"
     returns = "    return (" + ", ".join(results) + ("," if len(results) == 1 else "") + ")"
-    return "\n".join([header, *step.lines, returns])
+    return "\n".join([header, *step.render("    "), returns])
 
 
 def _compile_source(
@@ -454,7 +527,7 @@ def _generate_station(
     """
     setup = _Stream("k")
     hoist = _ArrayStream("h")
-    step = _Stream("t", bind_leaves=False)
+    step = _Stream("t")
     step.route = _routes(
         lambda mask: None if mask & _DEP_S else hoist if mask & _DEP_V else setup
     )
@@ -464,22 +537,23 @@ def _generate_station(
         ("P[{0}]", "VB[{0}]", "S{0}"), param_order, var_order, state_order
     )
     results = [lowering.lower(expr, step) for expr in exprs]
+    step.keep(*results)
     frontier = hoist.exported
     hoisted = "".join(f"{name}, " for name in frontier)
     states = "".join(f", S{index}" for index in range(len(state_order)))
     lines = [
         "def _make_station(P):",
-        *setup.lines,
+        *setup.render("    "),
         "    def hoist(VB):",
         '        with _errstate(all="ignore"):',
-        *(f"        {line}" for line in hoist.lines),
+        *hoist.render("            "),
         f"            return _frontier(({hoisted}), VB)",
         f"    def station(F{states}):",
     ]
     if frontier:
         arguments = "".join(f"c{j}, " for j in range(len(frontier)))
         lines.append(f"        {arguments}= F")
-    lines.extend(f"    {line}" for line in step.lines)
+    lines.extend(step.render("        "))
     lines.append(f"        return ({''.join(f'{name}, ' for name in results)})")
     lines.append("    return hoist, station")
     return "\n".join(lines), len(frontier)

@@ -1,7 +1,7 @@
 """Tree caching of fitness evaluations (Section III-D).
 
 Evaluation results are cached keyed on the exact model structure plus
-the (rounded) parameter values, so re-evaluating an individual seen
+the exact parameter values, so re-evaluating an individual seen
 before is a dictionary lookup.  The paper also simplifies trees before
 keying them to lift the hit rate; here the key is the tree that is
 compiled and interpreted, so a cached result is the one the individual
@@ -16,11 +16,6 @@ from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Sequence
 
 from repro.obs.metrics import MetricsRegistry, merge_fields, publish_fields
-
-#: Cache keys round parameter values to this many significant digits, so
-#: float noise below evaluation precision does not fragment entries.
-PARAM_KEY_DIGITS = 12
-
 
 @dataclass
 class CacheStats:
@@ -86,11 +81,9 @@ class TreeCache:
     def make_key(structure_key: str, params: Sequence[float]) -> Hashable:
         """Build a cache key from a structure key
         (:meth:`~repro.dynamics.system.ProcessModel.structure_key`, exact
-        up to ``Ext`` markers) and parameter values."""
-        rounded = tuple(
-            float(format(value, f".{PARAM_KEY_DIGITS}g")) for value in params
-        )
-        return (structure_key, rounded)
+        up to ``Ext`` markers) and the parameter values unrounded, so
+        vectors that differ in any digit are different keys."""
+        return (structure_key, tuple(params))
 
     def get(self, key: Hashable) -> float | None:
         """Look up a fitness; updates hit/miss statistics and recency."""

@@ -5,17 +5,18 @@ random loops as the fallback so the properties are always exercised):
 
 * the cache never holds more than ``max_entries`` entries, and the
   eviction counter accounts exactly for the overflow;
-* ``make_key`` is stable under float noise far below the
-  ``PARAM_KEY_DIGITS`` rounding precision, and distinguishes parameter
-  changes above it;
+* ``make_key`` is exact: a parameter vector bumped in its 13th
+  significant digit (below any 12-digit rounding) is a different key and
+  misses, while an equal vector hits;
 * hit + miss counters always sum to the number of lookups.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
-from repro.gp.cache import PARAM_KEY_DIGITS, CacheStats, TreeCache
+from repro.gp.cache import CacheStats, TreeCache
 
 try:
     from hypothesis import given, settings
@@ -25,18 +26,22 @@ try:
 except ImportError:  # pragma: no cover - the container ships hypothesis
     HAVE_HYPOTHESIS = False
 
-#: Relative noise two orders of magnitude below the key precision.
-SMALL_NOISE = 10.0 ** -(PARAM_KEY_DIGITS + 2)
-
 
 def on_key_grid(value: float, digits: int = 10) -> float:
     """Snap a float to a coarse significant-digit grid.
 
-    Grid values sit squarely inside a ``PARAM_KEY_DIGITS`` rounding cell
-    (nearest rounding boundary is ~5e-12 relative away, noise is 1e-14),
-    so the stability property is exact rather than probabilistic.
+    A grid value bumped in its 13th significant digit stays inside one
+    12-digit rounding cell, so a key that rounded parameters to 12
+    digits would hit; the exactness property is then deterministic
+    rather than probabilistic.
     """
     return float(format(value, f".{digits}g"))
+
+
+def bump_13th_digit(value: float) -> float:
+    """``value`` plus one unit in its 13th significant digit."""
+    unit = 10.0 ** (math.floor(math.log10(abs(value))) - 12)
+    return value + math.copysign(unit, value)
 
 
 def check_bounded_eviction(keys: list[int], max_entries: int) -> None:
@@ -63,16 +68,20 @@ def check_bounded_eviction(keys: list[int], max_entries: int) -> None:
         assert cache.get(key) == value
 
 
-def check_key_stability(structure: str, values: list[float]) -> None:
+def check_key_exactness(structure: str, values: list[float]) -> None:
     grid = [on_key_grid(value) for value in values]
     base = TreeCache.make_key(structure, grid)
-    for sign in (1.0, -1.0):
-        noisy = [value * (1.0 + sign * SMALL_NOISE) for value in grid]
-        assert TreeCache.make_key(structure, noisy) == base
-    # Changes above the key precision must produce a different key.
-    if grid and grid[0] != 0.0:
-        bumped = [grid[0] * (1.0 + 1e-6), *grid[1:]]
-        assert TreeCache.make_key(structure, bumped) != base
+    cache = TreeCache(max_entries=8)
+    cache.put(base, 1.0)
+    assert cache.get(TreeCache.make_key(structure, list(grid))) == 1.0
+    for index, value in enumerate(grid):
+        if value == 0.0:
+            continue
+        bumped = list(grid)
+        bumped[index] = bump_13th_digit(value)
+        assert format(bumped[index], ".12g") == format(value, ".12g")
+        assert cache.get(TreeCache.make_key(structure, bumped)) is None
+    assert cache.stats.hits == 1
     # The structure is part of the key.
     assert TreeCache.make_key(structure + "'", grid) != base
 
@@ -119,8 +128,8 @@ if HAVE_HYPOTHESIS:
             max_size=6,
         ),
     )
-    def test_key_stable_under_small_noise(structure, values):
-        check_key_stability(structure, values)
+    def test_key_misses_beyond_twelve_digits(structure, values):
+        check_key_exactness(structure, values)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -142,14 +151,14 @@ class TestSeededFallback:
             keys = [rng.randrange(30) for __ in range(rng.randrange(60))]
             check_bounded_eviction(keys, rng.randrange(1, 9))
 
-    def test_key_stable_under_small_noise(self):
+    def test_key_misses_beyond_twelve_digits(self):
         for seed in range(50):
             rng = random.Random(seed)
             values = [
                 rng.uniform(-1e6, 1e6) or 1.0
                 for __ in range(rng.randrange(1, 7))
             ]
-            check_key_stability(f"s{seed}", values)
+            check_key_exactness(f"s{seed}", values)
 
     def test_counters_sum_to_lookups(self):
         for seed in range(50):
