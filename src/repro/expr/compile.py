@@ -51,11 +51,9 @@ on which kernels a process compiled before it.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from typing import Any, Callable, Hashable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -70,7 +68,7 @@ from repro.expr.evaluate import (
     batched_protected_exp,
     batched_protected_log,
 )
-from repro.obs.metrics import MetricsRegistry, publish_fields
+from repro.lru import LRU
 
 #: Signature of a compiled single-expression function.
 CompiledExpr = Callable[[Sequence[float], Sequence[float], Sequence[float]], float]
@@ -139,8 +137,11 @@ class _Stream:
     # NaN is False): ``0.0 if -eps < y < eps else x / y`` takes the same
     # branch as protected_div's ``abs(y) < eps`` for NaN, +-0.0, +-eps
     # and +-inf, so a NaN denominator propagates, while the flipped
-    # spelling ``x / y if ... else 0.0`` would map it to 0.0.  An operand
-    # a guard reads twice is bound, so its slot precedence never applies.
+    # spelling ``x / y if ... else 0.0`` would map it to 0.0.  ``log``
+    # takes its magnitude with ``abs``, as protected_log does: a NaN
+    # argument then keeps protected_log's sign bit, where negating a
+    # value that fails ``x >= 0.0`` would flip it.  An operand a guard
+    # reads twice is bound, so its slot precedence never applies.
     spellings: dict[str, _Spelling] = {
         **_ARITHMETIC,
         "/": (
@@ -152,9 +153,8 @@ class _Stream:
             _ATOM, (_ATOM,), (2,),
         ),
         "log": (
-            f"0.0 if {-LOG_EPS!r} < {{0}} < {LOG_EPS!r}"
-            " else _log({0} if {0} >= 0.0 else -{0})",
-            _COND, (_ATOM,), (4,),
+            f"0.0 if {-LOG_EPS!r} < {{0}} < {LOG_EPS!r} else _log(_abs({{0}}))",
+            _COND, (_ATOM,), (2,),
         ),
         # Python's min/max return the *first* argument on ties and on
         # any NaN-poisoned comparison; spell out the exact builtin
@@ -437,7 +437,7 @@ def _compile_source(
     source: str, name: str, namespace: dict[str, Any] | None = None
 ) -> Callable:
     if namespace is None:
-        namespace = {"_exp": math.exp, "_log": math.log}
+        namespace = {"_exp": math.exp, "_log": math.log, "_abs": abs}
     code = compile(source, filename=f"<repro:{name}>", mode="exec")
     exec(code, namespace)  # noqa: S102 - generated from our own AST only
     return namespace[name]
@@ -586,6 +586,7 @@ def compile_station_kernel(
     namespace = {
         "_exp": math.exp,
         "_log": math.log,
+        "_abs": abs,
         **_ARRAY_OPERATORS,
         "_frontier": _frontier_rows,
         "_errstate": np.errstate,
@@ -594,82 +595,6 @@ def compile_station_kernel(
     return CompiledStationKernel(make, source, n_frontier)
 
 
-@dataclass
-class KernelCacheStats:
-    """Hit/miss/eviction counters of a kernel cache."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        if self.lookups == 0:
-            return 0.0
-        return self.hits / self.lookups
-
-    def publish(
-        self, registry: MetricsRegistry, prefix: str = "kernel_cache"
-    ) -> None:
-        """Publish the counters into a :class:`repro.obs.MetricsRegistry`."""
-        publish_fields(self, registry, prefix)
-
-
-class KernelCache:
-    """A bounded LRU of compiled kernels, keyed by model structure.
-
-    Compiling a step function costs orders of magnitude more than a
-    dictionary lookup, and evolutionary search re-proposes the same
-    structures constantly -- so kernels are memoised per structure and
-    the least recently *used* (not oldest) entry is evicted at capacity.
-    The process-global instance is :data:`KERNEL_CACHE`.
-    """
-
-    def __init__(self, max_entries: int = 512) -> None:
-        if max_entries < 1:
-            raise ValueError("KernelCache needs max_entries >= 1")
-        self.max_entries = max_entries
-        self.stats = KernelCacheStats()
-        self._entries: OrderedDict[Hashable, Any] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: Hashable) -> Any | None:
-        """Look up a kernel, refreshing its recency; None on miss."""
-        try:
-            kernel = self._entries[key]
-        except KeyError:
-            self.stats.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.stats.hits += 1
-        return kernel
-
-    def put(self, key: Hashable, kernel: Any) -> None:
-        """Insert a kernel, evicting the least recently used at capacity."""
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            self._entries[key] = kernel
-            return
-        while len(self._entries) >= self.max_entries:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-        self._entries[key] = kernel
-
-    def get_or_build(self, key: Hashable, builder: Callable[[], Any]) -> Any:
-        """Return the cached kernel for ``key``, building it on a miss."""
-        kernel = self.get(key)
-        if kernel is None:
-            kernel = builder()
-            self.put(key, kernel)
-        return kernel
-
-
 #: Process-global kernel cache shared by every model in this process
 #: (worker processes each grow their own after pickling).
-KERNEL_CACHE = KernelCache(max_entries=512)
+KERNEL_CACHE = LRU(512)

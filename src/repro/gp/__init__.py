@@ -1,6 +1,5 @@
 """Genetic model revision: the TAG3P-based GMR engine."""
 
-from repro.gp.cache import CacheStats, TreeCache
 from repro.gp.checkpoint import (
     CheckpointError,
     RunCheckpoint,
@@ -71,7 +70,6 @@ from repro.gp.selection import best_of, elites, tournament_select
 
 __all__ = [
     "BINARY_REVISION_OPS",
-    "CacheStats",
     "CampaignBudget",
     "CampaignError",
     "CampaignResult",
@@ -102,7 +100,6 @@ __all__ = [
     "RunGovernor",
     "RunResult",
     "SerialBackend",
-    "TreeCache",
     "UNARY_REVISION_OPS",
     "aggregate_stats",
     "best_of",

@@ -36,7 +36,7 @@ import pickle
 import socket
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.gp.fitness import GMRFitnessEvaluator
@@ -48,7 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 #: Format version encoded in the file magic; bump on layout changes.
 #: This build reads exactly this version: older checkpoints and results
 #: are refused with :class:`CheckpointError`, never migrated.
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 #: File magics: 7 identifying bytes plus the format version byte.
 _CHECKPOINT_MAGIC = b"GMRCKPT" + bytes([CHECKPOINT_VERSION])
@@ -107,7 +107,6 @@ class RunCheckpoint:
     best: Individual
     history: list["GenerationRecord"]
     evaluator: GMRFitnessEvaluator
-    version: int = field(default=CHECKPOINT_VERSION)
     trace_seq: int = 0
     domain: str = "river"
     domain_spec_hash: str = ""
@@ -281,11 +280,6 @@ def load_checkpoint(path: str | os.PathLike[str]) -> RunCheckpoint:
     if not isinstance(checkpoint, RunCheckpoint):
         raise CheckpointError(
             f"{path!s} holds a {type(checkpoint).__name__}, not a RunCheckpoint"
-        )
-    if checkpoint.version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"{path!s} holds checkpoint version {checkpoint.version}, "
-            f"this build reads only version {CHECKPOINT_VERSION}"
         )
     return checkpoint
 

@@ -105,7 +105,7 @@ class GMRConfig:
             preserves the paper's single-proposal semantics.
         tree_cache_size: LRU capacity of the fitness tree cache
             (entries).  Bounds cache memory over long campaigns; see
-            :class:`repro.gp.cache.TreeCache`.
+            :class:`repro.lru.LRU`.
         domain: Name of the problem domain this run revises models for
             (see :mod:`repro.domains`).  Engines built through
             ``GMREngine.for_domain`` resolve knowledge and task from the

@@ -4,8 +4,13 @@ The evaluator combines the three speedup techniques of Section III-D, each
 independently switchable for the Figure 10 ablation:
 
 * **Tree caching (TC)** -- fitness results are cached on the exact
-  structure (:meth:`ProcessModel.structure_key`) plus parameter values
-  (:mod:`repro.gp.cache`).
+  structure (:meth:`ProcessModel.structure_key`) plus the exact
+  parameter values, in a bounded :class:`~repro.lru.LRU` of
+  ``GMRConfig.tree_cache_size`` entries.  The key is the tree that is
+  compiled and interpreted, so a cached result is the one the
+  individual itself would compute (the paper simplifies trees before
+  keying them; simplifying rewrites and commutative reordering can
+  change the last bits, or a NaN, of a result).
 * **Evaluation short-circuiting (ES)** -- Algorithm 1: evaluation over the
   fitness cases is stopped as soon as the extrapolated fitness cannot beat
   the best previously *fully evaluated* fitness, controlled by the
@@ -27,11 +32,11 @@ from typing import Callable, Hashable, Iterable, Sequence
 from repro.dynamics.integrate import SimulationDiverged
 from repro.dynamics.system import ProcessModel
 from repro.dynamics.task import BAD_FITNESS, ModelingTask
-from repro.expr.compile import KERNEL_CACHE, KernelCache
-from repro.gp.cache import CacheStats, TreeCache
+from repro.expr.compile import KERNEL_CACHE
 from repro.gp.config import GMRConfig
 from repro.gp.individual import Individual
 from repro.gp.phenotype import PhenotypeCache
+from repro.lru import LRU
 from repro.obs.metrics import MetricsRegistry, merge_fields, publish_fields
 from repro.obs.profile import PhaseProfile
 from repro.obs.trace import Tracer
@@ -198,7 +203,7 @@ class GMRFitnessEvaluator:
     stats: EvaluationStats = field(default_factory=EvaluationStats)
 
     def __post_init__(self) -> None:
-        self._cache = TreeCache(max_entries=self.config.tree_cache_size)
+        self._cache = LRU(self.config.tree_cache_size)
         # Static triage bounds the reachable states from the plain-ODE
         # task surface; duck-typed tasks without it (e.g. the
         # network-coupled river task, which streams errors from its own
@@ -222,21 +227,20 @@ class GMRFitnessEvaluator:
         self._phenotypes = PhenotypeCache()
 
     @property
-    def cache(self) -> TreeCache:
+    def cache(self) -> LRU:
         return self._cache
 
     # Probe-only: the e2e benchmark's probes read the kernel cache's
     # counters through this name (ROADMAP item 1).  Nothing in the
     # package reads it.
     @property
-    def compiled_cache(self) -> KernelCache:
+    def compiled_cache(self) -> LRU:
         """The process-global kernel cache the models compile into."""
         return KERNEL_CACHE
 
     def reset(self) -> None:
         """Clear caches and the best-previous-full marker (new run)."""
-        self._cache.clear()
-        self._cache.stats = CacheStats()
+        self._cache = LRU(self.config.tree_cache_size)
         self._phenotypes.clear()
         self.best_prev_full = math.inf
         self.stats = EvaluationStats()
@@ -304,7 +308,7 @@ class GMRFitnessEvaluator:
         model, params = self._phenotype(individual)
         cache_key = None
         if config.use_tree_cache:
-            cache_key = TreeCache.make_key(model.structure_key(), params)
+            cache_key = (model.structure_key(), params)
         cached = self._cached(cache_key)
         if cached is not None:
             return cached, True

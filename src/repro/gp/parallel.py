@@ -360,6 +360,7 @@ def _campaign_pooled(
                             seed=seed,
                             attempt=attempts[seed],
                             error_type=type(error).__name__,
+                            delay=policy.retry.delay(seed, attempts[seed]),
                         )
                 else:
                     record_failure(seed, error)
@@ -574,14 +575,12 @@ class ProcessPoolBackend(EvaluationBackend):
     synchronisation semantics.)
 
     When the rebuild budget is exhausted the backend descends the
-    degradation ladder instead of aborting the campaign: with
-    ``serial_fallback`` (the default) it evaluates the unfinished chunks
-    in the parent process, counts one ``pool_fallbacks`` in the
-    evaluator's statistics, emits a ``degradation`` trace event, and
-    stays serial for the rest of its life (the sticky ``_degraded``
-    flag) -- a pool that broke ``max_pool_rebuilds + 1`` times is
-    presumed hostile to workers.  ``serial_fallback=False`` preserves
-    the historical raise-on-exhaustion contract.
+    degradation ladder instead of aborting the campaign: it evaluates
+    the unfinished chunks in the parent process, counts one
+    ``pool_fallbacks`` in the evaluator's statistics, emits a
+    ``degradation`` trace event, and stays serial for the rest of its
+    life (the sticky ``_degraded`` flag) -- a pool that broke
+    ``max_pool_rebuilds + 1`` times is presumed hostile to workers.
 
     The backend itself stays picklable: the live pool is dropped on
     pickling and lazily rebuilt.
@@ -589,7 +588,6 @@ class ProcessPoolBackend(EvaluationBackend):
 
     max_workers: int = 2
     max_pool_rebuilds: int = 2
-    serial_fallback: bool = True
 
     def __post_init__(self) -> None:
         self._pool: ProcessPoolExecutor | None = None
@@ -682,8 +680,6 @@ class ProcessPoolBackend(EvaluationBackend):
             if pool_error is not None:
                 self._discard_pool()
                 if rebuilds >= self.max_pool_rebuilds:
-                    if not self.serial_fallback:
-                        raise pool_error
                     # The degradation ladder's rung: evaluate
                     # the chunks the broken pool never returned in the
                     # parent process (their statistics were never

@@ -45,13 +45,13 @@ from __future__ import annotations
 
 import copy
 import struct
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Hashable
 
 from repro.dynamics.system import FreeNames, ProcessModel
 from repro.expr.ast import Expr, exact_key
 from repro.gp.individual import Individual
+from repro.lru import LRU
 from repro.tag.derivation import DerivationNode
 from repro.tag.derive import translate_equation, validate
 from repro.tag.symbols import MODEL
@@ -232,8 +232,8 @@ class PhenotypeCache:
     """
 
     def __init__(self) -> None:
-        self._entries: OrderedDict[Hashable, _Template] = OrderedDict()
-        self._fragments: OrderedDict[Hashable, _Fragment] = OrderedDict()
+        self._entries = LRU(PHENOTYPE_CACHE_SIZE)
+        self._fragments = LRU(FRAGMENT_TABLE_SIZE)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -257,15 +257,11 @@ class PhenotypeCache:
             return (*individual.phenotype(state_names, var_order), False)
         template = self._entries.get(key)
         hit = template is not None
-        if hit:
-            self._entries.move_to_end(key)
-        else:
+        if not hit:
             template = self._derive(
                 individual, key[2], rconsts, state_names, var_order
             )
-            self._entries[key] = template
-            if len(self._entries) > PHENOTYPE_CACHE_SIZE:
-                self._entries.popitem(last=False)
+            self._entries.put(key, template)
         pool = [*individual.params.values(), *(r.value for r in rconsts)]
         params = tuple(map(pool.__getitem__, template.recipe))
         return copy.copy(template.model), params, hit
@@ -299,8 +295,6 @@ class PhenotypeCache:
                 own = rconsts[before : before + shape[0]]
                 fragment = _fragment(root, index, offset, own)
                 new.append((key, fragment))
-            else:
-                self._fragments.move_to_end(key)
             for k, position in enumerate(fragment.consts, offset):
                 slot[f"_R{k}"] = base + before + position
             fragments.append(fragment)
@@ -319,9 +313,7 @@ class PhenotypeCache:
             keys=[f.key for f in fragments],
         )
         for key, fragment in new:
-            self._fragments[key] = fragment
-            if len(self._fragments) > FRAGMENT_TABLE_SIZE:
-                self._fragments.popitem(last=False)
+            self._fragments.put(key, fragment)
         recipe = tuple(slot[name] for name in model.param_order)
         trees = tuple(node.tree for node in derivation.walk())
         return _Template(model=model, recipe=recipe, trees=trees)

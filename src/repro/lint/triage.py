@@ -48,6 +48,7 @@ from repro.lint.absint import (
 from repro.lint.diagnostics import LintReport, Location
 from repro.lint.registry import get
 from repro.lint.units import Unit, UnitEnv, build_unit_env, parse_unit
+from repro.lru import LRU
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.domains.registry import DomainSpec
@@ -60,9 +61,9 @@ _INF = math.inf
 #: value, but never NaN (states are clamped, drivers are data).
 _ANY_VALUE = Interval(-_INF, _INF, NAN_NO)
 
-#: Hull verdicts a context keeps (first in, first out).  Far above the
-#: structures one run meets (a few hundred on the SIR workload), so the
-#: memo only bounds the memory of very long campaigns.
+#: Hull verdicts a context keeps (least recently used first out).  Far
+#: above the structures one run meets (a few hundred on the SIR
+#: workload), so the memo only bounds the memory of very long campaigns.
 HULL_MEMO_SIZE = 4096
 
 
@@ -79,9 +80,9 @@ class TriageContext:
     :func:`triage_fatal` reads it, so the reports of
     :func:`triage_equations` do not depend on it.  ``hull_memo`` caches
     :func:`triage_fatal`'s hull verdict per exact structure and parameter
-    order (``(structure_key, param_order)``), so a verdict is reused only
-    for the tree it was computed on; it is not compared, and ``dataclasses.replace``
-    starts a new one.
+    order (``(structure_key, param_order)``) in an :class:`~repro.lru.LRU`,
+    so a verdict is reused only for the tree it was computed on; it is
+    not compared, and ``dataclasses.replace`` starts a new one.
     ``unit_env``/``expected_units`` are ``None``/empty when the domain
     carries no unit annotations, which disables the unit pass.
     """
@@ -95,8 +96,11 @@ class TriageContext:
     expected_units: Mapping[str, "Unit | None"] = field(default_factory=dict)
     annotation_report: LintReport = field(default_factory=LintReport)
     param_hull: Mapping[str, Interval] = field(default_factory=dict)
-    hull_memo: dict = field(
-        default_factory=dict, init=False, compare=False, repr=False
+    hull_memo: LRU = field(
+        default_factory=lambda: LRU(HULL_MEMO_SIZE),
+        init=False,
+        compare=False,
+        repr=False,
     )
 
     def env(
@@ -350,13 +354,20 @@ def _hull_bounds(
     binding is fatal.  ``None`` (a parameter without a prior, or a hull
     verdict of maybe or always NaN) leaves the decision to the point
     walk.  Memoised per ``(structure_key, param_order)`` in
-    ``context.hull_memo``; the structure key is exact, so two trees share
-    a verdict only if the interval walk would see the same tree.
+    ``context.hull_memo``, a ``None`` verdict included; the structure key
+    is exact, so two trees share a verdict only if the interval walk
+    would see the same tree.
     """
-    key = (model.structure_key(), model.param_order)
-    memo = context.hull_memo
-    if key in memo:
-        return memo[key]
+    return context.hull_memo.get_or_build(
+        (model.structure_key(), model.param_order),
+        lambda: _hull_verdict(model, context),
+    )
+
+
+def _hull_verdict(
+    model: "ProcessModel", context: TriageContext
+) -> tuple[tuple[float, float], ...] | None:
+    """:func:`_hull_bounds` unmemoised."""
     hull = context.param_hull
     bounds = None
     if all(name in hull for name in model.param_order):
@@ -368,9 +379,6 @@ def _hull_bounds(
             bounds = tuple(
                 (hull[name].lo, hull[name].hi) for name in model.param_order
             )
-    if len(memo) >= HULL_MEMO_SIZE:
-        del memo[next(iter(memo))]
-    memo[key] = bounds
     return bounds
 
 

@@ -1,7 +1,7 @@
 """A lightweight metrics registry: counters, gauges, histograms.
 
 Observability producers across the stack (:class:`~repro.gp.fitness.
-EvaluationStats`, :class:`~repro.gp.cache.CacheStats`, kernel caches,
+EvaluationStats`, the :class:`~repro.lru.CacheStats` of every memo,
 campaign results, the benchmarks) publish their numbers *into* a
 :class:`MetricsRegistry` through ``publish``/``publish_metrics`` methods
 instead of each inventing ad-hoc result fields.  A registry snapshot is

@@ -175,8 +175,7 @@ EVENT_SCHEMAS: dict[str, EventSchema] = {
     ),
     # A seed failed and re-enters the next campaign round (point).
     "campaign_retry": EventSchema(
-        required={"seed": int, "attempt": int, "error_type": str},
-        optional={"delay": float},
+        required={"seed": int, "attempt": int, "error_type": str, "delay": float},
     ),
     # Periodic liveness signal from a governed run (point): a stalled
     # campaign stops emitting these, a slow one keeps emitting them.

@@ -70,7 +70,7 @@ class HydrologicalProcess:
             for upstream, lag in self.network.upstream_of(name):
                 upstream_station = self.network.station(upstream)
                 passed = (1.0 - upstream_station.retention) * flows[upstream]
-                inflow += _delay(passed, lag)
+                inflow += delay(passed, lag)
             retention = station.retention
             previous = 0.0
             for t in range(horizon):
@@ -112,8 +112,8 @@ class HydrologicalProcess:
             weighted = np.zeros(horizon)
             weight = np.zeros(horizon)
             for upstream, lag in self.network.upstream_of(name):
-                upstream_flow = _delay(np.asarray(flows[upstream]), lag)
-                upstream_value = _delay(values[upstream], lag)
+                upstream_flow = delay(np.asarray(flows[upstream]), lag)
+                upstream_value = delay(values[upstream], lag)
                 weighted += upstream_flow * upstream_value
                 weight += upstream_flow
             with np.errstate(invalid="ignore", divide="ignore"):
@@ -143,12 +143,12 @@ class HydrologicalProcess:
         weight = np.zeros(horizon)
         for upstream_name, lag in upstream:
             upstream_station = self.network.station(upstream_name)
-            flow = _delay(
+            flow = delay(
                 (1.0 - upstream_station.retention)
                 * np.asarray(flows[upstream_name], dtype=float),
                 lag,
             )
-            weighted += flow * _delay(np.asarray(values[upstream_name]), lag)
+            weighted += flow * delay(np.asarray(values[upstream_name]), lag)
             weight += flow
         with np.errstate(invalid="ignore", divide="ignore"):
             arriving = np.where(weight > 0, weighted / np.maximum(weight, 1e-12), 0.0)
@@ -181,7 +181,7 @@ class HydrologicalProcess:
         return lengths.pop()
 
 
-def _delay(series: np.ndarray, lag: int) -> np.ndarray:
+def delay(series: np.ndarray, lag: int) -> np.ndarray:
     """Shift a series forward in time by ``lag`` days (edge-padded)."""
     if lag <= 0:
         return series.copy()

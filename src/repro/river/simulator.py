@@ -40,6 +40,7 @@ from repro.dynamics.drivers import DriverTable
 from repro.dynamics.integrate import ClampSpec, SimulationDiverged
 from repro.dynamics.system import ProcessModel
 from repro.expr.compile import CompiledStationKernel
+from repro.river.hydrology import delay
 from repro.river.network import RiverNetwork
 
 #: Days of driver rows whose station-kernel frontier is hoisted at once.
@@ -149,7 +150,7 @@ def build_mixing_schedules(
         for source in sources:
             source_station = network.station(source.station)
             upstream_flow = np.asarray(flows[source.station], dtype=float)
-            passed = (1.0 - source_station.retention) * _delay(
+            passed = (1.0 - source_station.retention) * delay(
                 upstream_flow, source.lag_days
             )
             source_parts.append(passed)
@@ -750,13 +751,3 @@ class RiverTask:
         if not np.all(np.isfinite(series)):
             return None
         return series
-
-
-def _delay(series: np.ndarray, lag: int) -> np.ndarray:
-    """Shift a series forward in time by ``lag`` days (edge-padded)."""
-    if lag <= 0:
-        return series.copy()
-    delayed = np.empty_like(series)
-    delayed[:lag] = series[0]
-    delayed[lag:] = series[:-lag]
-    return delayed

@@ -12,11 +12,7 @@ import pytest
 
 from repro.domains import DomainNotFoundError, get_domain
 from repro.gp import GMRConfig, GMREngine
-from repro.gp.checkpoint import (
-    CHECKPOINT_VERSION,
-    CheckpointError,
-    load_checkpoint,
-)
+from repro.gp.checkpoint import CheckpointError, load_checkpoint
 
 from tests.domains.conftest import conformance_config
 from tests.gp.conftest import (  # noqa: F401 - shared toy problem
@@ -50,7 +46,6 @@ def lv_checkpoint_path(lv_engine, tmp_path):
 class TestEnvelope:
     def test_records_domain_and_spec_hash(self, lv_checkpoint_path):
         checkpoint = load_checkpoint(lv_checkpoint_path)
-        assert checkpoint.version == CHECKPOINT_VERSION
         assert checkpoint.domain == "lotka_volterra"
         expected = get_domain("lotka_volterra").spec_hash()
         assert checkpoint.domain_spec_hash == expected

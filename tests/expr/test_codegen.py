@@ -54,8 +54,7 @@ class TestLowering:
     def test_log_guard_is_one_chained_entry(self):
         source = generate_source([ast.log(Var("x"))], [], ["x"], [])
         assert (
-            f"0.0 if {-LOG_EPS!r} < V[0] < {LOG_EPS!r}"
-            " else _log(V[0] if V[0] >= 0.0 else -V[0])"
+            f"0.0 if {-LOG_EPS!r} < V[0] < {LOG_EPS!r} else _log(_abs(V[0]))"
         ) in source
 
     def test_deep_tree_stays_compilable(self):

@@ -13,11 +13,11 @@ from repro.expr import ast
 from repro.expr.ast import Const, Param, State, Var
 from repro.expr.compile import (
     CompilationError,
-    KernelCache,
     compile_expr,
     compile_model,
     generate_source,
 )
+from repro.lru import LRU
 
 
 class TestCompileExpr:
@@ -88,7 +88,7 @@ class TestNaNSemantics:
 
 class TestKernelCache:
     def test_lru_eviction_and_stats(self):
-        cache = KernelCache(max_entries=2)
+        cache = LRU(2)
         cache.put("a", 1)
         cache.put("b", 2)
         assert cache.get("a") == 1  # refresh 'a'
@@ -102,7 +102,7 @@ class TestKernelCache:
         assert len(cache) == 2
 
     def test_get_or_build_builds_once(self):
-        cache = KernelCache(max_entries=4)
+        cache = LRU(4)
         calls = []
 
         def builder():
@@ -115,4 +115,4 @@ class TestKernelCache:
 
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
-            KernelCache(max_entries=0)
+            LRU(0)

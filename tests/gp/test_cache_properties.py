@@ -1,14 +1,17 @@
-"""Property-based tests for the fitness tree cache.
+"""Property-based tests for the bounded LRU behind every memo, keyed
+as the fitness tree cache keys it.
 
 Invariants (run through ``hypothesis`` when available, with seeded
 random loops as the fallback so the properties are always exercised):
 
-* the cache never holds more than ``max_entries`` entries, and the
-  eviction counter accounts exactly for the overflow;
-* ``make_key`` is exact: a parameter vector bumped in its 13th
+* the cache never holds more than ``max_entries`` entries, the eviction
+  counter accounts exactly for the overflow, and re-putting a present
+  key does not refresh its recency;
+* tree-cache keys are exact: a parameter vector bumped in its 13th
   significant digit (below any 12-digit rounding) is a different key and
   misses, while an equal vector hits;
-* hit + miss counters always sum to the number of lookups.
+* hit + miss counters always sum to the number of lookups;
+* a stored ``None`` is a hit, not a miss.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import math
 import random
 
-from repro.gp.cache import CacheStats, TreeCache
+from repro.lru import LRU, CacheStats
 
 try:
     from hypothesis import given, settings
@@ -25,6 +28,11 @@ try:
     HAVE_HYPOTHESIS = True
 except ImportError:  # pragma: no cover - the container ships hypothesis
     HAVE_HYPOTHESIS = False
+
+
+def tree_key(structure: str, params) -> tuple:
+    """The evaluator's tree-cache key: structure key and exact values."""
+    return (structure, tuple(params))
 
 
 def on_key_grid(value: float, digits: int = 10) -> float:
@@ -47,11 +55,11 @@ def bump_13th_digit(value: float) -> float:
 def check_bounded_eviction(keys: list[int], max_entries: int) -> None:
     # Model-based: a shadow FIFO dict predicts size, eviction count, and
     # surviving contents; the cache must never exceed max_entries.
-    cache = TreeCache(max_entries=max_entries)
+    cache = LRU(max_entries)
     shadow: dict = {}
     expected_evictions = 0
     for index, raw in enumerate(keys):
-        key = TreeCache.make_key(f"s{raw}", (float(raw),))
+        key = tree_key(f"s{raw}", (float(raw),))
         if key in shadow:
             shadow[key] = float(index)
         else:
@@ -70,27 +78,27 @@ def check_bounded_eviction(keys: list[int], max_entries: int) -> None:
 
 def check_key_exactness(structure: str, values: list[float]) -> None:
     grid = [on_key_grid(value) for value in values]
-    base = TreeCache.make_key(structure, grid)
-    cache = TreeCache(max_entries=8)
+    base = tree_key(structure, grid)
+    cache = LRU(8)
     cache.put(base, 1.0)
-    assert cache.get(TreeCache.make_key(structure, list(grid))) == 1.0
+    assert cache.get(tree_key(structure, list(grid))) == 1.0
     for index, value in enumerate(grid):
         if value == 0.0:
             continue
         bumped = list(grid)
         bumped[index] = bump_13th_digit(value)
         assert format(bumped[index], ".12g") == format(value, ".12g")
-        assert cache.get(TreeCache.make_key(structure, bumped)) is None
+        assert cache.get(tree_key(structure, bumped)) is None
     assert cache.stats.hits == 1
     # The structure is part of the key.
-    assert TreeCache.make_key(structure + "'", grid) != base
+    assert tree_key(structure + "'", grid) != base
 
 
 def check_counter_sum(operations: list[tuple[bool, int]]) -> None:
-    cache = TreeCache(max_entries=16)
+    cache = LRU(16)
     lookups = 0
     for is_get, raw in operations:
-        key = TreeCache.make_key("s", (float(raw),))
+        key = tree_key("s", (float(raw),))
         if is_get:
             cache.get(key)
             lookups += 1
@@ -175,10 +183,31 @@ class TestCacheStatsUnits:
         assert CacheStats().hit_rate == 0.0
 
     def test_update_of_existing_key_does_not_evict(self):
-        cache = TreeCache(max_entries=2)
-        key = TreeCache.make_key("s", (1.0,))
+        cache = LRU(2)
+        key = tree_key("s", (1.0,))
         cache.put(key, 1.0)
         cache.put(key, 2.0)
         assert len(cache) == 1
         assert cache.stats.evictions == 0
         assert cache.get(key) == 2.0
+
+
+class TestStoredNone:
+    """The triage hull memo stores ``None`` verdicts: they must read as
+    hits, never as misses that rebuild."""
+
+    def test_get_tells_a_stored_none_from_a_miss(self):
+        cache = LRU(2)
+        missing = object()
+        cache.put("k", None)
+        assert cache.get("k", missing) is None
+        assert cache.get("other", missing) is missing
+        assert (cache.stats.hits, cache.stats.misses) == (1, 1)
+
+    def test_get_or_build_builds_a_none_once(self):
+        cache = LRU(2)
+        builds = []
+        for __ in range(3):
+            assert cache.get_or_build("k", lambda: builds.append(1)) is None
+        assert len(builds) == 1
+        assert (cache.stats.hits, cache.stats.misses) == (2, 1)

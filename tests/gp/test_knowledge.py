@@ -1,10 +1,14 @@
 """Prior-knowledge validation and grammar compilation."""
 
+import random
+
 import pytest
 
 from repro.expr import ast
 from repro.expr.ast import Ext, Param, State
-from repro.gp.cache import TreeCache
+from repro.gp.config import GMRConfig
+from repro.gp.fitness import GMRFitnessEvaluator
+from repro.gp.init import random_individual
 from repro.gp.knowledge import (
     ExtensionSpec,
     KnowledgeError,
@@ -12,6 +16,7 @@ from repro.gp.knowledge import (
     PriorKnowledge,
     build_grammar,
 )
+from repro.lru import LRU
 from repro.tag.symbols import connector_symbol, extender_symbol
 
 
@@ -130,8 +135,8 @@ class TestBuildGrammar:
 
 class TestTreeCache:
     def test_hit_and_miss_accounting(self):
-        cache = TreeCache()
-        key = TreeCache.make_key("structure", (1.0, 2.0))
+        cache = LRU(8)
+        key = ("structure", (1.0, 2.0))
         assert cache.get(key) is None
         cache.put(key, 3.0)
         assert cache.get(key) == 3.0
@@ -139,21 +144,34 @@ class TestTreeCache:
         assert cache.stats.misses == 1
         assert cache.stats.hit_rate == 0.5
 
-    def test_param_keys_are_exact(self):
-        # 0.1 + 0.2 and 0.3 differ only in the 17th significant digit.
-        key_a = TreeCache.make_key("s", (0.1 + 0.2,))
-        key_b = TreeCache.make_key("s", (0.3,))
-        assert key_a != key_b
+    def test_param_keys_are_exact(self, toy_task, toy_grammar, toy_knowledge):
+        # 0.1 + 0.2 and 0.3 differ only in the 17th significant digit;
+        # the evaluator's tree cache keys them apart.
+        config = GMRConfig(
+            population_size=4, max_generations=1, max_size=8, es_threshold=None
+        )
+        evaluator = GMRFitnessEvaluator(task=toy_task, config=config)
+        individual = random_individual(
+            toy_grammar, toy_knowledge, config, random.Random(0)
+        )
+        model, __ = individual.phenotype(toy_task.state_names, toy_task.var_order)
+        name = next(n for n in model.param_order if n in individual.params)
+        for value in (0.1 + 0.2, 0.3, 0.1 + 0.2):
+            variant = individual.copy()
+            variant.params[name] = value
+            evaluator.evaluate(variant)
+        stats = evaluator.cache.stats
+        assert (stats.hits, stats.misses) == (1, 2)
 
     def test_eviction_respects_capacity(self):
-        cache = TreeCache(max_entries=2)
+        cache = LRU(2)
         for index in range(3):
-            cache.put(TreeCache.make_key("s", (float(index),)), float(index))
+            cache.put(("s", (float(index),)), float(index))
         assert len(cache) == 2
         assert cache.stats.evictions == 1
 
     def test_clear(self):
-        cache = TreeCache()
-        cache.put(TreeCache.make_key("s", (1.0,)), 1.0)
+        cache = LRU(8)
+        cache.put(("s", (1.0,)), 1.0)
         cache.clear()
         assert len(cache) == 0

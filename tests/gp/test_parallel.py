@@ -16,7 +16,6 @@ import random
 
 import pytest
 
-from repro.gp.cache import CacheStats
 from repro.gp.config import GMRConfig
 from repro.gp.engine import GMREngine, run_many
 from repro.gp.fitness import EvaluationStats, GMRFitnessEvaluator
@@ -29,6 +28,7 @@ from repro.gp.parallel import (
     default_workers,
     run_many_parallel,
 )
+from repro.lru import CacheStats
 
 
 def small_engine(toy_knowledge, toy_task, **overrides) -> GMREngine:

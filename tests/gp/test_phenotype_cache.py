@@ -360,7 +360,7 @@ class TestFragments:
         cache = PhenotypeCache()
         individual, names, order = lv_individual(False)
         cache.phenotype(individual, names, order)
-        fragments = dict(cache._fragments)
+        fragments = dict(cache._fragments._entries)
         symbol = individual.derivation.root.tree.node_at(PRED_SITE).symbol
         # Equation 0 is new and translates; equation 1 does not.
         broken, __, __ = lv_individual(True, untranslatable_beta(symbol))
@@ -369,7 +369,7 @@ class TestFragments:
                 broken.phenotype(names, order)
             with pytest.raises(DeriveError):
                 cache.phenotype(broken, names, order)
-        assert cache._fragments == fragments
+        assert cache._fragments._entries == fragments
         assert len(cache) == 1
 
     def test_table_stays_bounded(

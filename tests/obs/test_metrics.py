@@ -9,9 +9,8 @@ import pickle
 
 import pytest
 
-from repro.gp.cache import CacheStats
 from repro.gp.fitness import EvaluationStats
-from repro.expr.compile import KernelCacheStats
+from repro.lru import LRU, CacheStats
 from repro.obs import Counter, Gauge, MetricsRegistry, MetricTypeError
 
 
@@ -103,23 +102,27 @@ class TestPublishers:
     def test_cache_stats_publish(self):
         stats = CacheStats(hits=3, misses=2, evictions=1)
         registry = MetricsRegistry()
-        stats.publish(registry)
+        stats.publish(registry, prefix="tree_cache")
         snapshot = registry.snapshot()
         assert snapshot["tree_cache.hits"] == 3
         assert snapshot["tree_cache.misses"] == 2
         assert snapshot["tree_cache.evictions"] == 1
 
     def test_kernel_cache_stats_publish(self):
-        stats = KernelCacheStats(hits=5, misses=4, evictions=3)
+        # The counters an LRU keeps are the ones it publishes.
+        kernels = LRU(1)
+        for key in "aab":
+            if kernels.get(key) is None:
+                kernels.put(key, key)
         registry = MetricsRegistry()
-        stats.publish(registry, prefix="kc")
+        kernels.stats.publish(registry, prefix="kc")
         snapshot = registry.snapshot()
-        assert snapshot["kc.hits"] == 5
-        assert snapshot["kc.misses"] == 4
-        assert snapshot["kc.evictions"] == 3
+        assert snapshot["kc.hits"] == 1
+        assert snapshot["kc.misses"] == 2
+        assert snapshot["kc.evictions"] == 1
 
 
-STATS_CLASSES = [EvaluationStats, CacheStats, KernelCacheStats]
+STATS_CLASSES = [EvaluationStats, CacheStats]
 
 
 def distinct_instance(cls, scale):

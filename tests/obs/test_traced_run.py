@@ -228,3 +228,35 @@ class TestCampaignTracing:
         assert retries[0].fields["seed"] == 1
         assert retries[0].fields["attempt"] == 1
         assert retries[0].fields["error_type"] == "InjectedFault"
+
+    def test_serial_and_pooled_retry_events_carry_the_same_fields(
+        self, make_engine, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_MAX_WORKERS", raising=False)
+        policy = FailurePolicy.retrying(max_attempts=2, backoff_base=0.001)
+        fields = {}
+        for workers in (1, 2):
+            ledger = tmp_path / f"ledger-{workers}"
+            ledger.mkdir()
+            engine = make_engine(
+                engine_cls=FaultInjectingEngine,
+                engine_kwargs={
+                    "plan": FaultPlan(fail_seed_attempts={1: 1}),
+                    "attempt_dir": str(ledger),
+                },
+                max_generations=2,
+            )
+            sink = MemorySink()
+            outcome = run_campaign(
+                engine,
+                2,
+                base_seed=0,
+                max_workers=workers,
+                policy=policy,
+                tracer=Tracer(sink),
+            )
+            assert outcome.ok
+            (retry,) = [e for e in sink.events if e.kind == "campaign_retry"]
+            fields[workers] = retry.fields
+        assert fields[1] == fields[2]
+        assert fields[1]["delay"] == policy.retry.delay(1, 1)

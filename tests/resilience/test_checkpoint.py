@@ -10,7 +10,6 @@ envelope older than the one format this build reads.
 from __future__ import annotations
 
 import glob
-import hashlib
 import os
 import pickle
 
@@ -48,7 +47,6 @@ class TestEnvelope:
         assert checkpoint.seed == 5
         assert checkpoint.generation == engine.config.max_generations
         assert checkpoint.config_repr == repr(engine.config)
-        assert checkpoint.version == CHECKPOINT_VERSION
         assert len(checkpoint.population) == engine.config.population_size
         assert len(checkpoint.history) == len(result.history)
         assert checkpoint.best.fitness == result.best.fitness
@@ -123,17 +121,11 @@ class TestEnvelope:
         assert result_file(tmp_path, 3) == str(tmp_path / "run-3.result")
 
 
-def _envelope(obj: object, magic: bytes) -> bytes:
-    """A well-formed envelope around ``obj`` under an arbitrary magic."""
-    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    return magic + hashlib.sha256(payload).digest() + payload
-
-
 class TestVersionRefusal:
     """This build reads only the current format: every older envelope is
     refused with a message naming the version found, never migrated."""
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("kind", ["checkpoint", "result"])
     def test_older_envelope_refused(
         self, checkpointed, tmp_path, kind, version
@@ -152,26 +144,17 @@ class TestVersionRefusal:
         assert f"version {version}," in message
         assert f"reads only version {CHECKPOINT_VERSION}" in message
 
-    def test_older_pickled_version_refused(self, checkpointed):
-        __, path, __ = checkpointed
-        checkpoint = load_checkpoint(path)
-        checkpoint.version = 4
-        path.write_bytes(_envelope(checkpoint, path.read_bytes()[:8]))
-        with pytest.raises(CheckpointError, match="checkpoint version 4,"):
-            load_checkpoint(path)
-
     def test_resilient_load_falls_back_to_current_ring_sibling(
         self, make_engine, tmp_path
     ):
         engine = make_engine(checkpoint_every=1, checkpoint_keep=2)
         path = tmp_path / "run.ckpt"
         engine.run(seed=5, checkpoint_path=path)
-        stale = load_checkpoint(path)
-        stale.version = 4
-        path.write_bytes(_envelope(stale, path.read_bytes()[:8]))
+        stale = bytearray(path.read_bytes())
+        stale[7] = CHECKPOINT_VERSION - 1  # the magic's version byte
+        path.write_bytes(bytes(stale))
         with pytest.warns(RuntimeWarning, match="retention-ring"):
             checkpoint = load_checkpoint_resilient(path)
-        assert checkpoint.version == CHECKPOINT_VERSION
         assert checkpoint.generation == engine.config.max_generations
 
 
@@ -257,11 +240,11 @@ class TestTriageContextStaysOut:
         path = tmp_path / "run.ckpt"
         engine.run(seed=3, checkpoint_path=path, evaluator=evaluator)
         memo = evaluator._triage_context.hull_memo
-        assert any(bounds is not None for bounds in memo.values())
+        assert any(bounds is not None for bounds in memo._entries.values())
 
         clone = pickle.loads(pickle.dumps(evaluator))
         assert clone._triage_context is None
-        assert clone._triage_context_for_task().hull_memo == {}
+        assert len(clone._triage_context_for_task().hull_memo) == 0
         # The envelope's evaluator pickles to the same bytes with and
         # without the filled memo, so checkpoints do not grow with it.
         filled = pickle.dumps(evaluator)

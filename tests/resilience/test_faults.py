@@ -18,7 +18,6 @@ import time
 
 import pytest
 
-from concurrent.futures import BrokenExecutor
 
 from repro.gp.config import GMRConfig
 from repro.gp.engine import GMREngine, run_many
@@ -316,29 +315,3 @@ class TestBrokenEvaluationPool:
             ind.fully_evaluated for ind in healthy
         ]
         assert evaluator.stats.evaluations == reference.stats.evaluations
-
-    def test_serial_fallback_opt_out_preserves_raise_contract(
-        self, toy_grammar, toy_knowledge, toy_task
-    ):
-        config = GMRConfig(
-            population_size=4, max_generations=1, max_size=8, es_threshold=None
-        )
-        # No fire-once marker: every rebuilt pool dies again immediately.
-        evaluator = FaultInjectingEvaluator(
-            task=toy_task,
-            config=config,
-            plan=FaultPlan(kill_at_evaluation=1),
-        )
-        individuals = self._individuals(
-            toy_grammar, toy_knowledge, config, n=4
-        )
-        backend = ProcessPoolBackend(
-            max_workers=2, max_pool_rebuilds=1, serial_fallback=False
-        )
-        try:
-            with pytest.raises(BrokenExecutor):
-                backend.evaluate_batch(evaluator, individuals)
-        finally:
-            backend.close()
-        assert not backend._degraded
-        assert evaluator.stats.pool_fallbacks == 0

@@ -11,8 +11,8 @@ from __future__ import annotations
 import pytest
 
 import repro.dynamics.system as system
-from repro.expr.compile import KernelCache
 from repro.gp.checkpoint import load_checkpoint
+from repro.lru import LRU
 
 
 class SimulatedCrash(RuntimeError):
@@ -116,7 +116,7 @@ class TestCrashResumeEquivalence:
         as hard, and since kernels are keyed on the exact tree, what is
         evicted and rebuilt cannot change a result.
         """
-        kernels = KernelCache(max_entries=2)
+        kernels = LRU(2)
         monkeypatch.setattr(system, "KERNEL_CACHE", kernels)
 
         def capped(**overrides):

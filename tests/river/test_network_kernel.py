@@ -29,7 +29,6 @@ from repro.expr import parse
 from repro.expr.compile import (
     KERNEL_CACHE,
     CompiledStationKernel,
-    KernelCache,
     compile_model,
     compile_station_kernel,
 )
@@ -40,6 +39,7 @@ from repro.gp.fitness import GMRFitnessEvaluator
 from repro.gp.init import random_individual
 from repro.gp.operators import gaussian_mutation
 from repro.gp.parallel import run_many_parallel
+from repro.lru import LRU
 from repro.river.hydrology import HydrologicalProcess
 from repro.river.network import RiverNetwork, Station
 from repro.river.simulator import (
@@ -346,7 +346,7 @@ class TestEvaluatorCompilePhase:
             return compile_station_kernel(*args, **kwargs)
 
         task, knowledge, grammar = river_setup()
-        kernels = KernelCache(max_entries=512)
+        kernels = LRU(512)
         monkeypatch.setattr(system, "KERNEL_CACHE", kernels)
         monkeypatch.setattr(system, "compile_model", no_scalar_kernel)
         monkeypatch.setattr(

@@ -30,9 +30,9 @@ import importlib.util
 from pathlib import Path
 
 import repro.dynamics.system as system
-from repro.expr.compile import KernelCache
 from repro.gp.fitness import GMRFitnessEvaluator
 from repro.gp.knowledge import build_grammar
+from repro.lru import LRU
 from tests.oracle import SMALL_CONFIG, make_cohort, toy_knowledge, toy_task
 
 SPANS = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e" / "spans.py"
@@ -47,7 +47,7 @@ def load_spans():
 
 def test_probes_see_every_path_and_restore(monkeypatch):
     # A fresh kernel cache, so every kernel build is a probed miss.
-    monkeypatch.setattr(system, "KERNEL_CACHE", KernelCache(max_entries=512))
+    monkeypatch.setattr(system, "KERNEL_CACHE", LRU(512))
     knowledge = toy_knowledge()
     cohort = make_cohort(build_grammar(knowledge), knowledge, SMALL_CONFIG, seed=11)
     evaluator = GMRFitnessEvaluator(task=toy_task(), config=SMALL_CONFIG)

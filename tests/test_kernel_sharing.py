@@ -31,9 +31,10 @@ import repro.dynamics.system as system
 from repro.dynamics.system import ProcessModel
 from repro.expr import ast
 from repro.expr.ast import BinOp, Expr, Param, State
-from repro.expr.compile import KernelCache, compile_model
+from repro.expr.compile import compile_model
 from repro.gp.config import GMRConfig
 from repro.gp.engine import GMREngine
+from repro.lru import LRU
 from tests.oracle import DOMAINS, KernelCase, derivation_kernel_cases, nan_bits
 
 #: ``p * p - p * p`` is ``inf - inf``, NaN, at this parameter value.
@@ -102,7 +103,7 @@ def check_compile_order(case: KernelCase) -> None:
     own = [run(compile_model(list(tree), *orders)) for tree in trees]
     for sequence in ((0, 1), (1, 0)):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(system, "KERNEL_CACHE", KernelCache())
+            patch.setattr(system, "KERNEL_CACHE", LRU(512))
             for index in sequence:
                 model = ProcessModel(
                     dict(zip(case.state_order, trees[index])),
@@ -138,7 +139,7 @@ def sir_history(seeds: tuple[int, ...]) -> list[tuple[float, float]]:
     """The last seed's history, after running ``seeds`` in order in one
     engine, in a process whose kernel table starts empty."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(system, "KERNEL_CACHE", KernelCache())
+        patch.setattr(system, "KERNEL_CACHE", LRU(512))
         engine = GMREngine.for_domain("sir", SIR_CONFIG)
         for seed in seeds:
             result = engine.run(seed=seed)

@@ -42,6 +42,7 @@ from tests.oracle import (
     agree,
     assert_same_stream,
     ast_kernel_cases,
+    bits,
     check_evaluator,
     check_kernel,
     check_rollout,
@@ -111,6 +112,24 @@ def narrow_case() -> KernelCase:
         members, VAR_NAMES, STATE_NAMES, params, ((2.0,),) * 6, ((0.5, 0.0),), 2
     )
 
+
+#: A NaN of each sign bit.
+SIGNED_NANS = (math.nan, math.copysign(math.nan, -1.0))
+
+#: ``log`` of a signed NaN read as a parameter (the station form's setup
+#: stream), a driver (its NumPy hoist) and a state (its step stream):
+#: every form keeps the sign bit the interpreter's ``abs`` gives.
+NAN_SIGN_CASES = {
+    f"log-nan-{name}": named_case(
+        ast.log(leaf),
+        states=SIGNED_NANS,
+        params=[(nan,) * len(PARAM_NAMES) for nan in SIGNED_NANS],
+        rows=tuple((nan, nan) for nan in SIGNED_NANS),
+    )
+    for name, leaf in (
+        ("param", Param("p0")), ("driver", Var("v0")), ("state", State("s0"))
+    )
+}
 
 NAMED_KERNEL_CASES = {
     # NaN operands reach every operator: the scalar codegen once put the
@@ -276,6 +295,10 @@ class TestKernel:
     @cases(NAMED_KERNEL_CASES)
     def test_named(self, case):
         check_kernel(case)
+
+    @cases(NAN_SIGN_CASES)
+    def test_log_nan_sign_bits(self, case):
+        check_kernel(case, compare=bits)
 
     @pytest.mark.parametrize("domain", DOMAINS)
     @settings(max_examples=15, deadline=None)
@@ -443,4 +466,7 @@ class TestTriage:
         assert triage_fatal(model, params, context) == fatal
         assert report_fatal(model, params, context) == fatal
         if fatal:
+            # The None verdict is memoised: asking again is a hit.
+            hits = context.hull_memo.stats.hits
             assert _hull_bounds(model, context) is None
+            assert context.hull_memo.stats.hits == hits + 1
