@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.dynamics.system import ProcessModel
-from repro.dynamics.task import BAD_FITNESS, ModelingTask
+from repro.dynamics.task import ModelingTask
 from repro.gp.knowledge import ParameterPrior
 
 
@@ -145,15 +145,3 @@ def track_best(
     if fitness < current_best[0]:
         return fitness, np.array(vector, dtype=float)
     return current_best
-
-
-def gaussian_log_likelihood(rmse: float, n_cases: int, sigma: float) -> float:
-    """Log-likelihood of i.i.d. Gaussian errors with scale ``sigma``.
-
-    Used by the Bayiesan-flavoured calibrators (MCMC, DREAM, DE-MCz) to
-    turn the RMSE objective into a posterior density.
-    """
-    if rmse >= BAD_FITNESS:
-        return -1e18
-    sse = rmse * rmse * n_cases
-    return -0.5 * sse / (sigma * sigma)

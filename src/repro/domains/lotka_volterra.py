@@ -22,18 +22,11 @@ predator mortality constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from repro.domains.registry import ConformancePlan, DomainSpec
-from repro.domains.synth import (
-    SyntheticDataset,
-    ar1,
-    noisy_euler,
-    observe,
-    seasonal,
-)
+from repro.domains.synth import SyntheticDomain, ar1, seasonal
 from repro.dynamics.drivers import DriverTable
 from repro.dynamics.integrate import ClampSpec
 from repro.dynamics.system import ProcessModel
@@ -178,71 +171,26 @@ def make_drivers(config: LotkaVolterraConfig) -> DriverTable:
     )
 
 
-def generate(
-    config: LotkaVolterraConfig = LotkaVolterraConfig(),
-) -> SyntheticDataset:
-    """Synthesise drivers, the noisy truth trajectory, and observations.
-
-    Driver synthesis, process noise and observation noise each consume
-    an independent substream of the config seed, so the dataset is
-    bit-identical for a fixed config in any process.
-    """
-    drivers = make_drivers(config)
-    model = truth_model()
-    params = tuple(HIDDEN_CONSTANTS[name] for name in model.param_order)
-    process_rng = np.random.default_rng((config.seed, 1))
-    states = noisy_euler(
-        model,
-        params,
-        drivers,
-        (config.initial_prey, config.initial_pred),
-        process_rng,
-        config.process_noise,
-        LV_CLAMP,
-    )
-    observation_rng = np.random.default_rng((config.seed, 2))
-    observed = observe(
-        observation_rng, states[:, 0], config.observation_noise
-    )
-    return SyntheticDataset(
-        drivers=drivers,
-        observed=observed,
-        states=states,
-        train_days=config.train_days,
-    )
+def initial_state(config: LotkaVolterraConfig) -> tuple[float, ...]:
+    return (config.initial_prey, config.initial_pred)
 
 
-@lru_cache(maxsize=4)
-def _cached_generate(config: LotkaVolterraConfig) -> SyntheticDataset:
-    return generate(config)
+SYNTHETIC = SyntheticDomain(
+    make_drivers=make_drivers,
+    truth_model=truth_model,
+    hidden_constants=HIDDEN_CONSTANTS,
+    initial_state=initial_state,
+    state_names=STATE_NAMES,
+    target_state="Prey",
+    clamp=LV_CLAMP,
+    default_config=LotkaVolterraConfig(),
+)
 
-
-def make_task(
-    period: str = "train",
-    config: LotkaVolterraConfig = LotkaVolterraConfig(),
-) -> ModelingTask:
-    """The LV modeling task over ``period`` (train/test/all)."""
-    dataset = _cached_generate(config)
-    window = dataset.window(period)
-    start = window.start or 0
-    if start == 0:
-        initial = (config.initial_prey, config.initial_pred)
-    else:
-        initial = (
-            float(dataset.states[start, 0]),
-            float(dataset.states[start, 1]),
-        )
-    return ModelingTask(
-        drivers=DriverTable(
-            dataset.drivers.names, dataset.drivers.values[window]
-        ),
-        observed=dataset.observed[window],
-        target_state="Prey",
-        state_names=STATE_NAMES,
-        initial_state=initial,
-        clamp=LV_CLAMP,
-    )
-
+#: ``generate(config=LotkaVolterraConfig())`` and ``make_task(
+#: period="train", config=LotkaVolterraConfig())``: the shared pipeline
+#: over this domain.
+generate = SYNTHETIC.generate
+make_task = SYNTHETIC.make_task
 
 #: Small instance for the conformance battery and quick experiments.
 MINI_CONFIG = LotkaVolterraConfig(n_days=200, train_days=150)

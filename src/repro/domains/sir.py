@@ -22,18 +22,11 @@ waning-rate constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from repro.domains.registry import ConformancePlan, DomainSpec
-from repro.domains.synth import (
-    SyntheticDataset,
-    ar1,
-    noisy_euler,
-    observe,
-    seasonal,
-)
+from repro.domains.synth import SyntheticDomain, ar1, seasonal
 from repro.dynamics.drivers import DriverTable
 from repro.dynamics.integrate import ClampSpec
 from repro.dynamics.system import ProcessModel
@@ -181,65 +174,25 @@ def make_drivers(config: SIRConfig) -> DriverTable:
     )
 
 
-def generate(config: SIRConfig = SIRConfig()) -> SyntheticDataset:
-    """Synthesise drivers, the noisy truth trajectory, and observations.
-
-    Driver synthesis, process noise and observation noise each consume
-    an independent substream of the config seed, so the dataset is
-    bit-identical for a fixed config in any process.
-    """
-    drivers = make_drivers(config)
-    model = truth_model()
-    params = tuple(HIDDEN_CONSTANTS[name] for name in model.param_order)
-    process_rng = np.random.default_rng((config.seed, 1))
-    states = noisy_euler(
-        model,
-        params,
-        drivers,
-        (config.initial_s, config.initial_i, config.initial_r),
-        process_rng,
-        config.process_noise,
-        SIR_CLAMP,
-    )
-    observation_rng = np.random.default_rng((config.seed, 2))
-    observed = observe(
-        observation_rng, states[:, 1], config.observation_noise
-    )
-    return SyntheticDataset(
-        drivers=drivers,
-        observed=observed,
-        states=states,
-        train_days=config.train_days,
-    )
+def initial_state(config: SIRConfig) -> tuple[float, ...]:
+    return (config.initial_s, config.initial_i, config.initial_r)
 
 
-@lru_cache(maxsize=4)
-def _cached_generate(config: SIRConfig) -> SyntheticDataset:
-    return generate(config)
+SYNTHETIC = SyntheticDomain(
+    make_drivers=make_drivers,
+    truth_model=truth_model,
+    hidden_constants=HIDDEN_CONSTANTS,
+    initial_state=initial_state,
+    state_names=STATE_NAMES,
+    target_state="I",
+    clamp=SIR_CLAMP,
+    default_config=SIRConfig(),
+)
 
-
-def make_task(
-    period: str = "train", config: SIRConfig = SIRConfig()
-) -> ModelingTask:
-    """The SIR modeling task over ``period`` (train/test/all)."""
-    dataset = _cached_generate(config)
-    window = dataset.window(period)
-    start = window.start or 0
-    if start == 0:
-        initial = (config.initial_s, config.initial_i, config.initial_r)
-    else:
-        initial = tuple(float(v) for v in dataset.states[start])
-    return ModelingTask(
-        drivers=DriverTable(
-            dataset.drivers.names, dataset.drivers.values[window]
-        ),
-        observed=dataset.observed[window],
-        target_state="I",
-        state_names=STATE_NAMES,
-        initial_state=initial,
-        clamp=SIR_CLAMP,
-    )
-
+#: ``generate(config=SIRConfig())`` and ``make_task(period="train",
+#: config=SIRConfig())``: the shared pipeline over this domain.
+generate = SYNTHETIC.generate
+make_task = SYNTHETIC.make_task
 
 #: Small instance for the conformance battery and quick experiments.
 MINI_CONFIG = SIRConfig(n_days=200, train_days=150)

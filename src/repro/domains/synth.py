@@ -1,25 +1,29 @@
-"""Shared machinery for the benchmark domains' synthetic datasets.
+"""The one data pipeline of the benchmark domains' synthetic datasets.
 
-The Lotka-Volterra and SIR plugins both synthesise their data the same
-way: seasonal drivers with AR(1) weather noise, the hidden ground truth
-integrated with an Euler stepper that injects multiplicative *process
-noise* at every step, and observations of one state with multiplicative
-measurement noise.  Everything is driven by one ``numpy`` generator
-seeded from the dataset config, so a fixed seed reproduces the dataset
-bit-identically -- across calls and across process restarts (the
-conformance suite checks the latter in a subprocess).
+The Lotka-Volterra and SIR plugins both synthesise their data through
+:class:`SyntheticDomain`: seasonal drivers with AR(1) weather noise, the
+hidden ground truth integrated with an Euler stepper that injects
+multiplicative *process noise* at every step, and observations of the
+target state with multiplicative measurement noise, windowed into
+train/test :class:`~repro.dynamics.task.ModelingTask` s.  Every random
+draw comes from a ``numpy`` generator seeded from the dataset config, so
+a fixed seed reproduces the dataset bit-identically -- across calls and
+across process restarts (the conformance suite checks the latter in a
+subprocess).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from repro.dynamics.drivers import DriverTable
 from repro.dynamics.integrate import ClampSpec
 from repro.dynamics.system import ProcessModel
+from repro.dynamics.task import ModelingTask
 
 DAYS_PER_YEAR = 365
 
@@ -118,3 +122,92 @@ def observe(
     """Multiplicative log-normal measurement noise on a series."""
     factors = np.exp(rng.normal(0.0, relative_noise, size=len(series)))
     return series * factors
+
+
+@dataclass(frozen=True, eq=False)
+class SyntheticDomain:
+    """What a synthetic domain plugin supplies; the pipeline is shared.
+
+    A dataset config is a frozen dataclass with at least ``seed``,
+    ``n_days``, ``train_days``, ``process_noise`` and
+    ``observation_noise``.  ``make_drivers(config)`` draws its noise from
+    ``default_rng(config.seed)``; process and observation noise take the
+    independent substreams ``(seed, 1)`` and ``(seed, 2)``.
+
+    Attributes:
+        make_drivers: The driver table of a config (full horizon).
+        truth_model: The hidden data-generating model.
+        hidden_constants: Its parameter values, by name.
+        initial_state: The state at day 0 of a config.
+        state_names: The model's states, in order.
+        target_state: The observed state.
+        clamp: The clamping band of truth and candidate models.
+        default_config: The config used when none is given.
+    """
+
+    make_drivers: Callable[[Any], DriverTable]
+    truth_model: Callable[[], ProcessModel]
+    hidden_constants: Mapping[str, float]
+    initial_state: Callable[[Any], tuple[float, ...]]
+    state_names: tuple[str, ...]
+    target_state: str
+    clamp: ClampSpec
+    default_config: Any
+
+    def generate(self, config: Any = None) -> SyntheticDataset:
+        """Synthesise drivers, the noisy truth trajectory, and
+        observations of the target state."""
+        config = self.default_config if config is None else config
+        drivers = self.make_drivers(config)
+        model = self.truth_model()
+        params = tuple(self.hidden_constants[name] for name in model.param_order)
+        states = noisy_euler(
+            model,
+            params,
+            drivers,
+            self.initial_state(config),
+            np.random.default_rng((config.seed, 1)),
+            config.process_noise,
+            self.clamp,
+        )
+        target = self.state_names.index(self.target_state)
+        observed = observe(
+            np.random.default_rng((config.seed, 2)),
+            states[:, target],
+            config.observation_noise,
+        )
+        return SyntheticDataset(
+            drivers=drivers,
+            observed=observed,
+            states=states,
+            train_days=config.train_days,
+        )
+
+    def make_task(
+        self, period: str = "train", config: Any = None
+    ) -> ModelingTask:
+        """The modeling task over ``period`` (train/test/all); a window
+        that starts after day 0 starts from the true state there."""
+        config = self.default_config if config is None else config
+        dataset = _cached_generate(self, config)
+        window = dataset.window(period)
+        start = window.start or 0
+        if start == 0:
+            initial = self.initial_state(config)
+        else:
+            initial = tuple(float(value) for value in dataset.states[start])
+        return ModelingTask(
+            drivers=DriverTable(
+                dataset.drivers.names, dataset.drivers.values[window]
+            ),
+            observed=dataset.observed[window],
+            target_state=self.target_state,
+            state_names=self.state_names,
+            initial_state=initial,
+            clamp=self.clamp,
+        )
+
+
+@lru_cache(maxsize=8)
+def _cached_generate(domain: SyntheticDomain, config: Any) -> SyntheticDataset:
+    return domain.generate(config)

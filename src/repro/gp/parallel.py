@@ -18,6 +18,13 @@ reproduction:
    (documented caveat: slightly lazier short-circuiting than the
    per-individual serial path).
 
+Every campaign, at any worker count, runs through one round loop,
+:func:`execute_campaign`.  With one worker its executor is an in-process
+stand-in whose futures run when collected, so runs execute one at a
+time, in seed order, in the parent, sharing its governor and warm
+kernel cache.  A budget- or signal-stopped run ends the campaign: seeds
+not yet started are left for the next invocation.
+
 Failure handling is governed by :class:`~repro.gp.resilience.
 FailurePolicy`.  By default workers fail loudly: an exception inside a
 worker surfaces in the parent as :class:`ParallelRunError` naming the
@@ -43,7 +50,7 @@ from abc import ABC, abstractmethod
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.gp.checkpoint import (
     CheckpointError,
@@ -55,9 +62,7 @@ from repro.gp.checkpoint import (
 from repro.gp.fitness import EvaluationStats, GMRFitnessEvaluator
 from repro.gp.individual import Individual
 from repro.gp.resilience import (
-    COLLECT,
     FAIL_FAST,
-    RETRY,
     CampaignResult,
     FailurePolicy,
     RunFailure,
@@ -185,12 +190,46 @@ def run_many_parallel(
             error names the seed, and outstanding runs are cancelled.
     """
     seeds = [base_seed + index for index in range(max(0, n_runs))]
-    if policy is None:
-        outcome = execute_campaign(
-            engine, seeds, FailurePolicy.fail_fast(), max_workers, None
-        )
-        return outcome.completed
-    return execute_campaign(engine, seeds, policy, max_workers, None)
+    outcome = execute_campaign(
+        engine, seeds, policy or FailurePolicy.fail_fast(), max_workers
+    )
+    return outcome.completed if policy is None else outcome
+
+
+class _InProcessFuture:
+    """A call deferred until its result is collected, then run here."""
+
+    def __init__(self, fn: Callable[..., Any], args: tuple[Any, ...]) -> None:
+        self._fn = fn
+        self._args = args
+        #: ``time.monotonic()`` when the call started, or None before.
+        self.started: float | None = None
+
+    def cancel(self) -> bool:
+        """Succeeds for a call that has not started."""
+        return self.started is None
+
+    def result(self, timeout: float | None = None) -> Any:
+        """Run the call in this process; ``timeout`` is ignored, as
+        in-process code cannot be interrupted."""
+        self.started = time.monotonic()
+        return self._fn(*self._args)
+
+
+class _InProcessExecutor:
+    """The one-worker stand-in for a process pool.
+
+    ``submit`` defers the call, so runs execute one at a time, in the
+    order they are collected, in this process, and keep its governor
+    and warm kernel cache.  No call outlives its collection, so there is
+    nothing to shut down.
+    """
+
+    def submit(self, fn: Callable[..., Any], *args: Any) -> _InProcessFuture:
+        return _InProcessFuture(fn, args)
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        pass
 
 
 def execute_campaign(
@@ -207,129 +246,87 @@ def execute_campaign(
     :func:`repro.gp.resilience.run_campaign` (which adds completed-result
     reuse on top).  ``tracer`` receives ``campaign_retry`` events when a
     failed seed re-enters under a retry policy.
+
+    One round loop serves every worker count.  Each round submits every
+    outstanding seed, then collects in seed order.  Failed seeds either
+    terminate the campaign (``fail_fast``), are recorded (``collect``),
+    or re-enter the next round (``retry``, after one backoff sleep: the
+    longest delay among the round's retries).  A broken pool is rebuilt
+    (bounded by ``policy.max_pool_rebuilds``) and the seeds it swallowed
+    are re-submitted without consuming their retry attempts.  With one
+    worker the executor is :class:`_InProcessExecutor`: runs execute in
+    this process, in seed order, when collected, and ``policy.timeout``
+    is not enforced.
+
+    Stop rule, checked before each future is collected: once a run
+    returns a ``stop_reason`` or the engine's governor has a stop
+    requested, every future that has not started is cancelled and its
+    seed left for the next invocation; running or finished ones are
+    still collected.
     """
     if not seeds:
         return CampaignResult(completed=[], failed=[])
     if tracer is not None and not tracer.enabled:
         tracer = None
     workers = default_workers(len(seeds), max_workers)
-    if workers == 1:
-        return _campaign_serial(
-            engine, list(seeds), policy, checkpoint_dir, tracer
-        )
-    return _campaign_pooled(
-        engine, list(seeds), policy, workers, checkpoint_dir, tracer
-    )
 
+    def new_pool() -> "ProcessPoolExecutor | _InProcessExecutor":
+        if workers == 1:
+            return _InProcessExecutor()
+        return ProcessPoolExecutor(max_workers=workers)
 
-def _campaign_serial(
-    engine: "GMREngine",
-    seeds: list[int],
-    policy: FailurePolicy,
-    checkpoint_dir: str | None,
-    tracer: Tracer | None = None,
-) -> CampaignResult:
-    """In-process execution with the same policy semantics as the pool.
-
-    The per-run ``timeout`` watchdog cannot interrupt in-process code and
-    is not enforced here.
-    """
-    completed: list[RunResult] = []
-    failed: list[RunFailure] = []
-    stop_reason: str | None = None
-    governor = getattr(engine, "governor", None)
-    for seed in seeds:
-        if governor is not None and governor.stop_requested is not None:
-            # A cooperative stop (signal) raised between runs; do not
-            # start another seed just to have it stop at generation 0.
-            stop_reason = governor.stop_requested
-            break
-        started = time.monotonic()
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                result = _run_one(engine, seed, checkpoint_dir)
-            except Exception as exc:
-                if policy.mode == FAIL_FAST:
-                    raise ParallelRunError(seed, exc) from exc
-                if policy.mode == RETRY and attempt < policy.max_attempts:
-                    delay = policy.retry.delay(seed, attempt)
-                    if tracer is not None:
-                        tracer.point(
-                            "campaign_retry",
-                            seed=seed,
-                            attempt=attempt,
-                            error_type=type(exc).__name__,
-                            delay=delay,
-                        )
-                    time.sleep(delay)
-                    continue
-                failed.append(
-                    RunFailure.from_exception(
-                        seed, attempt, exc, time.monotonic() - started
-                    )
-                )
-                break
-            else:
-                completed.append(result)
-                # A budget- or signal-stopped run is partial: keep its
-                # snapshot (no .result file) so re-running the campaign
-                # with a larger budget resumes it, and stop the
-                # campaign instead of burning budget on later seeds.
-                stop_reason = getattr(result, "stop_reason", None)
-                if stop_reason is None:
-                    _finalize_run(checkpoint_dir, seed, result)
-                break
-        if stop_reason is not None:
-            break
-    return CampaignResult(
-        completed=completed, failed=failed, stop_reason=stop_reason
-    )
-
-
-def _campaign_pooled(
-    engine: "GMREngine",
-    seeds: list[int],
-    policy: FailurePolicy,
-    workers: int,
-    checkpoint_dir: str | None,
-    tracer: Tracer | None = None,
-) -> CampaignResult:
-    """Round-based pooled execution with retries and pool rebuilds.
-
-    Each round submits every outstanding seed, then collects in seed
-    order.  Failed seeds either terminate the campaign (``fail_fast``),
-    are recorded (``collect``), or re-enter the next round (``retry``,
-    after the deterministic backoff).  A broken pool is rebuilt (bounded
-    by ``policy.max_pool_rebuilds``) and the seeds it swallowed are
-    re-submitted without consuming their retry attempts.
-    """
     completed: dict[int, RunResult] = {}
     failed: dict[int, RunFailure] = {}
     attempts = {seed: 0 for seed in seeds}
-    first_seen = {seed: time.monotonic() for seed in seeds}
+    first_seen: dict[int, float] = {}
     outstanding = list(seeds)
+    futures: dict[int, Any] = {}
+    retry_later: list[int] = []
+    round_started = time.monotonic()
     rebuilds = 0
     timed_out = False
     stop_reason: str | None = None
     governor = getattr(engine, "governor", None)
-    pool = ProcessPoolExecutor(max_workers=workers)
+    pool = new_pool()
 
     def record_failure(seed: int, error: BaseException) -> None:
+        began = first_seen.setdefault(seed, round_started)
         failed[seed] = RunFailure.from_exception(
-            seed, attempts[seed], error, time.monotonic() - first_seen[seed]
+            seed, attempts[seed], error, time.monotonic() - began
         )
 
+    def stopping() -> bool:
+        # Signals land in the parent; pooled workers run to their own
+        # budgets, so a requested stop is picked up here.
+        nonlocal stop_reason
+        if stop_reason is None and governor is not None:
+            stop_reason = governor.stop_requested
+        return stop_reason is not None
+
+    def handle_failure(seed: int, error: BaseException) -> None:
+        # Elapsed time counts from the seed's first attempt: a pooled
+        # run starts with its round, an in-process one when collected.
+        started = getattr(futures.get(seed), "started", None)
+        first_seen.setdefault(seed, started or round_started)
+        if policy.mode == FAIL_FAST:
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise ParallelRunError(seed, error) from error
+        if attempts[seed] < policy.max_attempts:
+            retry_later.append(seed)
+            if tracer is not None:
+                tracer.point(
+                    "campaign_retry",
+                    seed=seed,
+                    attempt=attempts[seed],
+                    error_type=type(error).__name__,
+                    delay=policy.retry.delay(seed, attempts[seed]),
+                )
+        else:
+            record_failure(seed, error)
+
     try:
-        while outstanding:
-            if stop_reason is None and governor is not None:
-                # Signals land in the parent; workers run to their own
-                # budgets, so a stop between rounds is checked here.
-                stop_reason = governor.stop_requested
-            if stop_reason is not None:
-                break
-            retry_later: list[int] = []
+        while outstanding and not stopping():
+            retry_later = []
             rebuild_seeds: list[int] = []
             pool_error: BaseException | None = None
             for seed in outstanding:
@@ -345,30 +342,12 @@ def _campaign_pooled(
                     pool_error = exc
                     rebuild_seeds.append(seed)
 
-            def handle_failure(seed: int, error: BaseException) -> None:
-                if policy.mode == FAIL_FAST:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    raise ParallelRunError(seed, error) from error
-                if (
-                    policy.mode == RETRY
-                    and attempts[seed] < policy.retry.max_attempts
-                ):
-                    retry_later.append(seed)
-                    if tracer is not None:
-                        tracer.point(
-                            "campaign_retry",
-                            seed=seed,
-                            attempt=attempts[seed],
-                            error_type=type(error).__name__,
-                            delay=policy.retry.delay(seed, attempts[seed]),
-                        )
-                else:
-                    record_failure(seed, error)
-
             for seed in outstanding:
                 future = futures.get(seed)
                 if future is None:
                     continue  # submission hit a broken pool
+                if stopping() and future.cancel():
+                    continue  # not started: left for the next invocation
                 if timed_out:
                     # A previous run in this round blew the watchdog;
                     # drain the rest without blocking.  Never-started
@@ -421,8 +400,9 @@ def _campaign_pooled(
                     handle_failure(seed, exc)
                 else:
                     completed[seed] = result
-                    # Budget-stopped partial results keep their
-                    # snapshots and end the campaign after this round.
+                    # A budget- or signal-stopped run is partial: it
+                    # keeps its snapshot (no .result file), so re-running
+                    # the campaign with a larger budget resumes it.
                     run_stop = getattr(result, "stop_reason", None)
                     if run_stop is not None:
                         if stop_reason is None:
@@ -442,13 +422,13 @@ def _campaign_pooled(
                     rebuild_seeds = []
                 else:
                     rebuilds += 1
-                    pool = ProcessPoolExecutor(max_workers=workers)
+                    pool = new_pool()
                     # The pool died under these seeds; they never failed
                     # on their own, so give their attempts back.
                     for seed in rebuild_seeds:
                         attempts[seed] -= 1
 
-            if retry_later:
+            if retry_later and stop_reason is None:
                 delay = max(
                     policy.retry.delay(seed, attempts[seed])
                     for seed in retry_later

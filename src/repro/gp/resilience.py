@@ -28,8 +28,9 @@ import os
 import random
 import traceback as traceback_module
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, ContextManager, Iterable
 
 from repro.gp.checkpoint import (
     CheckpointError,
@@ -381,18 +382,16 @@ def run_campaign(
                 pending.append(seed)
         if tracer is not None and not tracer.enabled:
             tracer = None
-        if tracer is None:
-            outcome = execute_campaign(
-                engine, pending, policy, max_workers, checkpoint_dir
-            )
-        else:
-            with tracer.span(
+        span_cm: ContextManager[int] = nullcontext(-1)
+        if tracer is not None:
+            span_cm = tracer.span(
                 "campaign", n_seeds=len(pending), mode=policy.mode
-            ) as span:
-                outcome = execute_campaign(
-                    engine, pending, policy, max_workers, checkpoint_dir,
-                    tracer,
-                )
+            )
+        with span_cm as span:
+            outcome = execute_campaign(
+                engine, pending, policy, max_workers, checkpoint_dir, tracer
+            )
+            if tracer is not None:
                 tracer.end_span_fields(
                     "campaign",
                     span,

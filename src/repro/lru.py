@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable
+from typing import Any, Callable, Hashable
 
-from repro.obs.metrics import MetricsRegistry, merge_fields, publish_fields
+from repro.obs.metrics import MetricsRegistry, publish_fields
 
 #: The default :meth:`LRU.get_or_build` looks up with: no stored value
 #: is it, so a stored ``None`` is a hit.
@@ -44,18 +44,6 @@ class CacheStats:
         if self.lookups == 0:
             return 0.0
         return self.hits / self.lookups
-
-    def merge(self, other: "CacheStats") -> "CacheStats":
-        """Counter-wise sum with ``other`` (fan-in of per-worker caches)."""
-        return merge_fields(self, other)
-
-    @classmethod
-    def merge_all(cls, parts: "Iterable[CacheStats]") -> "CacheStats":
-        """Merge any number of per-worker cache statistics."""
-        total = cls()
-        for part in parts:
-            total = total.merge(part)
-        return total
 
     def publish(self, registry: MetricsRegistry, prefix: str) -> None:
         """Publish the counters into a :class:`repro.obs.MetricsRegistry`."""

@@ -28,7 +28,6 @@ from repro.gp.parallel import (
     default_workers,
     run_many_parallel,
 )
-from repro.lru import CacheStats
 
 
 def small_engine(toy_knowledge, toy_task, **overrides) -> GMREngine:
@@ -142,16 +141,6 @@ class TestStatsMerge:
 
     def test_merge_all_identity(self):
         assert EvaluationStats.merge_all([]) == EvaluationStats()
-        assert CacheStats.merge_all([]) == CacheStats()
-
-    def test_cache_stats_merge(self):
-        merged = CacheStats(hits=2, misses=3, evictions=1).merge(
-            CacheStats(hits=5, misses=1, evictions=0)
-        )
-        assert merged.hits == 7
-        assert merged.misses == 4
-        assert merged.evictions == 1
-        assert merged.lookups == 11
 
     def test_aggregate_stats_over_runs(self, toy_knowledge, toy_task):
         engine = small_engine(toy_knowledge, toy_task, max_generations=1)

@@ -226,7 +226,31 @@ class TestSignalStops:
 
 
 class TestCampaignStops:
+    @pytest.mark.parametrize("max_workers", [1, 2])
     def test_campaign_stops_after_budget_stopped_run(
+        self, make_engine, tmp_path, max_workers
+    ):
+        # One seed per worker: every seed starts, so nothing is racy.
+        engine = make_engine(max_generations=3, checkpoint_every=1)
+        engine.governor = RunGovernor(
+            budget=CampaignBudget(max_generations=1)
+        )
+        campaign = run_campaign(
+            engine,
+            max_workers,
+            base_seed=0,
+            max_workers=max_workers,
+            checkpoint_dir=tmp_path,
+        )
+        assert campaign.stop_reason == STOP_GENERATIONS
+        assert len(campaign.completed) == max_workers
+        for run in campaign.completed:
+            assert run.stop_reason == STOP_GENERATIONS
+            # A stopped run keeps its snapshot and writes no result file.
+            assert os.path.exists(checkpoint_file(tmp_path, run.seed))
+            assert not os.path.exists(result_file(tmp_path, run.seed))
+
+    def test_one_worker_starts_no_seed_after_a_stopped_run(
         self, make_engine, tmp_path
     ):
         engine = make_engine(max_generations=3, checkpoint_every=1)
@@ -237,11 +261,11 @@ class TestCampaignStops:
             engine, 3, base_seed=0, max_workers=1, checkpoint_dir=tmp_path
         )
         assert campaign.stop_reason == STOP_GENERATIONS
-        assert len(campaign.completed) == 1
-        assert campaign.completed[0].stop_reason == STOP_GENERATIONS
-        # The stopped run keeps its snapshot and writes no result file.
-        assert os.path.exists(checkpoint_file(tmp_path, 0))
-        assert not os.path.exists(result_file(tmp_path, 0))
+        assert [run.seed for run in campaign.completed] == [0]
+        # Seeds 1 and 2 were left for the next invocation, untouched.
+        for seed in (1, 2):
+            assert not os.path.exists(checkpoint_file(tmp_path, seed))
+            assert not os.path.exists(result_file(tmp_path, seed))
 
     def test_rerun_with_larger_budget_completes_campaign(
         self, make_engine, tmp_path
