@@ -13,6 +13,11 @@ built-in river, Lotka-Volterra and SIR domains use:
   marked extensible at the mortality subprocess.
 * Prior knowledge: parameter priors plus "temperature may matter here".
 
+The data runs through :class:`~repro.domains.synth.SyntheticDomain`,
+the pipeline of the built-in synthetic domains (cached generation,
+train/test/all task windows); ``LakeDomain`` overrides only its
+``generate``, because the lake's truth runs without process noise.
+
 Packaging those pieces as a :class:`~repro.domains.DomainSpec` and
 calling :func:`~repro.domains.register_domain` buys the whole toolchain:
 ``GMREngine.for_domain("lake")``, domain-stamped checkpoints that refuse
@@ -28,13 +33,18 @@ Run:  python examples/custom_domain.py
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from repro.analysis import report
 from repro.domains import ConformancePlan, DomainSpec, register_domain
-from repro.domains.synth import SyntheticDataset, ar1, observe, seasonal
+from repro.domains.synth import (
+    SyntheticDataset,
+    SyntheticDomain,
+    ar1,
+    observe,
+    seasonal,
+)
 from repro.dynamics import (
     ClampSpec,
     DriverTable,
@@ -146,52 +156,53 @@ def make_drivers(config: LakeConfig) -> DriverTable:
     )
 
 
-def generate(config: LakeConfig = LakeConfig()) -> SyntheticDataset:
-    """Simulate the hidden truth and observe algae with lognormal noise."""
-    drivers = make_drivers(config)
-    model = truth_model()
-    params = tuple(HIDDEN_PARAMS[name] for name in model.param_order)
-    initial = (config.initial_algae, config.initial_grazers)
-    states = simulate(model, params, drivers, initial, clamp=LAKE_CLAMP)
-    observation_rng = np.random.default_rng((config.seed, 2))
-    observed = observe(observation_rng, states[:, 0], config.observation_noise)
-    return SyntheticDataset(
-        drivers=drivers,
-        observed=observed,
-        states=states,
-        train_days=config.train_days,
-    )
+def initial_state(config: LakeConfig) -> tuple[float, ...]:
+    return (config.initial_algae, config.initial_grazers)
 
 
-@lru_cache(maxsize=4)
-def _cached_generate(config: LakeConfig) -> SyntheticDataset:
-    return generate(config)
+class LakeDomain(SyntheticDomain):
+    """The shared synthetic pipeline (cached generation, train/test/all
+    task windows) over the lake's own data: a truth integrated without
+    process noise."""
 
-
-def make_task(
-    period: str = "train", config: LakeConfig = LakeConfig()
-) -> ModelingTask:
-    """The lake modeling task over ``period`` (train/test/all)."""
-    dataset = _cached_generate(config)
-    window = dataset.window(period)
-    start = window.start or 0
-    if start == 0:
-        initial = (config.initial_algae, config.initial_grazers)
-    else:
-        initial = (
-            float(dataset.states[start, 0]),
-            float(dataset.states[start, 1]),
+    def generate(self, config: LakeConfig | None = None) -> SyntheticDataset:
+        """Simulate the hidden truth and observe algae with lognormal
+        noise."""
+        config = self.default_config if config is None else config
+        drivers = self.make_drivers(config)
+        model = self.truth_model()
+        params = tuple(self.hidden_constants[name] for name in model.param_order)
+        states = simulate(
+            model, params, drivers, self.initial_state(config), clamp=self.clamp
         )
-    return ModelingTask(
-        drivers=DriverTable(
-            dataset.drivers.names, dataset.drivers.values[window]
-        ),
-        observed=dataset.observed[window],
-        target_state="A",
-        state_names=STATE_NAMES,
-        initial_state=initial,
-        clamp=LAKE_CLAMP,
-    )
+        observed = observe(
+            np.random.default_rng((config.seed, 2)),
+            states[:, self.state_names.index(self.target_state)],
+            config.observation_noise,
+        )
+        return SyntheticDataset(
+            drivers=drivers,
+            observed=observed,
+            states=states,
+            train_days=config.train_days,
+        )
+
+
+LAKE = LakeDomain(
+    make_drivers=make_drivers,
+    truth_model=truth_model,
+    hidden_constants=HIDDEN_PARAMS,
+    initial_state=initial_state,
+    state_names=STATE_NAMES,
+    target_state="A",
+    clamp=LAKE_CLAMP,
+    default_config=LakeConfig(),
+)
+
+#: ``generate(config=LakeConfig())`` and ``make_task(period="train",
+#: config=LakeConfig())``: the lake's data through the shared pipeline.
+generate = LAKE.generate
+make_task = LAKE.make_task
 
 
 #: Small instance for quick runs and the regression test.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -69,23 +69,38 @@ def euler_steps(
         use_compiled: When False, step through the reference interpreter
             (the Figure 10 "no runtime compilation" configuration).
     """
+    rows, params, state, step = _euler_inputs(
+        model, params, drivers, initial_state, use_compiled
+    )
+    indices = range(len(state))
+    for row in rows:
+        derivatives = step(params, row, state)
+        for index in indices:
+            state[index] = clamp.apply(state[index] + dt * derivatives[index])
+        yield tuple(state)
+
+
+def _euler_inputs(
+    model: ProcessModel,
+    params: Sequence[float],
+    drivers: DriverTable,
+    initial_state: Sequence[float],
+    use_compiled: bool,
+) -> tuple[list[tuple[float, ...]], tuple[float, ...], list[float], Callable]:
+    """What an Euler loop reads: the driver rows in ``model.var_order``,
+    the parameter tuple, the state as a list of floats to update in
+    place, and the step function (compiled or interpreted)."""
     if drivers.names != model.var_order:
         drivers = drivers.select(model.var_order)
     params = tuple(params)
-    state = list(float(value) for value in initial_state)
-    n_states = len(state)
-    if n_states != len(model.state_names):
+    state = [float(value) for value in initial_state]
+    if len(state) != len(model.state_names):
         raise ValueError(
-            f"initial state has {n_states} entries, model has "
+            f"initial state has {len(state)} entries, model has "
             f"{len(model.state_names)} states"
         )
     step = model.compiled() if use_compiled else model.interpret_step
-    rows = drivers.rows()
-    for row in rows:
-        derivatives = step(params, row, state)
-        for index in range(n_states):
-            state[index] = clamp.apply(state[index] + dt * derivatives[index])
-        yield tuple(state)
+    return drivers.rows(), params, state, step
 
 
 def simulate(
@@ -139,7 +154,7 @@ def observation_error_stream(
     params: Sequence[float],
     drivers: DriverTable,
     initial_state: Sequence[float],
-    observed: np.ndarray,
+    observed: Sequence[float] | np.ndarray,
     target_state: str,
     dt: float = 1.0,
     clamp: ClampSpec = ClampSpec(),
@@ -150,6 +165,13 @@ def observation_error_stream(
     This is the *fitness case* stream consumed by evaluation
     short-circuiting (Algorithm 1): one squared error per time step,
     produced incrementally so evaluation can stop early.
+
+    The stream steps the model itself, with :func:`euler_steps`'
+    arithmetic and :meth:`ClampSpec.apply`'s checks inlined: one step
+    call, the clamped states written in place and one error per row.
+    ``observed`` may be a list of Python floats (read as it is, as
+    :class:`~repro.dynamics.task.ModelingTask` passes it) or anything
+    ``np.asarray`` takes.
 
     Raises:
         SimulationDiverged: If the simulated state becomes NaN (callers
@@ -163,17 +185,31 @@ def observation_error_stream(
         ) from None
     # Python floats, like the driver rows: a NumPy scalar observation
     # would make every error a NumPy scalar.
-    observed = np.asarray(observed, dtype=float).tolist()
+    if not isinstance(observed, list):
+        observed = np.asarray(observed, dtype=float).tolist()
     if len(observed) != len(drivers):
         raise ValueError(
             f"{len(observed)} observations for {len(drivers)} driver rows"
         )
-    stepper = euler_steps(
-        model, params, drivers, initial_state, dt, clamp, use_compiled
+    rows, params, state, step = _euler_inputs(
+        model, params, drivers, initial_state, use_compiled
     )
-    for state, target in zip(stepper, observed):
+    low, high = clamp.minimum, clamp.maximum
+    indices = range(len(state))
+    isfinite = math.isfinite
+    for row, target in zip(rows, observed):
+        derivatives = step(params, row, state)
+        for index in indices:
+            value = state[index] + dt * derivatives[index]
+            if value != value:  # NaN
+                raise SimulationDiverged("state became NaN")
+            if value < low:
+                value = low
+            elif value > high:
+                value = high
+            state[index] = value
         predicted = state[target_index]
-        if not math.isfinite(predicted):
+        if not isfinite(predicted):
             raise SimulationDiverged("predicted value is not finite")
         error = predicted - target
         yield error * error

@@ -199,7 +199,9 @@ class ProcessModel:
         return self._compiled
 
     def _build_scalar_kernel(self) -> CompiledModel:
-        exprs = [strip_ext(self.equations[name]) for name in self.state_names]
+        # The lowering reads through ``Ext`` markers, so the equations
+        # compile as they are.
+        exprs = [self.equations[name] for name in self.state_names]
         return compile_model(
             exprs, self.param_order, self.var_order, self.state_names
         )
@@ -215,7 +217,7 @@ class ProcessModel:
         return self._station
 
     def _build_station_kernel(self) -> CompiledStationKernel:
-        exprs = [strip_ext(self.equations[name]) for name in self.state_names]
+        exprs = [self.equations[name] for name in self.state_names]
         return compile_station_kernel(
             exprs, self.param_order, self.var_order, self.state_names
         )

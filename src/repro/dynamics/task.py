@@ -8,8 +8,9 @@ and score one state's trajectory against observations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,6 +25,26 @@ from repro.dynamics.system import ProcessModel
 
 #: Fitness assigned to diverging / non-finite simulations.
 BAD_FITNESS = 1e15
+
+
+def stream_rmse(errors: Iterable[float]) -> float:
+    """The RMSE of a squared-error stream read to its end.
+
+    :data:`BAD_FITNESS` if the stream diverges (``SimulationDiverged``
+    or ``OverflowError``), is empty, or sums to a non-finite value.
+    Every task's ``rmse`` is this over its ``error_stream``.
+    """
+    total = 0.0
+    count = 0
+    try:
+        for squared_error in errors:
+            total += squared_error
+            count += 1
+    except (SimulationDiverged, OverflowError):
+        return BAD_FITNESS
+    if count == 0 or not math.isfinite(total):
+        return BAD_FITNESS
+    return math.sqrt(total / count)
 
 
 @dataclass
@@ -62,6 +83,10 @@ class ModelingTask:
             )
         if len(self.initial_state) != len(self.state_names):
             raise ValueError("initial_state length must match state_names")
+        # The error stream reads Python floats (a NumPy scalar
+        # observation would make every error a NumPy scalar); convert
+        # once here, not on every evaluation.
+        self._observed_floats = self.observed.tolist()
 
     @property
     def n_cases(self) -> int:
@@ -84,7 +109,7 @@ class ModelingTask:
             params,
             self.drivers,
             self.initial_state,
-            self.observed,
+            self._observed_floats,
             self.target_state,
             dt=self.dt,
             clamp=self.clamp,
@@ -98,17 +123,7 @@ class ModelingTask:
         use_compiled: bool = True,
     ) -> float:
         """Full-trajectory RMSE; :data:`BAD_FITNESS` on divergence."""
-        total = 0.0
-        count = 0
-        try:
-            for squared_error in self.error_stream(model, params, use_compiled):
-                total += squared_error
-                count += 1
-        except (SimulationDiverged, OverflowError):
-            return BAD_FITNESS
-        if count == 0 or not np.isfinite(total):
-            return BAD_FITNESS
-        return float(np.sqrt(total / count))
+        return stream_rmse(self.error_stream(model, params, use_compiled))
 
     def mae(self, model: ProcessModel, params: Sequence[float]) -> float:
         """Full-trajectory mean absolute error; BAD_FITNESS on divergence."""

@@ -443,6 +443,15 @@ class GMRFitnessEvaluator:
 
         self.stats.steps_possible += total_cases
         threshold = config.es_threshold
+        # Algorithm 1's cutoff is computed once: ``best_prev_full`` only
+        # moves in ``_completed``, after the loop.  With ES off,
+        # ``es_cases`` is 0, so a row pays one integer comparison and no
+        # square root.
+        if threshold is None:
+            es_cases, cutoff = 0, math.inf
+        else:
+            es_cases, cutoff = total_cases, self.best_prev_full * threshold
+        sqrt = math.sqrt
 
         sse = 0.0
         cases_done = 0
@@ -453,9 +462,9 @@ class GMRFitnessEvaluator:
                 ):
                     sse += squared_error
                     cases_done += 1
-                    if threshold is not None and cases_done < total_cases:
-                        fitness = math.sqrt(sse / cases_done)
-                        if fitness > self.best_prev_full * threshold:
+                    if cases_done < es_cases:
+                        fitness = sqrt(sse / cases_done)
+                        if fitness > cutoff:
                             estimate = self.extrapolate(
                                 fitness, cases_done, total_cases
                             )

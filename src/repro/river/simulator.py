@@ -717,19 +717,9 @@ class RiverTask:
         params: Sequence[float],
         use_compiled: bool = True,
     ) -> float:
-        from repro.dynamics.task import BAD_FITNESS
+        from repro.dynamics.task import stream_rmse
 
-        total = 0.0
-        count = 0
-        try:
-            for squared_error in self.error_stream(model, params, use_compiled):
-                total += squared_error
-                count += 1
-        except (SimulationDiverged, OverflowError):
-            return BAD_FITNESS
-        if count == 0 or not math.isfinite(total):
-            return BAD_FITNESS
-        return math.sqrt(total / count)
+        return stream_rmse(self.error_stream(model, params, use_compiled))
 
     def mae(self, model: ProcessModel, params: Sequence[float]) -> float:
         from repro.dynamics.task import BAD_FITNESS

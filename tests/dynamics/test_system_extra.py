@@ -1,11 +1,18 @@
 """Additional process-model behaviours: compilation reuse, dt, clamps."""
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.domains import get_domain
 from repro.dynamics import ClampSpec, DriverTable, ProcessModel, simulate
 from repro.expr import parse
-from repro.expr.ast import strip_ext
+from repro.expr.ast import Ext, strip_ext
+from repro.expr.compile import compile_model, compile_station_kernel
+from tests.oracle import DOMAINS, derivations
 
 
 def decay() -> ProcessModel:
@@ -84,3 +91,53 @@ class TestClampInteraction:
     def test_strip_ext_is_applied_before_compiling(self):
         expr = parse("{1 + 1}@Ext1")
         assert strip_ext(expr) == parse("1 + 1")
+
+
+def marked(expr, rng):
+    """``expr`` with ``Ext`` markers (some nested) wrapped around a
+    random third of its nodes."""
+    kids = expr.children()
+    if kids:
+        expr = expr.with_children(tuple(marked(kid, rng) for kid in kids))
+    while rng.random() < 0.3:
+        expr = Ext(f"Ext{rng.randrange(9)}", expr)
+    return expr
+
+
+def assert_kernels_ignore_markers(model: ProcessModel) -> None:
+    """The model's scalar and station kernels, built from its equations
+    as they are, have the source of its ``strip_ext``'d equations."""
+    orders = (model.param_order, model.var_order, model.state_names)
+    plain = [strip_ext(model.equations[name]) for name in model.state_names]
+    assert model._build_scalar_kernel().source == compile_model(plain, *orders).source
+    assert (
+        model._build_station_kernel().source
+        == compile_station_kernel(plain, *orders).source
+    )
+
+
+class TestExtLowering:
+    """Kernels compile equations without stripping their ``Ext``
+    markers: the lowering reads through them to the same source."""
+
+    @pytest.mark.parametrize("domain", DOMAINS)
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_marked_derivations(self, domain, data):
+        model, __ = data.draw(derivations(domain))
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        equations = {
+            name: marked(expr, rng) for name, expr in model.equations.items()
+        }
+        assert_kernels_ignore_markers(
+            ProcessModel(equations, model.param_order, model.var_order)
+        )
+
+    @pytest.mark.parametrize("domain", DOMAINS)
+    def test_expert_seeds(self, domain):
+        spec = get_domain(domain)
+        seeds = spec.make_knowledge().seed_equations
+        assert any(isinstance(node, Ext) for e in seeds.values() for node in e.walk())
+        assert_kernels_ignore_markers(
+            ProcessModel.from_equations(seeds, spec.var_order)
+        )

@@ -13,14 +13,19 @@ kernel (one step): interpreter vs ``simplify``'d interpreter, and
 rollout: ``euler_steps(use_compiled=False)`` vs compiled, every
   parameter column under custom and infinite clamps, ``dt`` and NaN
   drivers -- bitwise, NaN as one marker, same raise.
+stream: ``ModelingTask.error_stream`` compiled and interpreted vs
+  errors built from ``euler_steps(use_compiled=False)`` and the
+  observations, on the rollout cases, columns targeting each state in
+  turn and driver columns that need ``select`` -- per-row bits, the
+  raise's row, type and message.
 evaluator: sequential ``evaluate`` vs ``evaluate_batch`` (whole cohort
   or in chunks) vs a reference Algorithm 1 replayed over each member's
   compiled error stream, under the tree cache, ES thresholds with a
   finite marker, three extrapolators and poisoned drivers --
   :func:`assert_equivalent` (fitness, ``fully_evaluated``, marker,
   Algorithm 1 and tree-cache counters, all equal); seeded engine runs
-  under the batch knobs -- the champion re-scored with ES off equals
-  its fitness, and through the interpreter within rel 1e-9.
+  under the batch knobs -- the champion re-scored with ES off, compiled
+  and through the interpreter, equals its fitness.
 network: ``RiverTask.error_stream`` vs ``stepped_errors`` compiled
   (full horizon) and interpreted (40 days) -- per-day bits, raise type
   and message.
@@ -36,8 +41,7 @@ kernels and rollouts match the interpreter bit for bit.  A NaN's sign
 and payload are compared only for ``log`` of a signed NaN read as a
 parameter, driver and state (each kernel form takes the magnitude with
 ``abs``, as the interpreter does); elsewhere every NaN is one marker.
-Only the engine-level re-score through the interpreter allows a
-tolerance.
+No level allows a tolerance.
 """
 
 from __future__ import annotations
@@ -122,20 +126,11 @@ def nan_bits(values: Iterable[float]) -> list[bytes | None]:
     return [None if math.isnan(v) else struct.pack("<d", v) for v in values]
 
 
-def agree(got: float, want: float, rel: float, abs_tol: float = 0.0) -> bool:
-    """NaN-ness and infinities exact, finite values within ``rel`` of
-    ``want`` (or ``abs_tol``); ``rel=0`` is ``==``."""
+def same_value(got: float, want: float) -> bool:
+    """Equal, or both NaN."""
     if math.isnan(got) or math.isnan(want):
         return math.isnan(got) and math.isnan(want)
-    if got == want:
-        return True
-    if math.isinf(got) or math.isinf(want):
-        return False
-    return abs(got - want) <= max(rel * abs(want), abs_tol)
-
-
-#: Equal, or both NaN.
-same_value = functools.partial(agree, rel=0.0)
+    return got == want
 
 
 def drain(stream: Iterator, limit: int | None = None):
@@ -154,6 +149,13 @@ def drain(stream: Iterator, limit: int | None = None):
         if close is not None:
             close()
     return items, None
+
+
+def outcome(stream, limit: int | None = None):
+    """Bit patterns of a stream's values, plus what it raised."""
+    values, error = drain(stream, limit)
+    return bits(values), error
+
 
 
 # -- draws -------------------------------------------------------------
@@ -527,6 +529,60 @@ def _check_interpreter(model, vector, drivers, initial, steps) -> None:
         assert nan_bits(got) == nan_bits(want), (got, want)
 
 
+# -- stream level ------------------------------------------------------
+
+
+def two_state_model() -> ProcessModel:
+    """dB/dt logistic, dZ/dt = p*Vx*Z*Z - q*Vx*Z*Z: with p = q = 1e308
+    the non-target state ``Z`` turns NaN wherever ``Vx != 0``."""
+    B, Z = State("B"), State("Z")
+    logistic = logistic_model().equations["B"]
+    term = ast.mul(ast.mul(Var("Vx"), Z), Z)
+    poison = ast.sub(ast.mul(Param("p"), term), ast.mul(Param("q"), term))
+    return ProcessModel.from_equations({"B": logistic, "Z": poison}, ("Vx",))
+
+
+def reference_errors(model, vector, drivers, initial, observed, target, steps):
+    """Squared errors of state ``target`` against ``observed``, built from
+    the interpreter's :func:`euler_steps`: it raises where they raise, or
+    where the target state is not finite."""
+    index = model.state_names.index(target)
+    states = euler_steps(model, vector, drivers, initial, use_compiled=False, **steps)
+    for state, want in zip(states, observed):
+        predicted = state[index]
+        if not math.isfinite(predicted):
+            raise SimulationDiverged("predicted value is not finite")
+        error = predicted - want
+        yield error * error
+
+
+def check_stream(case: RolloutCase) -> None:
+    """Every column's ``ModelingTask.error_stream``, compiled and
+    interpreted, against :func:`reference_errors` over the first
+    :data:`ORACLE_ROWS` rows: per-row bits, and the row, type and
+    message of the raise.  Column ``k`` of a model targets state
+    ``k // 2`` (modulo the state count), and an odd column reads the
+    driver columns reversed, so the stream must ``select`` them."""
+    drivers = case.drivers.slice(0, min(ORACLE_ROWS, len(case.drivers)))
+    observed = (1.0 + 0.5 * np.sin(np.arange(len(drivers)) / 3.0)).tolist()
+    steps = dict(dt=case.dt, clamp=case.clamp)
+    reversed_drivers = drivers.select(drivers.names[::-1])
+    for model, columns in zip(case.models, case.columns):
+        names = model.state_names
+        for k, vector in enumerate(columns):
+            target = names[k // 2 % len(names)]
+            task = ModelingTask(
+                reversed_drivers if k % 2 else drivers,
+                observed, target, names, case.initial_state, **steps,
+            )
+            want = outcome(reference_errors(
+                model, vector, drivers, case.initial_state, observed, target, steps
+            ))
+            for use_compiled in (True, False):
+                got = outcome(task.error_stream(model, vector, use_compiled))
+                assert got == want, (target, use_compiled)
+
+
 # -- evaluator level ---------------------------------------------------
 
 
@@ -818,12 +874,6 @@ def river_setup():
     task = load_dataset(n_years=2, seed=7, train_years=1).river_task("train")
     knowledge = river_knowledge()
     return task, knowledge, build_grammar(knowledge)
-
-
-def outcome(stream, limit: int | None = None):
-    """Bit patterns of a stream's values, plus what it raised."""
-    values, error = drain(stream, limit)
-    return bits(values), error
 
 
 def assert_same_stream(task, model, params, oracle_days: int = 40) -> None:
